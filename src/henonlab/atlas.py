@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -126,13 +126,11 @@ class Raster:
 
     def a_centers(self) -> np.ndarray:
         lo, hi = self.a_range
-        step = (hi - lo) / self.width
-        return lo + (np.arange(self.width) + 0.5) * step
+        return lo + (np.arange(self.width) + 0.5) * (hi - lo) / self.width
 
     def b_centers(self) -> np.ndarray:
         lo, hi = self.b_range
-        step = (hi - lo) / self.height
-        return hi - (np.arange(self.height) + 0.5) * step
+        return hi - (np.arange(self.height) + 0.5) * (hi - lo) / self.height
 
     def pixel_center(self, i: int, j: int) -> tuple[float, float]:
         a_lo, a_hi = self.a_range
@@ -658,6 +656,9 @@ def sweep(
     if not (a_range[0] < a_range[1] and b_range[0] < b_range[1]):
         raise DomainError(f"empty parameter rectangle {a_range} x {b_range}")
     params = dict(params or {})
+    for key in ("steps", "n"):
+        if key in params and int(params[key]) < 1:
+            raise DomainError(f"{key} must be at least 1, got {params[key]}")
     if workers is None:
         workers = os.cpu_count() or 1
 
@@ -681,19 +682,18 @@ def sweep(
     tags = np.empty((height, width), dtype=np.uint8)
     values = np.empty((height, width), dtype=np.float64)
     if workers <= 1:
-        rows: Iterable = (_row_payload(cfg, i) for i in range(height))
+        for i in range(height):
+            _, tags[i], values[i] = _row_payload(cfg, i)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        rows = pool.map(
-            partial(_row_payload, cfg),
-            range(height),
-            chunksize=max(1, height // (4 * workers)),
-        )
-    for i, row_tags, row_values in rows:
-        tags[i] = row_tags
-        values[i] = row_values
-    if workers > 1:
-        pool.shutdown()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = pool.map(
+                partial(_row_payload, cfg),
+                range(height),
+                chunksize=max(1, height // (4 * workers)),
+            )
+            for i, row_tags, row_values in rows:
+                tags[i] = row_tags
+                values[i] = row_values
     return Raster(width, height, a_range, b_range, kernel, tags, values)
 
 

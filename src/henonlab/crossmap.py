@@ -14,10 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import BracketError, BranchError, ConvergenceError, NonMonotoneError
-from .henon import HenonMap, apply_map, evaluate
+from .errors import (
+    BracketError,
+    BranchError,
+    ConvergenceError,
+    DomainError,
+    NonMonotoneError,
+)
+from .henon import ZERO_FIELD, HenonMap, apply_map, evaluate
 from .maps1d import Piece1D, piece_1d
-from .rootfind import bisect, newton_safeguarded
+from .rootfind import DEFAULT_MAX_ITER, DEFAULT_RTOL, bisect, newton_safeguarded
 
 __all__ = [
     "ConeSpec",
@@ -78,30 +84,11 @@ class CrossMapChain:
 
 def factorize_chain(f: HenonMap, word: str | Piece1D) -> CrossMapChain:
     if not f.normalized:
-        raise ValueError("cross-map factorization requires a xi-normalized map")
+        raise DomainError("cross-map factorization requires a xi-normalized map")
     piece = piece_1d(word, f.a) if isinstance(word, str) else word
     if piece.order < 1:
-        raise ValueError(f"word {piece.word!r} has no quadratic factors")
+        raise DomainError(f"word {piece.word!r} has no quadratic factors")
     return CrossMapChain(f, piece)
-
-
-def _solve_factor(f: HenonMap, sign: int, x_next: float, y_here: float) -> float:
-    """Solve x from x_next = x^2 + a - b^m y + zeta(x, b^m y) on one branch."""
-    v = f.bm * y_here
-    radicand = x_next - f.a + v
-    if radicand < 0.0:
-        raise BranchError(
-            f"negative branch seed radicand {radicand!r} for target {x_next!r}"
-        )
-    seed = sign * math.sqrt(radicand)
-
-    def g(x: float) -> float:
-        return x * x + f.a - v + f.zeta.value(x, v) - x_next
-
-    def dg(x: float) -> float:
-        return 2.0 * x + f.zeta.dx(x, v)
-
-    return newton_safeguarded(g, seed, df=dg)
 
 
 @dataclass(frozen=True)
@@ -126,10 +113,25 @@ def eval_cross(
     y0 is the y-coordinate on the domain side. Interior y-values start at y0
     and are refreshed from the solved x-values after each sweep; the coupling
     is O(b^m), so the iteration contracts fast and is exact at b = 0.
+
+    Each factor solves x_{i+1} = x^2 + a - v + zeta(x, v), v = b^m y_i, on
+    its branch: the seed sign*sqrt(x_{i+1} - a + v) is polished by Newton
+    steps with the analytic slope 2x + zeta_x.  The polish is written out
+    here rather than calling ``newton_safeguarded`` (it runs millions of
+    times per tangency search); it takes the same steps, stops on the same
+    test (step <= rtol * max(1, |x|) or a zero residual) and fails the same
+    way, so the result is bit-identical to that routine.
     """
     f = chain.henon
     n = chain.order
     signs = chain.signs
+    a = f.a
+    bm = f.bm
+    hooked = f.zeta is not ZERO_FIELD
+    z_value = f.zeta.value
+    z_dx = f.zeta.dx
+    sqrt = math.sqrt
+    inf = math.inf
     xs = [0.0] * (n + 1)
     xs[n] = x1
     ys = [y0] * (n + 1)
@@ -138,12 +140,50 @@ def eval_cross(
     for sweep in range(1, max_sweeps + 1):
         change = 0.0
         for i in range(n - 1, -1, -1):
-            xi_new = _solve_factor(f, signs[i], xs[i + 1], ys[i])
-            change = max(change, abs(xi_new - xs[i]))
-            xs[i] = xi_new
+            x_next = xs[i + 1]
+            v = bm * ys[i]
+            radicand = x_next - a + v
+            if radicand < 0.0:
+                raise BranchError(
+                    f"negative branch seed radicand {radicand!r} for target {x_next!r}"
+                )
+            x = signs[i] * sqrt(radicand)
+            if hooked:
+                fx = x * x + a - v + z_value(x, v) - x_next
+            else:
+                fx = x * x + a - v - x_next
+            if fx != 0.0:
+                for _ in range(DEFAULT_MAX_ITER):
+                    slope = 2.0 * x + z_dx(x, v) if hooked else 2.0 * x
+                    if slope == 0.0 or slope != slope or abs(slope) == inf:
+                        raise ConvergenceError(
+                            f"newton stalled at x={x!r} with no bracket to fall back on"
+                        )
+                    x_new = x - fx / slope
+                    scale = abs(x_new)
+                    if abs(x_new - x) <= DEFAULT_RTOL * (scale if scale > 1.0 else 1.0):
+                        x = x_new
+                        break
+                    x = x_new
+                    if hooked:
+                        fx = x * x + a - v + z_value(x, v) - x_next
+                    else:
+                        fx = x * x + a - v - x_next
+                    if fx == 0.0:
+                        break
+                else:
+                    raise ConvergenceError(
+                        f"newton did not converge after {DEFAULT_MAX_ITER} iterations"
+                    )
+            gap = abs(x - xs[i])
+            if gap > change:
+                change = gap
+            xs[i] = x
         for i in range(1, n + 1):
             yi_new = xs[i - 1]
-            change = max(change, abs(yi_new - ys[i]))
+            gap = abs(yi_new - ys[i])
+            if gap > change:
+                change = gap
             ys[i] = yi_new
         if sweep > 1 and change <= tol:
             return CrossEval(xs[0], ys[n], tuple(xs), tuple(ys), sweep)
@@ -192,44 +232,53 @@ def eval_cross_derivatives(
     n = chain.order
     xs, ys = base.x_path, base.y_path
     bm = f.bm
+    z_dx, z_dv = f.zeta.dx, f.zeta.dv
     cs = []
     ds = []
     for i in range(n):
         v = bm * ys[i]
-        slope = 2.0 * xs[i] + f.zeta.dx(xs[i], v)
+        slope = 2.0 * xs[i] + z_dx(xs[i], v)
         cs.append(1.0 / slope)
-        ds.append(bm * (1.0 - f.zeta.dv(xs[i], v)) / slope)
+        ds.append(bm * (1.0 - z_dv(xs[i], v)) / slope)
 
-    dxs = [(0.0, 0.0)] * (n + 1)
-    dxs[n] = (1.0, 0.0)
-    dys = [(0.0, 0.0)] * (n + 1)
-    dys[0] = (0.0, 1.0)
-    def rel_gap(new: float, old: float) -> float:
-        scale = max(abs(new), abs(old))
-        return abs(new - old) / scale if scale else 0.0
-
+    # columns d/dx1 (suffix 0) and d/dy0 (suffix 1) of dx_i and dy_i
+    dx0 = [0.0] * (n + 1)
+    dx1 = [0.0] * (n + 1)
+    dy0 = [0.0] * (n + 1)
+    dy1 = [0.0] * (n + 1)
+    dx0[n] = 1.0
+    dy1[0] = 1.0
     for _ in range(_MAX_SWEEPS):
         change = 0.0
         for i in range(n - 1, -1, -1):
-            new = (
-                cs[i] * dxs[i + 1][0] + ds[i] * dys[i][0],
-                cs[i] * dxs[i + 1][1] + ds[i] * dys[i][1],
-            )
-            change = max(change, rel_gap(new[0], dxs[i][0]),
-                         rel_gap(new[1], dxs[i][1]))
-            dxs[i] = new
+            c, d = cs[i], ds[i]
+            new0 = c * dx0[i + 1] + d * dy0[i]
+            new1 = c * dx1[i + 1] + d * dy1[i]
+            change = _max_rel_gap(change, new0, dx0[i], new1, dx1[i])
+            dx0[i] = new0
+            dx1[i] = new1
         for i in range(1, n + 1):
-            change = max(change, rel_gap(dxs[i - 1][0], dys[i][0]),
-                         rel_gap(dxs[i - 1][1], dys[i][1]))
-            dys[i] = dxs[i - 1]
+            change = _max_rel_gap(change, dx0[i - 1], dy0[i], dx1[i - 1], dy1[i])
+            dy0[i] = dx0[i - 1]
+            dy1[i] = dx1[i - 1]
         if change <= tol:
             break
     else:
         raise ConvergenceError("cross-map gradient sweep did not converge")
 
     return CrossDerivs(
-        base.A, base.B, dxs[0], dys[n], tuple(cs), tuple(ds), xs, ys
+        base.A, base.B, (dx0[0], dx1[0]), (dy0[n], dy1[n]), tuple(cs), tuple(ds), xs, ys
     )
+
+
+def _max_rel_gap(change: float, new0: float, old0: float, new1: float, old1: float) -> float:
+    """Largest of change and the relative gaps |new - old| / max(|new|, |old|)."""
+    for new, old in ((new0, old0), (new1, old1)):
+        scale = abs(old) if abs(old) > abs(new) else abs(new)
+        gap = abs(new - old) / scale if scale else 0.0
+        if gap > change:
+            change = gap
+    return change
 
 
 # ---------------------------------------------------------------------------

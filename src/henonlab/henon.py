@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractionError, ConvergenceError
+from .errors import ContractionError, ConvergenceError, DomainError
 from .maps1d import LyapValue
 from .rootfind import newton2, newton_safeguarded
 
@@ -214,7 +214,9 @@ def lyapunov(
     z = (float(z0[0]), float(z0[1]))
     norm = math.hypot(v0[0], v0[1])
     if norm == 0.0:
-        raise ValueError("v0 must be nonzero")
+        raise DomainError("v0 must be nonzero")
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
     vx, vy = v0[0] / norm, v0[1] / norm
     total = 0.0
     for _ in range(n):

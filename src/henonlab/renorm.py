@@ -851,6 +851,8 @@ def certify_cone_expansion(
     unclassified = 0
 
     nx, ny = grid
+    if nx < 2 or ny < 2:
+        raise DomainError(f"sample grid must be at least 2x2, got {nx}x{ny}")
     for ix in range(nx):
         x = -0.98 * alpha0 + 1.96 * alpha0 * ix / (nx - 1)
         for iy in range(ny):

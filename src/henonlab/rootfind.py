@@ -2,7 +2,11 @@
 
 All solvers in the package funnel through these routines so that tolerances
 and iteration caps are uniform: relative tolerance 1e-12, at most 200
-iterations, bisection fallback whenever a bracket is available.
+iterations, bisection fallback whenever a bracket is available.  The one
+exception is the per-factor solve of ``crossmap.eval_cross``, which runs the
+Newton iteration of ``newton_safeguarded`` (analytic slope, no bracket)
+written inline with the same tolerance, cap and stopping rule, because it
+is called millions of times per tangency search.
 """
 
 from __future__ import annotations

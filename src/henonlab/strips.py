@@ -184,7 +184,7 @@ def stable_leaf_lattice(
     """Build all distinguished leaves, doubling the sampling until the
     forward-invariance residual is below tol."""
     if not f.normalized:
-        raise ValueError("leaf construction requires a xi-normalized map")
+        raise DomainError("leaf construction requires a xi-normalized map")
     values = _rung_values(f.a)
     n = _MIN_SAMPLES
     while True:

@@ -1,12 +1,14 @@
 """Raster kernels, worker determinism, and emission round-trips."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from henonlab import atlas
 from henonlab.atlas import (
     COLORMAPS,
     DEFAULT_COLORMAPS,
@@ -54,13 +56,32 @@ class TestGeometry:
         assert list(r.b_centers()) == sorted(r.b_centers(), reverse=True)
 
     def test_centers_match_pixel_center(self):
-        r = sweep("swallow-escape", 3, 2, a_range=(0.0, 3.0), b_range=(0.0, 2.0),
+        for width, height, a_range, b_range in [
+            (3, 2, (0.0, 3.0), (0.0, 2.0)),
+            # lo + (j+1/2)*((hi-lo)/w) and lo + (j+1/2)*(hi-lo)/w differ here
+            (21, 21, (-2.1, 0.4), (-2.1, 0.4)),
+        ]:
+            r = sweep("swallow-escape", width, height, a_range=a_range, b_range=b_range,
+                      params={"steps": 5})
+            for i in range(height):
+                for j in range(width):
+                    a, b = r.pixel_center(i, j)
+                    assert a == r.a_centers()[j]
+                    assert b == r.b_centers()[i]
+
+    def test_csv_prints_the_evaluated_centers(self):
+        r = sweep("swallow-escape", 21, 3, a_range=(-2.1, 0.4), b_range=(-2.1, 0.4),
                   params={"steps": 5})
-        for i in range(2):
-            for j in range(3):
-                a, b = r.pixel_center(i, j)
-                assert a == r.a_centers()[j]
-                assert b == r.b_centers()[i]
+        rows = render_csv(r).splitlines()[3:]
+        for k, line in enumerate(rows):
+            i, j = divmod(k, 21)
+            a, b = (float(v) for v in line.split(",")[:2])
+            assert (a, b) == r.pixel_center(i, j)
+
+    @pytest.mark.parametrize("key, value", [("steps", -5), ("steps", 0), ("n", 0)])
+    def test_nonpositive_iteration_counts_rejected(self, key, value):
+        with pytest.raises(DomainError):
+            sweep("swallow-escape", 2, 2, params={key: value})
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(DomainError):
@@ -241,6 +262,26 @@ class TestDeterminism:
         serial = sweep("renorm-strip", 4, 4, workers=1)
         pooled = sweep("renorm-strip", 4, 4, workers=3)
         assert serial == pooled
+
+
+    def test_pool_shut_down_when_a_row_raises(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.was_shut_down = False
+                pools.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                self.was_shut_down = True
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(atlas, "ProcessPoolExecutor", RecordingPool)
+        with pytest.raises(DomainError):
+            sweep("henon-escape", 2, 2, params={"map": "no-such-map"}, workers=2)
+        assert len(pools) == 1
+        assert pools[0].was_shut_down
 
 
 class TestEmission:

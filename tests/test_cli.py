@@ -141,6 +141,29 @@ class TestExitCodes:
         assert rc == 2
         assert "needs a value" in err
 
+    @pytest.mark.parametrize("args", [
+        ("renorm", "--a", "-1.86", "--b", "0.001"),
+        ("crossmap", "--word", "c1", "--a", "-1.9", "--b", "0.001"),
+        ("renorm-window", "--b", "0.001", "--a-lo", "-1.9", "--a-hi", "-1.85"),
+        ("twin",),
+    ], ids=lambda args: args[0])
+    def test_unnormalized_map_is_config_error(self, capsys, args):
+        rc, out, err = call(capsys, *args, "--map", "sine-perturbed")
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "xi-normalized" in err
+
+    def test_certify_grid_too_small(self, capsys):
+        rc, _, err = call(capsys, "certify", "--grid", "1x1")
+        assert rc == 2
+        assert "at least 2x2" in err
+
+    def test_swallow_negative_steps(self, capsys):
+        rc, out, err = call(capsys, "swallow", "--grid", "3x3", "--steps", "-5")
+        assert rc == 2
+        assert out == ""
+        assert "steps must be at least 1" in err
+
 
 class TestHelp:
     def test_top_help_lists_all_commands(self, capsys):
@@ -261,6 +284,17 @@ class TestEmission:
         raster = read_csv(str(out_path))
         assert raster.kernel == "renorm-strip"
         assert raster.tag_set() == {"lyap"}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_renorm_strip_unnormalized_map_tags_error(self, capsys, tmp_path, workers):
+        out_path = tmp_path / "strip.csv"
+        rc, _, _ = call(
+            capsys, "henon-atlas", "--kernel", "renorm-strip", "--grid", "2x2",
+            "--map", "sine-perturbed", "--workers", workers,
+            "--format", "csv", "--out", str(out_path),
+        )
+        assert rc == 0
+        assert read_csv(str(out_path)).tag_set() == {"error"}
 
     def test_embed_swallow_summary(self, capsys, tmp_path):
         out_path = tmp_path / "embed.csv"

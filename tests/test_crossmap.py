@@ -1,11 +1,14 @@
 """Tests for cross-map chains: solves, oracles, derivatives, margins."""
 
 import math
+import random
 
 import pytest
 
 from henonlab.crossmap import (
     ConeSpec,
+    CrossDerivs,
+    CrossEval,
     det_identity,
     distortion_report,
     eval_cross,
@@ -16,8 +19,16 @@ from henonlab.crossmap import (
     shoot_oracle,
     slice_image,
 )
-from henonlab.errors import BranchError, NonMonotoneError
-from henonlab.henon import Field2, HenonMap, apply_map, build_map, normalize_xi
+from henonlab.errors import BranchError, ConvergenceError, DomainError, NonMonotoneError
+from henonlab.henon import (
+    Field2,
+    HenonMap,
+    apply_map,
+    build_map,
+    normalize_xi,
+    sine_perturbed_fields,
+)
+from henonlab.rootfind import newton_safeguarded
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -52,7 +63,7 @@ class TestClosedForm:
 
     def test_requires_normalized_map(self):
         f = build_map("sine-perturbed", a=-1.95, b=0.01)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             factorize_chain(f, "s-")
 
 
@@ -219,3 +230,176 @@ class TestDistortion:
         )
         assert report.Bm is None
         assert report.sum_formula_gap <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-factor solve through newton_safeguarded and the sweeps
+# as they were before the factor polish was written inline
+# ---------------------------------------------------------------------------
+
+def _reference_solve_factor(f, sign, x_next, y_here):
+    v = f.bm * y_here
+    radicand = x_next - f.a + v
+    if radicand < 0.0:
+        raise BranchError(f"negative radicand {radicand!r}")
+    seed = sign * math.sqrt(radicand)
+
+    def g(x):
+        return x * x + f.a - v + f.zeta.value(x, v) - x_next
+
+    def dg(x):
+        return 2.0 * x + f.zeta.dx(x, v)
+
+    return newton_safeguarded(g, seed, df=dg)
+
+
+def _reference_eval_cross(chain, x1, y0, tol=1e-12, max_sweeps=200):
+    f = chain.henon
+    n = chain.order
+    signs = chain.signs
+    xs = [0.0] * (n + 1)
+    xs[n] = x1
+    ys = [y0] * (n + 1)
+    prev_residual = math.inf
+    increases = 0
+    for sweep in range(1, max_sweeps + 1):
+        change = 0.0
+        for i in range(n - 1, -1, -1):
+            xi_new = _reference_solve_factor(f, signs[i], xs[i + 1], ys[i])
+            change = max(change, abs(xi_new - xs[i]))
+            xs[i] = xi_new
+        for i in range(1, n + 1):
+            yi_new = xs[i - 1]
+            change = max(change, abs(yi_new - ys[i]))
+            ys[i] = yi_new
+        if sweep > 1 and change <= tol:
+            return CrossEval(xs[0], ys[n], tuple(xs), tuple(ys), sweep)
+        if change >= prev_residual:
+            increases += 1
+            if increases >= 3:
+                raise ConvergenceError("diverging")
+        else:
+            increases = 0
+        prev_residual = change
+    raise ConvergenceError("no convergence")
+
+
+def _reference_eval_cross_derivatives(chain, x1, y0, tol=1e-12):
+    base = _reference_eval_cross(chain, x1, y0, tol=tol)
+    f = chain.henon
+    n = chain.order
+    xs, ys = base.x_path, base.y_path
+    bm = f.bm
+    cs = []
+    ds = []
+    for i in range(n):
+        v = bm * ys[i]
+        slope = 2.0 * xs[i] + f.zeta.dx(xs[i], v)
+        cs.append(1.0 / slope)
+        ds.append(bm * (1.0 - f.zeta.dv(xs[i], v)) / slope)
+    dxs = [(0.0, 0.0)] * (n + 1)
+    dxs[n] = (1.0, 0.0)
+    dys = [(0.0, 0.0)] * (n + 1)
+    dys[0] = (0.0, 1.0)
+
+    def rel_gap(new, old):
+        scale = max(abs(new), abs(old))
+        return abs(new - old) / scale if scale else 0.0
+
+    for _ in range(200):
+        change = 0.0
+        for i in range(n - 1, -1, -1):
+            new = (
+                cs[i] * dxs[i + 1][0] + ds[i] * dys[i][0],
+                cs[i] * dxs[i + 1][1] + ds[i] * dys[i][1],
+            )
+            change = max(change, rel_gap(new[0], dxs[i][0]),
+                         rel_gap(new[1], dxs[i][1]))
+            dxs[i] = new
+        for i in range(1, n + 1):
+            change = max(change, rel_gap(dxs[i - 1][0], dys[i][0]),
+                         rel_gap(dxs[i - 1][1], dys[i][1]))
+            dys[i] = dxs[i - 1]
+        if change <= tol:
+            break
+    else:
+        raise ConvergenceError("gradient sweep did not converge")
+    return CrossDerivs(
+        base.A, base.B, dxs[0], dys[n], tuple(cs), tuple(ds), xs, ys
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result (exact for floats, sign of zero included) or the
+    class of the exception raised."""
+    try:
+        return "ok", repr(fn(*args, **kwargs))
+    except Exception as exc:  # a hooked field may raise on an infinite x
+        return "raised", type(exc).__name__
+
+
+ORACLE_WORDS = ["c0", "c1", "bm0", "c1,bm0,bm0"]
+ORACLE_BS = [0.0, 2.4e-3, -5e-3, 1e-2]
+
+
+def _oracle_probes(word, b, hooked, count=12):
+    """Seeded (chain, x1, y0, max_sweeps) probes over the word's image,
+    padded past both ends so that some probes leave the branch."""
+    rng = random.Random(f"{word}|{b}|{hooked}")
+    probes = []
+    for _ in range(count):
+        a = rng.uniform(-1.99, -1.83)
+        if hooked:
+            zeta = sine_perturbed_fields(rng.choice([0.005, 0.02]))[0]
+            f = HenonMap(a, b, 1, zeta)
+        else:
+            f = HenonMap(a, b)
+        chain = factorize_chain(f, word)
+        lo, hi = chain.piece.image
+        pad = 0.15 * (hi - lo)
+        x1 = rng.uniform(lo - pad, hi + pad)
+        y0 = rng.uniform(-1.0, 1.0)
+        probes.append((chain, x1, y0, 200))
+    chain = probes[0][0]
+    probes.append((chain, probes[0][1], probes[0][2], 1))  # sweep cap
+    probes.append((chain, math.nan, 0.3, 200))  # newton stalls
+    probes.append((chain, math.inf, 0.3, 200))
+    probes.append((chain, chain.piece.image[0] - 1.0, 0.3, 200))  # off the branch
+    return probes
+
+
+class TestInlineSolveOracle:
+    @pytest.mark.parametrize("hooked", [False, True], ids=["standard", "hooked"])
+    @pytest.mark.parametrize("b", ORACLE_BS)
+    @pytest.mark.parametrize("word", ORACLE_WORDS)
+    def test_bit_identical_to_newton_safeguarded(self, word, b, hooked):
+        for chain, x1, y0, cap in _oracle_probes(word, b, hooked):
+            got = _outcome(eval_cross, chain, x1, y0, max_sweeps=cap)
+            ref = _outcome(_reference_eval_cross, chain, x1, y0, max_sweeps=cap)
+            assert got == ref, (chain.henon, x1, y0, cap)
+            if cap == 200:
+                got = _outcome(eval_cross_derivatives, chain, x1, y0)
+                ref = _outcome(_reference_eval_cross_derivatives, chain, x1, y0)
+                assert got == ref, (chain.henon, x1, y0)
+
+    def test_probe_set_reaches_every_outcome(self):
+        outcomes = set()
+        for word in ORACLE_WORDS:
+            for b in ORACLE_BS:
+                for hooked in (False, True):
+                    for chain, x1, y0, cap in _oracle_probes(word, b, hooked):
+                        kind, detail = _outcome(eval_cross, chain, x1, y0, max_sweeps=cap)
+                        outcomes.add(kind if kind == "ok" else detail)
+        assert {"ok", "BranchError", "ConvergenceError"} <= outcomes
+
+    def test_zero_field_instance_matches_standard(self):
+        # a Field2 of zeros that is not the shared ZERO_FIELD takes the
+        # hooked path and must land on the same bits as the standard map
+        chain_std = factorize_chain(HenonMap(-1.9, 2.4e-3), "c1")
+        chain_hooked = factorize_chain(HenonMap(-1.9, 2.4e-3, 1, Field2()), "c1")
+        for x1 in linspace(-0.9, 0.9, 7):
+            std = eval_cross(chain_std, x1, 0.25)
+            hooked = eval_cross(chain_hooked, x1, 0.25)
+            assert (std.A, std.B, std.x_path, std.y_path, std.sweeps) == (
+                hooked.A, hooked.B, hooked.x_path, hooked.y_path, hooked.sweeps
+            )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henonlab.errors import ContractionError
+from henonlab.errors import ContractionError, DomainError
 from henonlab.henon import (
     Field2,
     HenonMap,
@@ -182,6 +182,11 @@ class TestOrbits:
         f = HenonMap(a=1.0, b=0.1)
         out = lyapunov(f, (0.0, 0.0), (1.0, 0.0), n=100)
         assert out.tag == "escape" and out.value is None
+
+    @pytest.mark.parametrize("v0, n", [((0.0, 0.0), 100), ((1.0, 0.0), 0)])
+    def test_lyapunov_rejects_bad_input(self, v0, n):
+        with pytest.raises(DomainError):
+            lyapunov(HenonMap(a=-1.3, b=0.2), (0.1, 0.1), v0, n=n)
 
     def test_lyapunov_zero_derivative_sentinel(self):
         f = HenonMap(a=-1.0, b=0.0)

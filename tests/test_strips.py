@@ -77,7 +77,7 @@ class TestLeafLattice:
         from henonlab.henon import build_map
 
         f = build_map("sine-perturbed", a=-2.0, b=0.01)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             stable_leaf_lattice(f)
 
 
