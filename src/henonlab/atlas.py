@@ -16,12 +16,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import DomainError, HenonLabError
-from .henon import MAP_REGISTRY, HenonMap, apply_map, build_map, jacobian
+from .henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
 from .maps1d import DEFAULT_ESCAPE_RADIUS, swallow_classify
 from .renorm import multi_renormalize, renormalize
 
@@ -93,6 +93,18 @@ _EMBED_ANCHOR_RTOL = 1e-9
 # raster container
 # ---------------------------------------------------------------------------
 
+def _a_centers(a_range: tuple[float, float], n: int) -> np.ndarray:
+    """Cell centers of n columns over a_range, left to right."""
+    lo, hi = a_range
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
+def _b_centers(b_range: tuple[float, float], n: int) -> np.ndarray:
+    """Cell centers of n rows over b_range, top (largest b) first."""
+    lo, hi = b_range
+    return hi - (np.arange(n) + 0.5) * (hi - lo) / n
+
+
 @dataclass(frozen=True, eq=False)
 class Raster:
     """Pixel grid over a parameter rectangle; row 0 holds the largest b.
@@ -125,19 +137,13 @@ class Raster:
         )
 
     def a_centers(self) -> np.ndarray:
-        lo, hi = self.a_range
-        return lo + (np.arange(self.width) + 0.5) * (hi - lo) / self.width
+        return _a_centers(self.a_range, self.width)
 
     def b_centers(self) -> np.ndarray:
-        lo, hi = self.b_range
-        return hi - (np.arange(self.height) + 0.5) * (hi - lo) / self.height
+        return _b_centers(self.b_range, self.height)
 
     def pixel_center(self, i: int, j: int) -> tuple[float, float]:
-        a_lo, a_hi = self.a_range
-        b_lo, b_hi = self.b_range
-        a = a_lo + (j + 0.5) * (a_hi - a_lo) / self.width
-        b = b_hi - (i + 0.5) * (b_hi - b_lo) / self.height
-        return a, b
+        return float(self.a_centers()[j]), float(self.b_centers()[i])
 
     def tag_set(self) -> set[str]:
         return {TAG_NAMES[code] for code in np.unique(self.tags)}
@@ -311,6 +317,9 @@ def _row_swallow_lyap(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndar
 # ---------------------------------------------------------------------------
 # Henon-plane kernels
 # ---------------------------------------------------------------------------
+# Maps without hooks keep their own numpy orbit loops, which advance a whole
+# row per step at a fraction of the cost of one scalar call per pixel; hooked
+# maps go pixel by pixel through ``henon.orbit_escape`` and ``henon.lyapunov``.
 
 def _map_config(params: Mapping) -> tuple[str, int, dict]:
     name = str(params.get("map", "standard"))
@@ -358,8 +367,6 @@ def _row_henon_escape(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndar
             alive &= ~escaped
         return tags, values
 
-    from .henon import orbit_escape
-
     for j in range(width):
         f = build_map(name, float(a[j]), b, m, **extra)
         _, escaped, step = orbit_escape(f, (0.0, 0.0), n_max, r_esc)
@@ -367,30 +374,6 @@ def _row_henon_escape(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndar
             tags[j] = TAG_ESCAPE
             values[j] = step
     return tags, values
-
-
-def _lyap_scalar(f: HenonMap, n_steps: int, r_esc: float) -> tuple[int, float]:
-    """Tangent-growth exponent of the origin orbit, v0 = (0, 1).
-
-    Returns (tag, value): the exponent, the escape step, or an error tag
-    when the tangent vector hits an exact zero of the derivative.
-    """
-    z = (0.0, 0.0)
-    vx, vy = 0.0, 1.0
-    total = 0.0
-    for step in range(1, n_steps + 1):
-        J = jacobian(f, z)
-        wx = J[0][0] * vx + J[0][1] * vy
-        wy = J[1][0] * vx + J[1][1] * vy
-        growth = math.hypot(wx, wy)
-        if growth == 0.0:
-            return TAG_ERROR, 0.0
-        total += math.log(growth)
-        vx, vy = wx / growth, wy / growth
-        z = apply_map(f, z)
-        if max(abs(z[0]), abs(z[1])) > r_esc:
-            return TAG_ESCAPE, float(step)
-    return TAG_LYAP, total / n_steps
 
 
 def _row_henon_lyap(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
@@ -436,7 +419,13 @@ def _row_henon_lyap(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarra
 
     for j in range(width):
         f = build_map(name, float(a[j]), b, m, **extra)
-        tags[j], values[j] = _lyap_scalar(f, n_steps, r_esc)
+        out = lyapunov(f, (0.0, 0.0), (0.0, 1.0), n_steps, r_esc)
+        if out.tag == "value":
+            values[j] = out.value
+        elif out.tag == "escape":
+            tags[j], values[j] = TAG_ESCAPE, out.step
+        else:
+            tags[j] = TAG_ERROR
     return tags, values
 
 
@@ -467,11 +456,14 @@ def _embed_config(params: Mapping) -> dict:
     if len(words) != 2:
         raise DomainError("embed-compare needs exactly two words")
     seed = params.get("seed", _EMBED_SEED)
+    tol = float(params.get("tol", _EMBED_TOL))
+    if not tol > 0.0:
+        raise DomainError(f"tracking tolerance must be positive, got {tol!r}")
     return {
         "words": words,
         "seed": (float(seed[0]), float(seed[1])),
         "m": int(params.get("m", 1)),
-        "tol": float(params.get("tol", _EMBED_TOL)),
+        "tol": tol,
         "steps": int(params.get("steps", _DEFAULT_ESCAPE_STEPS)),
         "radius": float(params.get("radius", DEFAULT_ESCAPE_RADIUS)),
     }
@@ -548,6 +540,9 @@ def _embed_direct_bounded(md, x, m, n_composed, r_esc) -> bool:
     c0 = md.c[0]
     g0 = md.gamma[0]
     px, py = md.chart(0, 0.0, 0.0)
+    # The standard map is written out rather than called through
+    # ``henon.iterate``: this loop runs tens of thousands of steps per pixel,
+    # and a function call per step would dominate the embed-compare raster.
     for _ in range(n_composed):
         for _ in range(period):
             px, py = px * px + a - bm * py, px
@@ -617,11 +612,8 @@ _ROW_KERNELS: dict[str, Callable[[np.ndarray, float, Mapping], tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _row_payload(cfg: Mapping, i: int) -> tuple[int, np.ndarray, np.ndarray]:
-    a_lo, a_hi = cfg["a_range"]
-    b_lo, b_hi = cfg["b_range"]
-    width, height = cfg["width"], cfg["height"]
-    a = a_lo + (np.arange(width) + 0.5) * (a_hi - a_lo) / width
-    b = b_hi - (i + 0.5) * (b_hi - b_lo) / height
+    a = _a_centers(cfg["a_range"], cfg["width"])
+    b = _b_centers(cfg["b_range"], cfg["height"])[i]
     params = dict(cfg["params"])
     if cfg["kernel"] == "embed-compare":
         params["_embed_cfg"] = cfg["embed_cfg"]
@@ -659,6 +651,8 @@ def sweep(
     for key in ("steps", "n"):
         if key in params and int(params[key]) < 1:
             raise DomainError(f"{key} must be at least 1, got {params[key]}")
+    if "radius" in params and not float(params["radius"]) > 0.0:
+        raise DomainError(f"escape radius must be positive, got {params['radius']}")
     if workers is None:
         workers = os.cpu_count() or 1
 
@@ -672,12 +666,10 @@ def sweep(
     }
     if kernel == "embed-compare":
         embed_cfg = _embed_config(params)
-        a_lo, a_hi = a_range
-        b_lo, b_hi = b_range
-        a_targets = a_lo + (np.arange(width) + 0.5) * (a_hi - a_lo) / width
-        b_targets = b_hi - (np.arange(height) + 0.5) * (b_hi - b_lo) / height
         cfg["embed_cfg"] = embed_cfg
-        cfg["embed_states"] = _embed_row_states(a_targets, b_targets, embed_cfg)
+        cfg["embed_states"] = _embed_row_states(
+            _a_centers(a_range, width), _b_centers(b_range, height), embed_cfg
+        )
 
     tags = np.empty((height, width), dtype=np.uint8)
     values = np.empty((height, width), dtype=np.float64)

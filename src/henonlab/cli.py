@@ -15,18 +15,12 @@ words, out-of-domain parameters, I/O problems), 3 on numerical failures
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .atlas import (
-    COLORMAPS,
-    DEFAULT_COLORMAPS,
-    KERNELS,
-    compare_summary,
-    emit,
-    sweep,
-)
+from .atlas import COLORMAPS, compare_summary, emit, sweep
 from .crossmap import eval_cross, factorize_chain
 from .errors import (
     DomainError,
@@ -61,9 +55,12 @@ def _fmt(x: float) -> str:
 
 def _parse_float(name: str, s: str) -> float:
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         raise DomainError(f"--{name}: expected a number, got {s!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"--{name}: expected a finite number, got {s!r}")
+    return value
 
 
 def _parse_int(name: str, s: str) -> int:
@@ -228,18 +225,14 @@ def _build(typed: Mapping[str, object], a: float, b: float):
                      delta=float(typed["delta"]))
 
 
-def _raster_params(typed: Mapping[str, object]) -> dict:
-    params = {
-        "steps": typed["steps"],
-        "n": typed["n"],
-        "radius": typed["radius"],
-    }
-    for key in ("map", "m", "delta", "word", "words", "tol"):
-        if key in typed:
-            params[key] = typed[key]
+def _sweep(typed: Mapping[str, object], kernel: str):
+    keys = ("steps", "n", "radius", "map", "m", "delta", "word", "words", "tol")
+    params = {key: typed[key] for key in keys if key in typed}
     if typed.get("seed") is not None:
         params["seed"] = typed["seed"]
-    return params
+    width, height = typed["grid"]
+    return sweep(kernel, width, height, a_range=typed["a-range"],
+                 b_range=typed["b-range"], params=params, workers=typed["workers"])
 
 
 def _emit_raster(typed: Mapping[str, object], raster) -> None:
@@ -254,8 +247,20 @@ def _emit_raster(typed: Mapping[str, object], raster) -> None:
 # runners
 # ---------------------------------------------------------------------------
 
+def _print_cycles(cycles) -> None:
+    for cycle in cycles:
+        x, y = cycle.points[0]
+        print(
+            f"cycle period = {cycle.period}, "
+            f"spectral radius = {_fmt(cycle.spectral_radius)}, "
+            f"point = ({_fmt(x)}, {_fmt(y)})"
+        )
+
+
 def _run_special_params(typed: Mapping[str, object]) -> int:
     digits = int(typed["digits"])
+    if not 0 <= digits <= 17:
+        raise DomainError(f"--digits: expected 0 to 17, got {digits}")
     a1, a2 = special_parameters()
     print(f"a1 = {a1:.{digits}f}")
     print(f"a2 = {a2:.{digits}f}")
@@ -270,31 +275,12 @@ def _run_special_params(typed: Mapping[str, object]) -> int:
 
 
 def _run_raster(typed: Mapping[str, object]) -> int:
-    width, height = typed["grid"]
-    raster = sweep(
-        str(typed["kernel"]),
-        width,
-        height,
-        a_range=typed["a-range"],
-        b_range=typed["b-range"],
-        params=_raster_params(typed),
-        workers=typed["workers"],
-    )
-    _emit_raster(typed, raster)
+    _emit_raster(typed, _sweep(typed, str(typed["kernel"])))
     return 0
 
 
 def _run_embed(typed: Mapping[str, object]) -> int:
-    width, height = typed["grid"]
-    raster = sweep(
-        "embed-compare",
-        width,
-        height,
-        a_range=typed["a-range"],
-        b_range=typed["b-range"],
-        params=_raster_params(typed),
-        workers=typed["workers"],
-    )
+    raster = _sweep(typed, "embed-compare")
     summary = compare_summary(raster)
     stream = sys.stderr if typed["out"] == "-" else sys.stdout
     print(
@@ -308,12 +294,14 @@ def _run_embed(typed: Mapping[str, object]) -> int:
 
 
 def _run_crossmap(typed: Mapping[str, object]) -> int:
+    samples = int(typed["samples"])
+    if samples < 1:
+        raise DomainError(f"--samples: expected at least 1, got {samples}")
     f = _build(typed, float(typed["a"]), float(typed["b"]))
     word = str(typed["word"])
     chain = factorize_chain(f, word)
-    samples = int(typed["samples"])
     print(f"word = {word}, order = {chain.order}")
-    if samples <= 1:
+    if samples == 1:
         res = eval_cross(chain, float(typed["x1"]), float(typed["y0"]))
         print(f"A = {_fmt(res.A)}")
         print(f"B = {_fmt(res.B)}")
@@ -333,7 +321,6 @@ def _run_piece(typed: Mapping[str, object]) -> int:
     print(f"word = {typed['word']}")
     print(f"tokens = {','.join(p.word)}")
     print(f"order = {p.order}")
-    print(f"box = [{_fmt(p.lo)}, {_fmt(p.hi)}]")
     print(f"segment = [{_fmt(p.segment[0])}, {_fmt(p.segment[1])}]")
     print(f"image = [{_fmt(p.image[0])}, {_fmt(p.image[1])}]")
     return 0
@@ -397,13 +384,7 @@ def _run_twin(typed: Mapping[str, object]) -> int:
     drift = max(abs(v) for v in result.curve_abar_minus)
     print(f"max |abar_minus| along curve = {_fmt(drift)}")
     print(f"periods = {', '.join(str(p) for p in result.periods)}")
-    for cycle in result.report.cycles:
-        x, y = cycle.points[0]
-        print(
-            f"cycle period = {cycle.period}, "
-            f"spectral radius = {_fmt(cycle.spectral_radius)}, "
-            f"point = ({_fmt(x)}, {_fmt(y)})"
-        )
+    _print_cycles(result.report.cycles)
     return 0
 
 
@@ -418,13 +399,7 @@ def _run_attractors(typed: Mapping[str, object]) -> int:
     )
     print(f"cycles = {len(report.cycles)}")
     print(f"skipped seeds = {len(report.skipped)}")
-    for cycle in report.cycles:
-        x, y = cycle.points[0]
-        print(
-            f"cycle period = {cycle.period}, "
-            f"spectral radius = {_fmt(cycle.spectral_radius)}, "
-            f"point = ({_fmt(x)}, {_fmt(y)})"
-        )
+    _print_cycles(report.cycles)
     return 0
 
 
@@ -465,7 +440,7 @@ _register(Command(
     "special-params",
     "fixed-point collision parameters and the marked-point table",
     (
-        Option("digits", _parse_int, "12", "printed decimal digits"),
+        Option("digits", _parse_int, "12", "printed decimal digits, 0 to 17"),
         Option("ladder-at", _parse_auto_float, "auto",
                "parameter for the marked-point table, auto = second collision"),
     ),
@@ -561,7 +536,6 @@ _register(Command(
         Option("words", _parse_words, "c1;c1,bm0,bm0",
                "semicolon-separated word pair"),
         Option("steps", _parse_int, "2000", "escape-classification iteration cap"),
-        Option("n", _parse_int, "10000", "unused; kept for raster symmetry"),
         Option("radius", _parse_float, "10", "escape radius"),
         Option("tol", _parse_float, "1e-6", "target-tracking tolerance"),
         Option("seed", _parse_auto_pair, "auto", "tracking start as A,B"),

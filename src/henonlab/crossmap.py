@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     NonMonotoneError,
 )
-from .henon import ZERO_FIELD, HenonMap, apply_map, evaluate
+from .henon import ZERO_FIELD, HenonMap, evaluate, iterate
 from .maps1d import Piece1D, piece_1d
 from .rootfind import DEFAULT_MAX_ITER, DEFAULT_RTOL, bisect, newton_safeguarded
 
@@ -291,14 +291,6 @@ class ShootResult:
     B: float
 
 
-def _forward_exit(f: HenonMap, x0: float, y0: float, n: int) -> tuple[float, float]:
-    """Final x and the preceding x (= final y) after n forward steps."""
-    z = (x0, y0)
-    for _ in range(n):
-        z = apply_map(f, z)
-    return z[0], z[1]
-
-
 def slice_image(chain: CrossMapChain, y0: float) -> tuple[float, float]:
     """Attainable image-side x range when the domain-side x runs the segment.
 
@@ -307,8 +299,8 @@ def slice_image(chain: CrossMapChain, y0: float) -> tuple[float, float]:
     """
     f = chain.henon
     lo, hi = chain.piece.segment
-    a = _forward_exit(f, lo, y0, chain.order)[0]
-    b = _forward_exit(f, hi, y0, chain.order)[0]
+    a = iterate(f, (lo, y0), chain.order)[0]
+    b = iterate(f, (hi, y0), chain.order)[0]
     return (a, b) if a <= b else (b, a)
 
 
@@ -330,7 +322,7 @@ def shoot_oracle(
     lo, hi = chain.piece.segment
 
     def residual(x0: float) -> float:
-        return _forward_exit(f, x0, y0, n)[0] - x1
+        return iterate(f, (x0, y0), n)[0] - x1
 
     values = [residual(lo + (hi - lo) * k / (samples - 1)) for k in range(samples)]
     diffs = [values[k + 1] - values[k] for k in range(samples - 1)]
@@ -344,7 +336,7 @@ def shoot_oracle(
         raise NonMonotoneError(
             f"target {x1!r} not bracketed by the word segment: {exc}"
         ) from exc
-    _, y_exit = _forward_exit(f, x0, y0, n)
+    _, y_exit = iterate(f, (x0, y0), n)
     return ShootResult(x0, y_exit)
 
 
@@ -365,10 +357,10 @@ def reverse_eval(
     n = chain.order
 
     def g(y0: float) -> float:
-        return _forward_exit(f, x0, y0, n)[1] - y_exit
+        return iterate(f, (x0, y0), n)[1] - y_exit
 
     y0 = newton_safeguarded(g, seed)
-    x1, _ = _forward_exit(f, x0, y0, n)
+    x1, _ = iterate(f, (x0, y0), n)
     return x1, y0
 
 

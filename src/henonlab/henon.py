@@ -8,7 +8,7 @@ automatic differentiation anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ __all__ = [
     "AttractorReport",
     "evaluate",
     "apply_map",
+    "iterate",
     "jacobian",
     "rho_offset",
     "normalize_xi",
@@ -67,6 +68,10 @@ class HenonMap:
     zeta: Field2 = ZERO_FIELD
     xi: Field2 = ZERO_FIELD
 
+    def __post_init__(self):
+        if self.m < 1:
+            raise DomainError(f"multiplicity m must be at least 1, got {self.m}")
+
     @property
     def bm(self) -> float:
         return self.b ** self.m
@@ -88,6 +93,13 @@ def apply_map(f: HenonMap, z: Sequence[float]) -> tuple[float, float]:
     x, y = z
     v = f.bm * y
     return (x * x + f.a - v + f.zeta.value(x, v), x + f.xi.value(x, v))
+
+
+def iterate(f: HenonMap, z: Sequence[float], n: int) -> tuple[float, float]:
+    """The n-th forward image of z (z itself for n = 0)."""
+    for _ in range(n):
+        z = apply_map(f, z)
+    return (z[0], z[1])
 
 
 def jacobian(f: HenonMap, z: Sequence[float]) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -209,7 +221,9 @@ def lyapunov(
     """Tangent-growth exponent along the orbit of z0, per step.
 
     The tangent vector is renormalized each step, making the result exactly
-    invariant under scaling of v0.
+    invariant under scaling of v0.  An escaping orbit returns the escape
+    sentinel with ``step``, the number of map steps taken when the sup-norm
+    first exceeded r_esc.
     """
     z = (float(z0[0]), float(z0[1]))
     norm = math.hypot(v0[0], v0[1])
@@ -219,7 +233,7 @@ def lyapunov(
         raise DomainError(f"n must be at least 1, got {n}")
     vx, vy = v0[0] / norm, v0[1] / norm
     total = 0.0
-    for _ in range(n):
+    for step in range(1, n + 1):
         J = jacobian(f, z)
         wx = J[0][0] * vx + J[0][1] * vy
         wy = J[1][0] * vx + J[1][1] * vy
@@ -230,7 +244,7 @@ def lyapunov(
         vx, vy = wx / growth, wy / growth
         z = apply_map(f, z)
         if max(abs(z[0]), abs(z[1])) > r_esc:
-            return LyapValue("escape", None)
+            return LyapValue("escape", None, step)
     return LyapValue("value", total / n)
 
 
@@ -298,6 +312,12 @@ def find_attractors(
     product. Cycles with spectral radius >= 1 are discarded; duplicates are
     identified up to cyclic shifts.
     """
+    if max_period < 1 or n_transient < 0:
+        raise DomainError(
+            f"need max_period >= 1 and n_transient >= 0, got {max_period}, {n_transient}"
+        )
+    if not r_esc > 0.0:
+        raise DomainError(f"escape radius must be positive, got {r_esc!r}")
     cycles: list[Cycle] = []
     skipped: list[tuple[float, float]] = []
     for seed in seeds:

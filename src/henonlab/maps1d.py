@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from .errors import BracketError, ConvergenceError, DomainError, LadderError, ProductError, WordError
+from .errors import ConvergenceError, DomainError, LadderError, ProductError, WordError
 from .rootfind import bisect, central_diff, newton2
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "ladder",
     "special_parameters",
     "parse_word",
-    "expand_word",
+    "iterate_quad",
     "piece_1d",
     "star",
     "swallow_classify",
@@ -38,14 +38,19 @@ __all__ = [
 
 DEFAULT_ESCAPE_RADIUS = 10.0
 
-BASE_SYMBOLS = ("e", "w+", "w-", "w=", "w=3", "s+", "s-")
-
 _WORD_TOKEN = re.compile(r"^(e|w\+|w-|w=3|w=|s\+|s-|c(\d+)|b[mp](\d+))$")
 
 
 def quad(a: float, x: float) -> float:
     """Q_a(x) = x^2 + a."""
     return x * x + a
+
+
+def iterate_quad(a: float, x: float, n: int) -> float:
+    """Q_a^n(x), the n-th image of x (x itself for n = 0)."""
+    for _ in range(n):
+        x = quad(a, x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +131,7 @@ def special_parameters(
     a2 = bisect(lambda a: a + _alpha2_of(a), *bracket2)
     for a, k in ((a1, 3), (a2, 4)):
         lad = ladder(a)
-        x = 0.0
-        for _ in range(k):
-            x = quad(a, x)
+        x = iterate_quad(a, 0.0, k)
         if abs(x - lad.alpha) > 1e-9:
             raise ConvergenceError(
                 f"orbit identity Q^{k}(0)=alpha violated at a={a!r}: residual {x - lad.alpha!r}"
@@ -190,33 +193,12 @@ def parse_word(text: str) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-def expand_word(tokens: Iterable[str]) -> tuple[str, ...]:
-    """Expand c<k> abbreviations into base symbols; bm/bp stay atomic."""
-    out: list[str] = []
-    for token in tokens:
-        if token.startswith("c"):
-            k = int(token[1:])
-            out.append("w=")
-            if k >= 1:
-                out.append("s+")
-            out.extend(["s-"] * (k - 1))
-        else:
-            out.append(token)
-    return tuple(out)
-
-
 def _midpoint_signs(a: float, x: float, n: int) -> tuple[int, ...]:
     signs = []
     for _ in range(n):
         signs.append(-1 if x < 0.0 else 1)
         x = quad(a, x)
     return tuple(signs)
-
-
-def _iterate(a: float, x: float, n: int) -> float:
-    for _ in range(n):
-        x = quad(a, x)
-    return x
 
 
 def _base_piece(token: str, a: float, lad: QuadraticLadder) -> Piece1D:
@@ -241,7 +223,7 @@ def _base_piece(token: str, a: float, lad: QuadraticLadder) -> Piece1D:
         raise WordError(f"unknown token {token!r}")
     lo, hi = seg
     mid = 0.5 * (lo + hi)
-    img = sorted((_iterate(a, lo, n), _iterate(a, hi, n)))
+    img = sorted((iterate_quad(a, lo, n), iterate_quad(a, hi, n)))
     return Piece1D((token,), a, lo, hi, n, _midpoint_signs(a, mid, n), img[0], img[1])
 
 
@@ -472,6 +454,9 @@ class LyapValue:
 
     tag: str  # value | zero-derivative | escape
     value: float | None
+    #: map step at which the orbit escaped; set by ``henon.lyapunov`` on
+    #: the escape sentinel, None otherwise
+    step: int | None = None
 
     @property
     def is_value(self) -> bool:

@@ -35,6 +35,7 @@ from .henon import (
     apply_map,
     evaluate,
     find_attractors,
+    iterate,
 )
 from .maps1d import ladder, piece_1d, special_parameters
 from .rootfind import bisect, newton2, newton_safeguarded
@@ -116,15 +117,11 @@ class TangencyData:
         return eval_cross(self.chain, self.c, self.c + s).A
 
     def defect(self, t: float) -> float:
-        """One fold step from the chart ray versus the next strip entry."""
-        f = self.chain.henon
-        b_val = eval_cross(self.chain, self.c + t, self.c).B
-        return _first_coord(f, self.c + t, b_val) - eval_cross(
-            self.chain, self.c, self.c + t
-        ).A
+        return _defect_at(self.chain, self.c, t)
 
 
 def _defect_at(chain: CrossMapChain, c: float, t: float) -> float:
+    """One fold step from the chart ray versus the next strip entry."""
     f = chain.henon
     b_val = eval_cross(chain, c + t, c).B
     return _first_coord(f, c + t, b_val) - eval_cross(chain, c, c + t).A
@@ -164,11 +161,7 @@ def _chain_forward(chain: CrossMapChain, x0: float, y0: float) -> tuple[float, f
     The explicit forward orbit seeds a secant solve of A(xi, y0) = x0; the
     backward route avoids the error amplification of the expanding forward
     pass."""
-    f = chain.henon
-    z = (x0, y0)
-    for _ in range(chain.order):
-        z = apply_map(f, z)
-    seed = z[0]
+    seed = iterate(chain.henon, (x0, y0), chain.order)[0]
 
     def g(xi: float) -> float:
         return eval_cross(chain, xi, y0).A - x0
@@ -232,6 +225,7 @@ def renormalize(f: HenonMap, word: str) -> RenormData:
     M = f.m * (n + 1)
     abar = t.q * t.mu / (t.sigma * t.sigma)
 
+    # the determinant product walks the orbit itself, so it cannot use iterate
     z = (eval_cross(chain, t.c, t.c).A, t.c)
     det_full = 1.0
     for _ in range(n + 1):
@@ -492,6 +486,8 @@ def multi_renormalize(
     gamma_i^2 = gamma_{i+1} sigma_{i+1}.  The rescaled parameters are
     stationary with respect to the anchors, so ``anchor_rtol`` can be
     relaxed when many nearby maps are renormalized in sequence."""
+    if len(words) not in (1, 2):
+        raise DomainError(f"multi_renormalize takes one or two words, got {len(words)}")
     chains = tuple(factorize_chain(f, w) for w in words)
     count = len(chains)
 
@@ -651,6 +647,8 @@ def twin_find(
     sweeps the long word's renormalized value through the attracting range;
     the returned point puts it at ``target`` while the short word stays at
     its window center. Both predicted cycles are then located directly."""
+    if samples < 2:
+        raise DomainError(f"samples must be at least 2, got {samples}")
     word_minus, word_plus = _twin_words(k, j, b_hat)
     if a_range is None:
         _, a2 = special_parameters()
@@ -853,6 +851,8 @@ def certify_cone_expansion(
     nx, ny = grid
     if nx < 2 or ny < 2:
         raise DomainError(f"sample grid must be at least 2x2, got {nx}x{ny}")
+    if not r_disk >= 0.0:
+        raise DomainError(f"exclusion radius must be non-negative, got {r_disk!r}")
     for ix in range(nx):
         x = -0.98 * alpha0 + 1.96 * alpha0 * ix / (nx - 1)
         for iy in range(ny):

@@ -22,7 +22,6 @@ __all__ = [
     "newton_safeguarded",
     "newton2",
     "central_diff",
-    "second_diff",
 ]
 
 DEFAULT_RTOL = 1e-12
@@ -191,11 +190,6 @@ def _fd_jacobian(F, x, h):
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
     """First derivative by central difference."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def second_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Second derivative by central difference."""
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
 def _finite(v: float) -> bool:

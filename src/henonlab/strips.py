@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 from .crossmap import ConeSpec, CrossMapChain, eval_cross, factorize_chain
 from .errors import ConvergenceError, DomainError, ProductError
-from .henon import HenonMap, apply_map, evaluate
-from .maps1d import ladder, piece_1d
+from .henon import HenonMap, apply_map, evaluate, iterate
+from .maps1d import iterate_quad, ladder, piece_1d
 from .rootfind import newton_safeguarded
 
 __all__ = [
@@ -59,6 +59,11 @@ _BUILD_ORDER = [
 ]
 
 
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """n equally spaced samples from lo to hi, both ends included."""
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+
 @dataclass(frozen=True)
 class Curve:
     """Uniformly sampled graph with linear interpolation, clamped at ends."""
@@ -87,8 +92,7 @@ class Curve:
         )
 
     def params(self) -> list[float]:
-        n = len(self.values)
-        return [self.lo + (self.hi - self.lo) * k / (n - 1) for k in range(n)]
+        return _grid(self.lo, self.hi, len(self.values))
 
 
 def _rung_values(a: float) -> dict[str, float]:
@@ -137,7 +141,7 @@ class LeafLattice:
 
 def _build_leaves(f: HenonMap, values: dict[str, float], y_extent: float,
                   n: int) -> dict[str, Curve]:
-    ys = [-y_extent + 2.0 * y_extent * k / (n - 1) for k in range(n)]
+    ys = _grid(-y_extent, y_extent, n)
     leaves: dict[str, Curve] = {}
     for label in _BUILD_ORDER:
         if label not in values:
@@ -224,6 +228,33 @@ def _flat(lo: float, hi: float, value: float, n: int = 2) -> Curve:
     return Curve(lo, hi, tuple([value] * n))
 
 
+def _strip_box(y_lo: float, y_hi: float, sides: Sequence[tuple[float, ...]]) -> TameBox:
+    """Box between two side graphs sampled on [y_lo, y_hi], ordered left to
+    right at mid-height, with flat top and bottom across their full span."""
+    left, right = sorted(sides, key=lambda vals: vals[len(vals) // 2])
+    return TameBox(
+        Curve(y_lo, y_hi, left),
+        Curve(y_lo, y_hi, right),
+        _flat(min(left), max(right), y_lo),
+        _flat(min(left), max(right), y_hi),
+    )
+
+
+def _leaf_box(lattice: LeafLattice, left: str, right: str, n: int) -> TameBox:
+    """Box between two lattice leaves over the lattice's full height, with
+    flat top and bottom spanning the leaves at y = 0."""
+    lo, hi = -lattice.y_extent, lattice.y_extent
+    phi_minus, phi_plus = lattice.leaf(left), lattice.leaf(right)
+    ys = _grid(lo, hi, n)
+    x_lo, x_hi = phi_minus(0.0), phi_plus(0.0)
+    return TameBox(
+        Curve(lo, hi, tuple(phi_minus(y) for y in ys)),
+        Curve(lo, hi, tuple(phi_plus(y) for y in ys)),
+        _flat(x_lo, x_hi, lo),
+        _flat(x_lo, x_hi, hi),
+    )
+
+
 @dataclass(frozen=True)
 class Piece2D:
     word: str
@@ -281,26 +312,16 @@ def build_piece(
     chain = factorize_chain(f, word)
     piece = chain.piece
     rungs = _rung_values(f.a)
-    y_lo, y_hi = -3.0, 3.0
-    ys = [y_lo + (y_hi - y_lo) * k / (n_samples - 1) for k in range(n_samples)]
+    y_lo, y_hi = -lattice.y_extent, lattice.y_extent
+    ys = _grid(y_lo, y_hi, n_samples)
 
     sides: list[tuple[float, ...]] = []
     for endpoint in piece.segment:
-        w = endpoint
-        for _ in range(piece.order):
-            w = w * w + f.a
-        label = _match_label(w, rungs)
+        label = _match_label(iterate_quad(f.a, endpoint, piece.order), rungs)
         target = lattice.leaf(label)
         x0s, _ = _pullback_curve(chain, target, rungs[label], ys)
         sides.append(tuple(x0s))
-    left, right = sorted(sides, key=lambda vals: vals[len(vals) // 2])
-    box = TameBox(
-        Curve(y_lo, y_hi, left),
-        Curve(y_lo, y_hi, right),
-        _flat(min(left), max(right), y_lo),
-        _flat(min(left), max(right), y_hi),
-    )
-    return Piece2D(",".join(piece.word), chain, box)
+    return Piece2D(",".join(piece.word), chain, _strip_box(y_lo, y_hi, sides))
 
 
 def build_box(lattice: LeafLattice, name: str, n_samples: int = 129):
@@ -309,31 +330,13 @@ def build_box(lattice: LeafLattice, name: str, n_samples: int = 129):
     points with height 1/(8 |b|^m)), or any admissible word."""
     f = lattice.henon
     if name == "e":
-        lo, hi = -3.0, 3.0
-        left = lattice.leaf("-alpha0")
-        right = lattice.leaf("alpha0")
-        ys = [lo + (hi - lo) * k / (n_samples - 1) for k in range(n_samples)]
-        return TameBox(
-            Curve(lo, hi, tuple(left(y) for y in ys)),
-            Curve(lo, hi, tuple(right(y) for y in ys)),
-            _flat(left(0.0), right(0.0), lo),
-            _flat(left(0.0), right(0.0), hi),
-        )
+        return _leaf_box(lattice, "-alpha0", "alpha0", n_samples)
     if name == "D":
         bm = abs(f.bm)
         if bm == 0.0:
             raise DomainError("the trapping box is unbounded at b = 0")
-        height = 1.0 / (8.0 * bm)
-        tall = stable_leaf_lattice(f, y_extent=height)
-        ys = [-height + 2.0 * height * k / (n_samples - 1) for k in range(n_samples)]
-        left = tall.leaf("-beta")
-        right = tall.leaf("beta")
-        return TameBox(
-            Curve(-height, height, tuple(left(y) for y in ys)),
-            Curve(-height, height, tuple(right(y) for y in ys)),
-            _flat(left(0.0), right(0.0), -height),
-            _flat(left(0.0), right(0.0), height),
-        )
+        tall = stable_leaf_lattice(f, y_extent=1.0 / (8.0 * bm))
+        return _leaf_box(tall, "-beta", "beta", n_samples)
     return build_piece(lattice, name, n_samples=n_samples)
 
 
@@ -351,12 +354,10 @@ def star_2d(piece: Piece2D, other: Piece2D, n_samples: int = 129) -> Piece2D:
 
     # sampled precondition: other's sides sit strictly inside the image span
     for y0 in (ys[0], ys[len(ys) // 2], ys[-1]):
-        exits = []
-        for side in (piece.box.phi_minus, piece.box.phi_plus):
-            z = (side(y0), y0)
-            for _ in range(piece.order):
-                z = apply_map(f, z)
-            exits.append(z[0])
+        exits = [
+            iterate(f, (side(y0), y0), piece.order)[0]
+            for side in (piece.box.phi_minus, piece.box.phi_plus)
+        ]
         lo, hi = min(exits), max(exits)
         eps = 1e-7 * max(1.0, hi - lo)  # shared boundaries are admissible
         for side in (other.box.phi_minus, other.box.phi_plus):
@@ -367,21 +368,15 @@ def star_2d(piece: Piece2D, other: Piece2D, n_samples: int = 129) -> Piece2D:
                     f"image span [{lo!r}, {hi!r}] of {piece.word!r}"
                 )
 
-    ys_new = [-3.0 + 6.0 * k / (n_samples - 1) for k in range(n_samples)]
+    y_lo, y_hi = piece.box.y_range
+    ys_new = _grid(y_lo, y_hi, n_samples)
     sides = []
     for side in (other.box.phi_minus, other.box.phi_plus):
         x0s, _ = _pullback_curve(chain, side, side(0.0), ys_new)
         sides.append(tuple(x0s))
-    left, right = sorted(sides, key=lambda vals: vals[len(vals) // 2])
-    box = TameBox(
-        Curve(-3.0, 3.0, left),
-        Curve(-3.0, 3.0, right),
-        _flat(min(left), max(right), -3.0),
-        _flat(min(left), max(right), 3.0),
-    )
     word = f"{piece.word},{other.word}"
     combined = factorize_chain(f, piece_1d(word, f.a))
-    return Piece2D(word, combined, box)
+    return Piece2D(word, combined, _strip_box(y_lo, y_hi, sides))
 
 
 def image_unstable_boundary(piece: Piece2D, n_samples: int = 65) -> tuple[Curve, Curve]:
@@ -389,16 +384,11 @@ def image_unstable_boundary(piece: Piece2D, n_samples: int = 65) -> tuple[Curve,
     the domain-side x runs along the top and bottom edges."""
     f = piece.chain.henon
     out = []
-    for y0 in (piece.box.psi_minus.values[0], piece.box.psi_plus.values[0]):
-        lo, hi = piece.box.phi_minus(y0), piece.box.phi_plus(y0)
-        xs = []
-        ys = []
-        for k in range(n_samples):
-            z = (lo + (hi - lo) * k / (n_samples - 1), y0)
-            for _ in range(piece.order):
-                z = apply_map(f, z)
-            xs.append(z[0])
-            ys.append(z[1])
+    for y0 in piece.box.y_range:
+        lo, hi = piece.box.x_range(y0)
+        exits = [iterate(f, (x, y0), piece.order) for x in _grid(lo, hi, n_samples)]
+        xs = [x for x, _ in exits]
+        ys = [y for _, y in exits]
         a, b = (xs[0], xs[-1]) if xs[0] <= xs[-1] else (xs[-1], xs[0])
         vals = ys if xs[0] <= xs[-1] else ys[::-1]
         out.append(Curve(a, b, tuple(vals)))
@@ -436,11 +426,9 @@ def verify_cones(
     margin = math.inf
     worst = (math.nan, math.nan)
     count = 0
-    for j in range(ny):
-        y = y_lo + (y_hi - y_lo) * j / (ny - 1)
+    for y in _grid(y_lo, y_hi, ny):
         x_lo, x_hi = box.x_range(y)
-        for i in range(nx):
-            x = x_lo + (x_hi - x_lo) * i / (nx - 1)
+        for x in _grid(x_lo, x_hi, nx):
             count += 1
             if abs(x) < cone.eta:
                 return ConeReport(False, 0.0, (x, y), count)

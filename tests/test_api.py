@@ -1,0 +1,32 @@
+"""Every name a module exports through ``__all__`` must exist."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import henonlab
+
+# ``__main__`` runs the CLI on import, so it is not a library module.
+MODULES = sorted(
+    info.name for info in pkgutil.iter_modules(henonlab.__path__)
+    if info.name != "__main__"
+)
+
+
+def test_modules_with_exports_are_found():
+    exporting = {
+        name for name in MODULES
+        if hasattr(importlib.import_module(f"henonlab.{name}"), "__all__")
+    }
+    assert {"crossmap", "errors", "henon", "maps1d", "renorm", "rootfind",
+            "strips"} <= exporting
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"henonlab.{name}")
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    missing = [item for item in exported if not hasattr(module, item)]
+    assert missing == []

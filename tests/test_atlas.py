@@ -188,16 +188,23 @@ class TestHenonKernels:
 
     def test_hooked_map_uses_scalar_path(self):
         params = {"map": "sine-perturbed", "delta": 0.02, "n": 500}
-        r = sweep("henon-lyap", 3, 2, a_range=(-1.0, 0.5), b_range=(0.05, 0.25),
+        r = sweep("henon-lyap", 3, 2, a_range=(-1.0, 1.0), b_range=(0.05, 0.25),
                   params=params)
-        a, b = r.pixel_center(1, 1)
-        f = build_map("sine-perturbed", a, b, delta=0.02)
-        scalar = lyapunov(f, (0.0, 0.0), (0.0, 1.0), 500)
-        if scalar.tag == "value":
-            assert r.tags[1, 1] == TAG_LYAP
-            assert r.values[1, 1] == pytest.approx(scalar.value, rel=1e-12)
-        else:
-            assert r.tags[1, 1] == TAG_ESCAPE
+        seen = set()
+        for i in range(r.height):
+            for j in range(r.width):
+                a, b = r.pixel_center(i, j)
+                f = build_map("sine-perturbed", a, b, delta=0.02)
+                scalar = lyapunov(f, (0.0, 0.0), (0.0, 1.0), 500)
+                seen.add(scalar.tag)
+                if scalar.tag == "value":
+                    assert r.tags[i, j] == TAG_LYAP
+                    assert r.values[i, j] == scalar.value
+                else:
+                    assert scalar.tag == "escape"
+                    assert r.tags[i, j] == TAG_ESCAPE
+                    assert r.values[i, j] == scalar.step
+        assert seen == {"value", "escape"}
 
     def test_zero_family_collapses_to_one_dimension(self):
         r1 = sweep("henon-escape", 4, 2, b_range=(0.1, 0.3), params={"map": "zero", "steps": 100})

@@ -1,5 +1,7 @@
 """Exit codes, config precedence, emission, and report pins for the CLI."""
 
+import contextlib
+import io
 import subprocess
 import sys
 
@@ -61,6 +63,7 @@ class TestReports:
         assert "tokens = w=,s+" in out
         assert "order = 4" in out
         assert "segment = [" in out
+        assert "box = " not in out
 
     def test_renorm_report(self, capsys):
         rc, out, _ = call(capsys, "renorm", "--a", "-1.8608", "--b", "0.001")
@@ -157,6 +160,28 @@ class TestExitCodes:
         rc, _, err = call(capsys, "certify", "--grid", "1x1")
         assert rc == 2
         assert "at least 2x2" in err
+
+    @pytest.mark.parametrize("args", [
+        ("renorm", "--a", "-1.86", "--b", "0.001", "--m", "0"),
+        ("twin", "--samples", "1"),
+        ("twin", "--samples", "0"),
+        ("special-params", "--digits", "-3"),
+        ("swallow", "--grid", "3x3", "--workers", "1", "--radius", "0"),
+        ("swallow", "--grid", "3x3", "--workers", "1", "--radius", "-1"),
+        ("attractors", "--a", "-0.5", "--b", "0.1", "--radius", "-1"),
+        ("attractors", "--a", "-0.5", "--b", "0.1", "--max-period", "0"),
+        ("attractors", "--a", "-0.5", "--b", "0.1", "--transient", "-5"),
+        ("crossmap", "--word", "s-", "--a", "-2", "--b", "0", "--samples", "-2"),
+        ("embed-swallow", "--grid", "2x2", "--workers", "1", "--tol", "-1"),
+        ("certify", "--r-disk", "-1"),
+        ("renorm", "--a", "nan", "--b", "0.001"),
+        ("embed-swallow", "--n", "10"),
+    ], ids=lambda args: " ".join((args[0],) + args[-2:]))
+    def test_bad_input_is_config_error(self, capsys, args):
+        rc, out, err = call(capsys, *args)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_swallow_negative_steps(self, capsys):
         rc, out, err = call(capsys, "swallow", "--grid", "3x3", "--steps", "-5")
@@ -319,3 +344,52 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "a1 = -1.5436" in proc.stdout
+
+
+# Flag values that are negative, zero, non-finite or not numbers at all.
+_BAD_VALUES = st.one_of(
+    st.sampled_from(["-1e300", "-7", "-1", "-0.5", "0", "-0", "nan", "inf", "-inf"]),
+    st.text(alphabet="abcxyz,:;=+-", max_size=4),
+)
+_BAD_RANGES = st.one_of(
+    _BAD_VALUES, st.sampled_from(["0:0", "1:-1", "nan:1", "-inf:0", "-1e300:0"])
+)
+_BAD_GRIDS = st.one_of(
+    _BAD_VALUES, st.sampled_from(["4x4", "2x2", "1x1", "0x3", "-2x3", "4x"])
+)
+
+#: command -> (valid base flags, fuzzed flags); swallow stays at most 4x4
+_FAST_COMMANDS = {
+    "piece": (("--word", "c1", "--a", "-1.86"), ("a", "word")),
+    "special-params": ((), ("digits", "ladder-at")),
+    "crossmap": (("--word", "s-", "--a", "-1.95", "--b", "0.01"),
+                 ("a", "b", "x1", "y0", "samples", "m", "delta")),
+    "renorm": (("--a", "-1.8608", "--b", "0.001"), ("a", "b", "m", "delta", "word")),
+    "attractors": (("--a", "-0.5", "--b", "0.1"),
+                   ("a", "b", "seeds", "max-period", "transient", "radius", "m")),
+    "swallow": (("--grid", "4x4", "--workers", "1", "--format", "csv"),
+                ("grid", "steps", "n", "radius", "a-range", "b-range")),
+}
+
+
+@st.composite
+def _fast_invocation(draw):
+    name = draw(st.sampled_from(sorted(_FAST_COMMANDS)))
+    base, fuzzed = _FAST_COMMANDS[name]
+    flags = draw(st.lists(st.sampled_from(fuzzed), min_size=1, max_size=3, unique=True))
+    argv = [name, *base]
+    for flag in flags:
+        strategy = {"grid": _BAD_GRIDS, "a-range": _BAD_RANGES,
+                    "b-range": _BAD_RANGES}.get(flag, _BAD_VALUES)
+        argv.append(f"--{flag}={draw(strategy)}")
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_fast_invocation())
+def test_fast_commands_never_crash(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    assert rc in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

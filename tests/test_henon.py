@@ -15,6 +15,7 @@ from henonlab.henon import (
     build_map,
     evaluate,
     find_attractors,
+    iterate,
     lyapunov,
     normalize_xi,
     orbit_escape,
@@ -146,6 +147,19 @@ class TestNormalizeXi:
 # ---------------------------------------------------------------------------
 
 class TestOrbits:
+    def test_iterate_is_repeated_application(self):
+        f = HenonMap(a=-1.4, b=0.3, zeta=sine_perturbed_fields(0.01)[0])
+        z = (0.1, -0.2)
+        assert iterate(f, z, 0) == z
+        w = z
+        for n in range(1, 6):
+            w = apply_map(f, w)
+            assert iterate(f, z, n) == w
+
+    def test_multiplicity_must_be_positive(self):
+        with pytest.raises(DomainError):
+            HenonMap(a=-1.4, b=0.3, m=0)
+
     def test_escape_from_origin(self):
         f = HenonMap(a=1.0, b=0.0)
         traj, escaped, steps = orbit_escape(f, (0.0, 0.0), n_max=100, r_esc=10.0)
@@ -182,6 +196,9 @@ class TestOrbits:
         f = HenonMap(a=1.0, b=0.1)
         out = lyapunov(f, (0.0, 0.0), (1.0, 0.0), n=100)
         assert out.tag == "escape" and out.value is None
+        # (0, 0) -> (1, 0) -> (2, 1) -> (4.9, 2) -> (24.81, 4.9)
+        assert out.step == 4
+        assert out.step == orbit_escape(f, (0.0, 0.0), 100)[2]
 
     @pytest.mark.parametrize("v0, n", [((0.0, 0.0), 100), ((1.0, 0.0), 0)])
     def test_lyapunov_rejects_bad_input(self, v0, n):

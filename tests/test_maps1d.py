@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from henonlab.errors import DomainError, LadderError, ProductError, WordError
 from henonlab.maps1d import (
     dalpha2_da,
+    iterate_quad,
     ladder,
     lyap_composed,
     parse_word,
@@ -204,6 +205,12 @@ def _iter(a, x, n):
     for _ in range(n):
         x = quad(a, x)
     return x
+
+
+def test_iterate_quad():
+    assert iterate_quad(-1.9, 0.3, 0) == 0.3
+    for n in range(1, 8):
+        assert iterate_quad(-1.9, 0.3, n) == _iter(-1.9, 0.3, n)
 
 
 def test_star_undefined_raises():

@@ -329,6 +329,11 @@ def equal_pair():
 
 
 class TestMultiWord:
+    @pytest.mark.parametrize("words", [(), ("c1", "c1", "c1")], ids=["none", "three"])
+    def test_word_count_validated(self, words):
+        with pytest.raises(DomainError):
+            multi_renormalize(HenonMap(-1.86, 1e-3), words)
+
     def test_scale_identity(self, equal_pair):
         md, _ = equal_pair
         for i in range(md.count):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from henonlab.errors import BracketError, ConvergenceError
-from henonlab.rootfind import bisect, central_diff, newton2, newton_safeguarded, second_diff
+from henonlab.rootfind import bisect, central_diff, newton2, newton_safeguarded
 
 
 def test_bisect_sqrt2():
@@ -70,4 +70,3 @@ def test_newton2_intersection():
 
 def test_central_and_second_diff():
     assert abs(central_diff(math.sin, 0.3, 1e-5) - math.cos(0.3)) < 1e-9
-    assert abs(second_diff(math.sin, 0.3, 1e-4) + math.sin(0.3)) < 1e-6

@@ -95,6 +95,18 @@ class TestBoxes:
         assert box.phi_minus(0.0) == pytest.approx(-2.0, abs=0.05)
         assert max(abs(box.phi_plus(y) - 2.0) for y in (-12.0, 12.0)) <= 1.0
 
+    def test_boxes_span_the_lattice_height(self):
+        lattice = stable_leaf_lattice(HenonMap(-1.95, 1e-3), y_extent=2.0)
+        central = build_box(lattice, "e")
+        strip = build_piece(lattice, "s-")
+        for box in (central, strip.box):
+            assert box.y_range == (-2.0, 2.0)
+            for side in (box.phi_minus, box.phi_plus):
+                assert (side.lo, side.hi) == (-2.0, 2.0)
+        for y in (-2.0, 2.0):
+            assert central.phi_minus(y) == lattice.leaf("-alpha0")(y)
+            assert central.phi_plus(y) == lattice.leaf("alpha0")(y)
+
     def test_trapping_box_needs_nonzero_b(self, lattice_degenerate):
         with pytest.raises(DomainError):
             build_box(lattice_degenerate, "D")
