@@ -4,9 +4,14 @@ Six pixel kernels cover the composed-quadratic parameter plane (escape
 classification and derivative-growth exponents), the Henon-family plane
 (origin escape and tangent-growth exponents), per-pixel renormalization
 output, and the agreement test between renormalized one-dimensional
-predictions and direct two-dimensional orbits.  A raster is a pure
-function of its configuration: payloads never depend on worker count or
-evaluation order, so re-runs are byte-identical.
+predictions and direct two-dimensional orbits.  The four orbit kernels
+(both composed-quadratic kernels, and the Henon kernels on maps without
+hooks) iterate a whole block of rows per numpy step on one compacting
+loop; the others go pixel by pixel, one row per task.  A raster is a pure
+function of its configuration: payloads never depend on worker count,
+block size or evaluation order, so re-runs are byte-identical.  PPM
+colours come from per-tag palettes applied to the whole tag and value
+arrays.
 """
 
 from __future__ import annotations
@@ -154,56 +159,37 @@ class Raster:
 # ---------------------------------------------------------------------------
 
 _ERROR_RGB = (255, 0, 255)
+_YELLOW = (255, 255, 0)
+_BLACK = (0, 0, 0)
 
 
-def _ramp_channel(value: float) -> int:
-    return 80 + int(round(175.0 * min(1.0, abs(value))))
+def _palette(colors: Mapping[int, tuple[int, int, int]]) -> np.ndarray:
+    """RGB of every uint8 tag; tags not named get the error colour."""
+    table = np.full((256, 3), _ERROR_RGB, dtype=np.uint8)
+    for tag, rgb in colors.items():
+        table[tag] = rgb
+    return table
 
 
-def _color_escape(tag: int, value: float) -> tuple[int, int, int]:
-    if tag == TAG_ESCAPE:
-        return (255, 255, 0)
-    if tag == TAG_BOUNDED:
-        return (0, 0, 0)
-    return _ERROR_RGB
-
-
-def _color_lyap(tag: int, value: float) -> tuple[int, int, int]:
-    if tag == TAG_ESCAPE:
-        return (255, 255, 0)
-    if tag == TAG_LYAP:
-        if value < -0.01:
-            return (_ramp_channel(value), 0, 0)
-        if value > 0.01:
-            return (0, 0, _ramp_channel(value))
-        return (0, 0, 0)
-    return _ERROR_RGB
-
-
-def _color_class(tag: int, value: float) -> tuple[int, int, int]:
-    if tag == TAG_ESCAPE:
-        return (255, 255, 0)
-    if tag == TAG_WING:
-        return (128, 128, 128)
-    if tag in (TAG_BODY, TAG_BOUNDED):
-        return (0, 0, 0)
-    return _ERROR_RGB
-
-
-def _color_compare(tag: int, value: float) -> tuple[int, int, int]:
-    if tag == TAG_AGREE:
-        return (255, 255, 255)
-    if tag == TAG_DISAGREE:
-        return (255, 0, 0)
-    return _ERROR_RGB
-
-
-COLORMAPS: dict[str, Callable[[int, float], tuple[int, int, int]]] = {
-    "escape": _color_escape,
-    "lyap": _color_lyap,
-    "class": _color_class,
-    "compare": _color_compare,
+#: Per-tag colours of each colormap; "lyap" adds the exponent ramp of _shade_lyap.
+COLORMAPS: dict[str, np.ndarray] = {
+    "escape": _palette({TAG_ESCAPE: _YELLOW, TAG_BOUNDED: _BLACK}),
+    "lyap": _palette({TAG_ESCAPE: _YELLOW, TAG_LYAP: _BLACK}),
+    "class": _palette(
+        {TAG_ESCAPE: _YELLOW, TAG_WING: (128, 128, 128), TAG_BODY: _BLACK, TAG_BOUNDED: _BLACK}
+    ),
+    "compare": _palette({TAG_AGREE: (255, 255, 255), TAG_DISAGREE: (255, 0, 0)}),
 }
+
+
+def _shade_lyap(rgb: np.ndarray, tags: np.ndarray, values: np.ndarray) -> None:
+    """Exponents beyond +-0.01 get a red (negative) or blue (positive) ramp
+    80 + round(175 min(1, |v|)), rounding half to even; the rest stay black."""
+    lyap = tags == TAG_LYAP
+    for channel, side in ((0, values < -0.01), (2, values > 0.01)):
+        hit = lyap & side
+        rgb[hit, channel] = 80.0 + np.rint(175.0 * np.minimum(1.0, np.abs(values[hit])))
+
 
 _COLORMAP_NOTES: dict[str, str] = {
     "escape": "bounded->black; escape->yellow(255,255,0); error->magenta(255,0,255)",
@@ -224,82 +210,125 @@ _COLORMAP_NOTES: dict[str, str] = {
 
 
 # ---------------------------------------------------------------------------
-# composed-quadratic kernels (vectorized one row at a time)
+# orbit kernels over row blocks
 # ---------------------------------------------------------------------------
+# The composed-quadratic kernels and the Henon kernels on maps without hooks
+# advance every pixel of a block of rows per numpy step.  The live set is an
+# index array that loses each orbit at the step it leaves, so late steps cost
+# in proportion to the pixels still iterating.  Every operation is
+# elementwise and keeps the order of the scalar recurrences, so a pixel's
+# payload does not depend on the block it was computed in.
 
-def _composed_escape_row(first, second, width: int, n_max: int, r_esc: float):
-    """Escape step of the alternating orbit x -> x^2+first -> x^2+second.
+#: Pixels per orbit block; bounds the working arrays of one task.
+_BLOCK_PIXELS = 1 << 14
 
-    Starts at x = 0; both half-steps of composed step k report step k, the
-    same counting as the scalar classifier.  Returns (steps, alive): alive
-    pixels stayed bounded and have step 0.
+
+def _run_orbits(advance, state: tuple[np.ndarray, ...], n_steps: int):
+    """Iterate per-orbit state up to n_steps, dropping orbits as they leave.
+
+    ``state`` holds equal-length arrays, the orbit parameters included, so
+    that they are compacted together.  ``advance(*state)`` returns the next
+    state, the mask of orbits that left on this step, and either None or
+    the mask of those among them that left because their tangent vector
+    died.  Returns (left, dead, live, state): the step at which each orbit
+    left (0 if it did not), the dead mask, the indices of the orbits still
+    live after n_steps, and their state.
     """
-    x = np.zeros(width)
-    steps = np.zeros(width, dtype=np.int64)
-    alive = np.ones(width, dtype=bool)
-    for step in range(1, n_max + 1):
-        if not alive.any():
-            break
-        for offset in (first, second):
-            x = np.where(alive, x * x + offset, x)
-            escaped = alive & (np.abs(x) > r_esc)
-            steps[escaped] = step
-            alive &= ~escaped
-    return steps, alive
+    size = state[0].size
+    left = np.zeros(size, dtype=np.int64)
+    dead = np.zeros(size, dtype=bool)
+    live = np.arange(size)
+    with np.errstate(all="ignore"):
+        for step in range(1, n_steps + 1):
+            if not live.size:
+                break
+            state, gone, stalled = advance(*state)
+            if gone.any():
+                left[live[gone]] = step
+                if stalled is not None:
+                    dead[live[stalled]] = True
+                keep = ~gone
+                live = live[keep]
+                state = tuple(arr[keep] for arr in state)
+    return left, dead, live, state
 
 
-def _row_swallow_escape(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+def _composed_orbits(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) offsets of the two alternating orbits of each pixel:
+    x -> x^2+a -> x^2+b for every pixel row-major, then x -> x^2+b -> x^2+a."""
+    a_px, b_px = np.tile(a, b.size), np.repeat(b, a.size)
+    return np.concatenate((a_px, b_px)), np.concatenate((b_px, a_px))
+
+
+def _composed_exits(left: np.ndarray, live: np.ndarray, n: int):
+    """(alive_ab, alive_ba, steps_ab, steps_ba) of n pixels' stacked orbits."""
+    alive = np.zeros(2 * n, dtype=bool)
+    alive[live] = True
+    return alive[:n], alive[n:], left[:n], left[n:]
+
+
+def _block_swallow_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Escape classification of the composed orbits started at x = 0.
+
+    Both half-steps of composed step k report step k, the same counting as
+    the scalar classifier.
+    """
     n_max = int(params.get("steps", _DEFAULT_ESCAPE_STEPS))
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    width = a.size
-    steps_ab, alive_ab = _composed_escape_row(a, b, width, n_max, r_esc)
-    steps_ba, alive_ba = _composed_escape_row(b, a, width, n_max, r_esc)
+    first, second = _composed_orbits(a, b)
 
-    tags = np.full(width, TAG_ESCAPE, dtype=np.uint8)
+    def advance(x, first, second):
+        x = x * x + first
+        escaped = np.abs(x) > r_esc
+        x = x * x + second
+        return (x, first, second), escaped | (np.abs(x) > r_esc), None
+
+    left, _, live, _ = _run_orbits(advance, (np.zeros(first.size), first, second), n_max)
+    n = a.size * b.size
+    alive_ab, alive_ba, steps_ab, steps_ba = _composed_exits(left, live, n)
+
+    tags = np.full(n, TAG_ESCAPE, dtype=np.uint8)
     tags[alive_ab & alive_ba] = TAG_BODY
     tags[alive_ab ^ alive_ba] = TAG_WING
 
-    values = np.zeros(width)
+    values = np.zeros(n)
     both = ~alive_ab & ~alive_ba
     values[both] = np.minimum(steps_ab, steps_ba)[both]
     values[alive_ab & ~alive_ba] = steps_ba[alive_ab & ~alive_ba]
     values[~alive_ab & alive_ba] = steps_ab[~alive_ab & alive_ba]
-    return tags, values
+    return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
 
 
-def _composed_exponent_row(first, second, x0: float, width: int, n_steps: int, r_esc: float):
-    """Per-composed-step derivative-growth exponent of the alternating orbit.
+def _block_swallow_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Per-composed-step derivative-growth exponent of the composed orbits.
 
-    The orbit starts at x0; each composed step contributes
-    log|2x| + log|2(x^2+first)| to the running total.  Returns
-    (exponent, steps, alive); exponents of escaped pixels are invalid.
+    Both orbits start at x = b; each composed step contributes
+    log|2x| + log|2(x^2+first)| to the running total.
     """
-    x = np.full(width, float(x0))
-    total = np.zeros(width)
-    steps = np.zeros(width, dtype=np.int64)
-    alive = np.ones(width, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(1, n_steps + 1):
-            if not alive.any():
-                break
-            for offset in (first, second):
-                total = np.where(alive, total + np.log(2.0 * np.abs(x)), total)
-                x = np.where(alive, x * x + offset, x)
-                escaped = alive & (np.abs(x) > r_esc)
-                steps[escaped] = step
-                alive &= ~escaped
-    return total / n_steps, steps, alive
-
-
-def _row_swallow_lyap(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
     n_steps = int(params.get("n", _DEFAULT_EXPONENT_STEPS))
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    width = a.size
-    exp_ab, steps_ab, alive_ab = _composed_exponent_row(a, b, b, width, n_steps, r_esc)
-    exp_ba, steps_ba, alive_ba = _composed_exponent_row(b, a, b, width, n_steps, r_esc)
+    first, second = _composed_orbits(a, b)
 
-    tags = np.full(width, TAG_LYAP, dtype=np.uint8)
-    values = np.zeros(width)
+    def advance(x, total, first, second):
+        total = total + np.log(2.0 * np.abs(x))
+        x = x * x + first
+        escaped = np.abs(x) > r_esc
+        total = total + np.log(2.0 * np.abs(x))
+        x = x * x + second
+        return (x, total, first, second), escaped | (np.abs(x) > r_esc), None
+
+    x0 = np.tile(np.repeat(b, a.size), 2)
+    left, _, live, state = _run_orbits(
+        advance, (x0, np.zeros(first.size), first, second), n_steps
+    )
+    n = a.size * b.size
+    alive_ab, alive_ba, steps_ab, steps_ba = _composed_exits(left, live, n)
+    exponent = np.zeros(2 * n)
+    exponent[live] = state[1] / n_steps
+    exp_ab, exp_ba = exponent[:n], exponent[n:]
+
+    tags = np.full(n, TAG_LYAP, dtype=np.uint8)
+    values = np.zeros(n)
 
     both_gone = ~alive_ab & ~alive_ba
     tags[both_gone] = TAG_ESCAPE
@@ -311,15 +340,21 @@ def _row_swallow_lyap(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndar
     values[only_ba] = exp_ba[only_ba]
     both = alive_ab & alive_ba
     values[both] = 0.5 * (exp_ab[both] + exp_ba[both])
-    return tags, values
+    return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
 
 
 # ---------------------------------------------------------------------------
 # Henon-plane kernels
 # ---------------------------------------------------------------------------
-# Maps without hooks keep their own numpy orbit loops, which advance a whole
-# row per step at a fraction of the cost of one scalar call per pixel; hooked
-# maps go pixel by pixel through ``henon.orbit_escape`` and ``henon.lyapunov``.
+# Maps without hooks run on the compacting orbit loop above; hooked maps go
+# pixel by pixel through ``henon.orbit_escape`` and ``henon.lyapunov``.
+
+#: Builders whose hooks vanish, with the coefficient of y in x' = x^2+a-c*y.
+_PLAIN_MAPS: dict[str, Callable[[float, int], float]] = {
+    "standard": lambda b, m: b ** m,
+    "zero": lambda b, m: 0.0,
+}
+
 
 def _map_config(params: Mapping) -> tuple[str, int, dict]:
     name = str(params.get("map", "standard"))
@@ -332,42 +367,69 @@ def _map_config(params: Mapping) -> tuple[str, int, dict]:
     return name, m, extra
 
 
-def _henon_vector_offsets(name: str, a: np.ndarray, b: float, m: int):
-    """Per-pixel (a, b^m) for builders whose hooks vanish, else None."""
-    if name == "standard":
-        return a, b ** m
-    if name == "zero":
-        return a, 0.0
-    return None
+def _plain_pixels(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel (a, c) of a block on a map without hooks.
+
+    c is worked out once per row as a Python float power and then
+    broadcast, so every pixel sees the same bits as a scalar evaluation.
+    """
+    name, m, _ = _map_config(params)
+    coefficient = _PLAIN_MAPS[name]
+    c = np.array([coefficient(float(row_b), m) for row_b in b])
+    return np.tile(a, b.size), np.repeat(c, a.size)
+
+
+def _block_henon_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    n_max = int(params.get("steps", _DEFAULT_ESCAPE_STEPS))
+    r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
+    a_px, bm = _plain_pixels(a, b, params)
+
+    def advance(x, y, a_px, bm):
+        x_new = x * x + a_px - bm * y
+        escaped = np.maximum(np.abs(x_new), np.abs(x)) > r_esc
+        return (x_new, x, a_px, bm), escaped, None
+
+    zeros = np.zeros(a_px.size)
+    left, _, _, _ = _run_orbits(advance, (zeros, zeros, a_px, bm), n_max)
+    tags = np.where(left > 0, TAG_ESCAPE, TAG_BOUNDED).astype(np.uint8)
+    return tags.reshape(b.size, a.size), left.astype(np.float64).reshape(b.size, a.size)
+
+
+def _block_henon_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent-growth exponent of the orbit of the origin along (0, 1)."""
+    n_steps = int(params.get("n", _DEFAULT_EXPONENT_STEPS))
+    r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
+    a_px, bm = _plain_pixels(a, b, params)
+
+    def advance(x, y, vx, vy, total, a_px, bm):
+        wx = 2.0 * x * vx - bm * vy
+        growth = np.hypot(wx, vx)
+        dead = growth == 0.0
+        total = total + np.log(growth)
+        vx, vy = wx / growth, vx / growth
+        x_new = x * x + a_px - bm * y
+        escaped = np.maximum(np.abs(x_new), np.abs(x)) > r_esc
+        return (x_new, x, vx, vy, total, a_px, bm), dead | escaped, dead
+
+    zeros = np.zeros(a_px.size)
+    left, dead, live, state = _run_orbits(
+        advance, (zeros, zeros, zeros, np.ones(a_px.size), zeros, a_px, bm), n_steps
+    )
+    tags = np.where(left > 0, TAG_ESCAPE, TAG_LYAP).astype(np.uint8)
+    values = left.astype(np.float64)
+    tags[dead] = TAG_ERROR
+    values[dead] = 0.0
+    values[live] = state[4] / n_steps
+    return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
 
 
 def _row_henon_escape(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
     n_max = int(params.get("steps", _DEFAULT_ESCAPE_STEPS))
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
     name, m, extra = _map_config(params)
-    width = a.size
-    tags = np.zeros(width, dtype=np.uint8)
-    values = np.zeros(width)
-
-    plain = _henon_vector_offsets(name, a, b, m)
-    if plain is not None:
-        a_vec, bm = plain
-        x = np.zeros(width)
-        y = np.zeros(width)
-        alive = np.ones(width, dtype=bool)
-        for step in range(1, n_max + 1):
-            if not alive.any():
-                break
-            x_new = x * x + a_vec - bm * y
-            y = np.where(alive, x, y)
-            x = np.where(alive, x_new, x)
-            escaped = alive & (np.maximum(np.abs(x), np.abs(y)) > r_esc)
-            tags[escaped] = TAG_ESCAPE
-            values[escaped] = step
-            alive &= ~escaped
-        return tags, values
-
-    for j in range(width):
+    tags = np.zeros(a.size, dtype=np.uint8)
+    values = np.zeros(a.size)
+    for j in range(a.size):
         f = build_map(name, float(a[j]), b, m, **extra)
         _, escaped, step = orbit_escape(f, (0.0, 0.0), n_max, r_esc)
         if escaped:
@@ -380,44 +442,9 @@ def _row_henon_lyap(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarra
     n_steps = int(params.get("n", _DEFAULT_EXPONENT_STEPS))
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
     name, m, extra = _map_config(params)
-    width = a.size
-    tags = np.full(width, TAG_LYAP, dtype=np.uint8)
-    values = np.zeros(width)
-
-    plain = _henon_vector_offsets(name, a, b, m)
-    if plain is not None:
-        a_vec, bm = plain
-        x = np.zeros(width)
-        y = np.zeros(width)
-        vx = np.zeros(width)
-        vy = np.ones(width)
-        total = np.zeros(width)
-        alive = np.ones(width, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for step in range(1, n_steps + 1):
-                if not alive.any():
-                    break
-                wx = 2.0 * x * vx - bm * vy
-                wy = vx
-                growth = np.hypot(wx, wy)
-                dead = alive & (growth == 0.0)
-                tags[dead] = TAG_ERROR
-                alive &= ~dead
-                safe = np.where(growth == 0.0, 1.0, growth)
-                total = np.where(alive, total + np.log(safe), total)
-                vx = np.where(alive, wx / safe, vx)
-                vy = np.where(alive, wy / safe, vy)
-                x_new = x * x + a_vec - bm * y
-                y = np.where(alive, x, y)
-                x = np.where(alive, x_new, x)
-                escaped = alive & (np.maximum(np.abs(x), np.abs(y)) > r_esc)
-                tags[escaped] = TAG_ESCAPE
-                values[escaped] = step
-                alive &= ~escaped
-        values[alive] = total[alive] / n_steps
-        return tags, values
-
-    for j in range(width):
+    tags = np.full(a.size, TAG_LYAP, dtype=np.uint8)
+    values = np.zeros(a.size)
+    for j in range(a.size):
         f = build_map(name, float(a[j]), b, m, **extra)
         out = lyapunov(f, (0.0, 0.0), (0.0, 1.0), n_steps, r_esc)
         if out.tag == "value":
@@ -597,9 +624,14 @@ def _row_embed_compare(a: np.ndarray, b: float, params: Mapping) -> tuple[np.nda
     return tags, values
 
 
-_ROW_KERNELS: dict[str, Callable[[np.ndarray, float, Mapping], tuple[np.ndarray, np.ndarray]]] = {
-    "swallow-escape": _row_swallow_escape,
-    "swallow-lyap": _row_swallow_lyap,
+_ORBIT_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, Mapping], tuple[np.ndarray, np.ndarray]]] = {
+    "swallow-escape": _block_swallow_escape,
+    "swallow-lyap": _block_swallow_lyap,
+    "henon-escape": _block_henon_escape,
+    "henon-lyap": _block_henon_lyap,
+}
+
+_PIXEL_KERNELS: dict[str, Callable[[np.ndarray, float, Mapping], tuple[np.ndarray, np.ndarray]]] = {
     "henon-escape": _row_henon_escape,
     "henon-lyap": _row_henon_lyap,
     "renorm-strip": _row_renorm_strip,
@@ -611,15 +643,41 @@ _ROW_KERNELS: dict[str, Callable[[np.ndarray, float, Mapping], tuple[np.ndarray,
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def _row_payload(cfg: Mapping, i: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _runs_orbit_kernel(kernel: str, params: Mapping) -> bool:
+    """True when the kernel runs on the compacting orbit loop: the
+    composed-quadratic kernels, and the Henon kernels on maps without hooks."""
+    if kernel.startswith("henon-"):
+        return str(params.get("map", "standard")) in _PLAIN_MAPS
+    return kernel.startswith("swallow-")
+
+
+def _row_blocks(cfg: Mapping, workers: int) -> list[range]:
+    """Row ranges of the tasks: one block per worker for the orbit kernels,
+    at most _BLOCK_PIXELS pixels each, and one row per task otherwise."""
+    height = cfg["height"]
+    rows = 1
+    if cfg["orbit"]:
+        rows = max(1, min(-(-height // workers), _BLOCK_PIXELS // cfg["width"]))
+    return [range(lo, min(lo + rows, height)) for lo in range(0, height, rows)]
+
+
+def _block_payload(cfg: Mapping, rows: range) -> tuple[int, np.ndarray, np.ndarray]:
     a = _a_centers(cfg["a_range"], cfg["width"])
-    b = _b_centers(cfg["b_range"], cfg["height"])[i]
+    b = _b_centers(cfg["b_range"], cfg["height"])[rows.start:rows.stop]
+    kernel = cfg["kernel"]
     params = dict(cfg["params"])
-    if cfg["kernel"] == "embed-compare":
+    if cfg["orbit"]:
+        tags, values = _ORBIT_KERNELS[kernel](a, b, params)
+        return rows.start, tags, values
+    if kernel == "embed-compare":
         params["_embed_cfg"] = cfg["embed_cfg"]
-        params["_embed_state"] = cfg["embed_states"][i]
-    tags, values = _ROW_KERNELS[cfg["kernel"]](a, float(b), params)
-    return i, tags, values
+    tags = np.empty((len(rows), a.size), dtype=np.uint8)
+    values = np.empty((len(rows), a.size), dtype=np.float64)
+    for k, i in enumerate(rows):
+        if kernel == "embed-compare":
+            params["_embed_state"] = cfg["embed_states"][i]
+        tags[k], values[k] = _PIXEL_KERNELS[kernel](a, float(b[k]), params)
+    return rows.start, tags, values
 
 
 def sweep(
@@ -631,12 +689,12 @@ def sweep(
     params: Mapping | None = None,
     workers: int | None = None,
 ) -> Raster:
-    """Rasterize a kernel over a parameter rectangle, row by row.
+    """Rasterize a kernel over a parameter rectangle in blocks of rows.
 
-    Rows are computed independently from immutable configuration, so the
-    result is identical for every worker count.  Per-pixel numerical
-    failures become error-tagged payloads; only configuration mistakes
-    raise.
+    Blocks are computed independently from immutable configuration, and no
+    pixel depends on the block it falls in, so the result is identical for
+    every worker count.  Per-pixel numerical failures become error-tagged
+    payloads; only configuration mistakes raise.
     """
     if kernel not in KERNELS:
         raise DomainError(f"unknown kernel {kernel!r}; known: {KERNELS}")
@@ -655,6 +713,8 @@ def sweep(
         raise DomainError(f"escape radius must be positive, got {params['radius']}")
     if workers is None:
         workers = os.cpu_count() or 1
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
 
     cfg: dict = {
         "kernel": kernel,
@@ -663,6 +723,7 @@ def sweep(
         "a_range": a_range,
         "b_range": b_range,
         "params": params,
+        "orbit": _runs_orbit_kernel(kernel, params),
     }
     if kernel == "embed-compare":
         embed_cfg = _embed_config(params)
@@ -673,19 +734,19 @@ def sweep(
 
     tags = np.empty((height, width), dtype=np.uint8)
     values = np.empty((height, width), dtype=np.float64)
-    if workers <= 1:
-        for i in range(height):
-            _, tags[i], values[i] = _row_payload(cfg, i)
+
+    def store(payloads) -> None:
+        for start, block_tags, block_values in payloads:
+            tags[start:start + len(block_tags)] = block_tags
+            values[start:start + len(block_values)] = block_values
+
+    blocks = _row_blocks(cfg, workers)
+    task = partial(_block_payload, cfg)
+    if workers == 1:
+        store(map(task, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(
-                partial(_row_payload, cfg),
-                range(height),
-                chunksize=max(1, height // (4 * workers)),
-            )
-            for i, row_tags, row_values in rows:
-                tags[i] = row_tags
-                values[i] = row_values
+            store(pool.map(task, blocks, chunksize=max(1, len(blocks) // (4 * workers))))
     return Raster(width, height, a_range, b_range, kernel, tags, values)
 
 
@@ -711,14 +772,11 @@ def compare_summary(raster: Raster) -> dict[str, float]:
 def render_ppm(raster: Raster, colormap: str | None = None) -> bytes:
     """Binary P6 image: exact header, then RGB triples row-major."""
     name = colormap or DEFAULT_COLORMAPS[raster.kernel]
-    color = COLORMAPS[name]
-    out = bytearray(f"P6\n{raster.width} {raster.height}\n255\n".encode("ascii"))
-    tags = raster.tags
-    values = raster.values
-    for i in range(raster.height):
-        for j in range(raster.width):
-            out.extend(color(int(tags[i, j]), float(values[i, j])))
-    return bytes(out)
+    rgb = COLORMAPS[name][raster.tags]
+    if name == "lyap":
+        _shade_lyap(rgb, raster.tags, raster.values)
+    header = f"P6\n{raster.width} {raster.height}\n255\n".encode("ascii")
+    return header + rgb.tobytes()
 
 
 def render_csv(raster: Raster, colormap: str | None = None) -> str:

@@ -12,16 +12,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .crossmap import ConeSpec, CrossMapChain, eval_cross, factorize_chain
+from .crossmap import CrossMapChain, eval_cross, factorize_chain
 from .errors import ConvergenceError, DomainError, ProductError
 from .henon import HenonMap, apply_map, evaluate, iterate
 from .maps1d import iterate_quad, ladder, piece_1d
 from .rootfind import newton_safeguarded
 
+if TYPE_CHECKING:
+    from .crossmap import ConeSpec
+
 __all__ = [
-    "ConeSpec",
     "Curve",
     "LeafLattice",
     "TameBox",

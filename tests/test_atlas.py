@@ -16,6 +16,7 @@ from henonlab.atlas import (
     TAG_AGREE,
     TAG_BODY,
     TAG_BOUNDED,
+    TAG_DISAGREE,
     TAG_ERROR,
     TAG_ESCAPE,
     TAG_LYAP,
@@ -31,7 +32,7 @@ from henonlab.atlas import (
     sweep,
 )
 from henonlab.errors import DomainError
-from henonlab.henon import HenonMap, build_map, lyapunov, orbit_escape
+from henonlab.henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
 from henonlab.maps1d import swallow_classify
 from henonlab.renorm import renormalize
 
@@ -41,6 +42,248 @@ def make_raster(tags, values, kernel="henon-lyap", a_range=(0.0, 1.0), b_range=(
     values = np.asarray(values, dtype=np.float64)
     height, width = tags.shape
     return Raster(width, height, a_range, b_range, kernel, tags, values)
+
+
+# ---------------------------------------------------------------------------
+# slow-path oracles: the orbit kernels one row per numpy step, as they ran
+# before the block loop, and the scalar colour functions
+# ---------------------------------------------------------------------------
+
+def _composed_escape_row(first, second, width, n_max, r_esc):
+    x = np.zeros(width)
+    steps = np.zeros(width, dtype=np.int64)
+    alive = np.ones(width, dtype=bool)
+    for step in range(1, n_max + 1):
+        if not alive.any():
+            break
+        for offset in (first, second):
+            x = np.where(alive, x * x + offset, x)
+            escaped = alive & (np.abs(x) > r_esc)
+            steps[escaped] = step
+            alive &= ~escaped
+    return steps, alive
+
+
+def _row_swallow_escape(a, b, params):
+    n_max = int(params.get("steps", 2000))
+    r_esc = float(params.get("radius", 10.0))
+    width = a.size
+    steps_ab, alive_ab = _composed_escape_row(a, b, width, n_max, r_esc)
+    steps_ba, alive_ba = _composed_escape_row(b, a, width, n_max, r_esc)
+    tags = np.full(width, TAG_ESCAPE, dtype=np.uint8)
+    tags[alive_ab & alive_ba] = TAG_BODY
+    tags[alive_ab ^ alive_ba] = TAG_WING
+    values = np.zeros(width)
+    both = ~alive_ab & ~alive_ba
+    values[both] = np.minimum(steps_ab, steps_ba)[both]
+    values[alive_ab & ~alive_ba] = steps_ba[alive_ab & ~alive_ba]
+    values[~alive_ab & alive_ba] = steps_ab[~alive_ab & alive_ba]
+    return tags, values
+
+
+def _composed_exponent_row(first, second, x0, width, n_steps, r_esc):
+    x = np.full(width, float(x0))
+    total = np.zeros(width)
+    steps = np.zeros(width, dtype=np.int64)
+    alive = np.ones(width, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(1, n_steps + 1):
+            if not alive.any():
+                break
+            for offset in (first, second):
+                total = np.where(alive, total + np.log(2.0 * np.abs(x)), total)
+                x = np.where(alive, x * x + offset, x)
+                escaped = alive & (np.abs(x) > r_esc)
+                steps[escaped] = step
+                alive &= ~escaped
+    return total / n_steps, steps, alive
+
+
+def _row_swallow_lyap(a, b, params):
+    n_steps = int(params.get("n", 10_000))
+    r_esc = float(params.get("radius", 10.0))
+    width = a.size
+    exp_ab, steps_ab, alive_ab = _composed_exponent_row(a, b, b, width, n_steps, r_esc)
+    exp_ba, steps_ba, alive_ba = _composed_exponent_row(b, a, b, width, n_steps, r_esc)
+    tags = np.full(width, TAG_LYAP, dtype=np.uint8)
+    values = np.zeros(width)
+    both_gone = ~alive_ab & ~alive_ba
+    tags[both_gone] = TAG_ESCAPE
+    values[both_gone] = np.minimum(steps_ab, steps_ba)[both_gone]
+    only_ab = alive_ab & ~alive_ba
+    values[only_ab] = exp_ab[only_ab]
+    only_ba = alive_ba & ~alive_ab
+    values[only_ba] = exp_ba[only_ba]
+    both = alive_ab & alive_ba
+    values[both] = 0.5 * (exp_ab[both] + exp_ba[both])
+    return tags, values
+
+
+def _henon_config(params):
+    name = str(params.get("map", "standard"))
+    assert name in MAP_REGISTRY
+    extra = {"delta": float(params["delta"])} if "delta" in params else {}
+    return name, int(params.get("m", 1)), extra
+
+
+def _henon_vector_offsets(name, a, b, m):
+    if name == "standard":
+        return a, b ** m
+    if name == "zero":
+        return a, 0.0
+    return None
+
+
+def _row_henon_escape(a, b, params):
+    n_max = int(params.get("steps", 2000))
+    r_esc = float(params.get("radius", 10.0))
+    name, m, extra = _henon_config(params)
+    width = a.size
+    tags = np.zeros(width, dtype=np.uint8)
+    values = np.zeros(width)
+    plain = _henon_vector_offsets(name, a, b, m)
+    if plain is not None:
+        a_vec, bm = plain
+        x = np.zeros(width)
+        y = np.zeros(width)
+        alive = np.ones(width, dtype=bool)
+        for step in range(1, n_max + 1):
+            if not alive.any():
+                break
+            x_new = x * x + a_vec - bm * y
+            y = np.where(alive, x, y)
+            x = np.where(alive, x_new, x)
+            escaped = alive & (np.maximum(np.abs(x), np.abs(y)) > r_esc)
+            tags[escaped] = TAG_ESCAPE
+            values[escaped] = step
+            alive &= ~escaped
+        return tags, values
+    for j in range(width):
+        f = build_map(name, float(a[j]), b, m, **extra)
+        _, escaped, step = orbit_escape(f, (0.0, 0.0), n_max, r_esc)
+        if escaped:
+            tags[j] = TAG_ESCAPE
+            values[j] = step
+    return tags, values
+
+
+def _row_henon_lyap(a, b, params):
+    n_steps = int(params.get("n", 10_000))
+    r_esc = float(params.get("radius", 10.0))
+    name, m, extra = _henon_config(params)
+    width = a.size
+    tags = np.full(width, TAG_LYAP, dtype=np.uint8)
+    values = np.zeros(width)
+    plain = _henon_vector_offsets(name, a, b, m)
+    if plain is not None:
+        a_vec, bm = plain
+        x = np.zeros(width)
+        y = np.zeros(width)
+        vx = np.zeros(width)
+        vy = np.ones(width)
+        total = np.zeros(width)
+        alive = np.ones(width, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for step in range(1, n_steps + 1):
+                if not alive.any():
+                    break
+                wx = 2.0 * x * vx - bm * vy
+                wy = vx
+                growth = np.hypot(wx, wy)
+                dead = alive & (growth == 0.0)
+                tags[dead] = TAG_ERROR
+                alive &= ~dead
+                safe = np.where(growth == 0.0, 1.0, growth)
+                total = np.where(alive, total + np.log(safe), total)
+                vx = np.where(alive, wx / safe, vx)
+                vy = np.where(alive, wy / safe, vy)
+                x_new = x * x + a_vec - bm * y
+                y = np.where(alive, x, y)
+                x = np.where(alive, x_new, x)
+                escaped = alive & (np.maximum(np.abs(x), np.abs(y)) > r_esc)
+                tags[escaped] = TAG_ESCAPE
+                values[escaped] = step
+                alive &= ~escaped
+        values[alive] = total[alive] / n_steps
+        return tags, values
+    for j in range(width):
+        f = build_map(name, float(a[j]), b, m, **extra)
+        out = lyapunov(f, (0.0, 0.0), (0.0, 1.0), n_steps, r_esc)
+        if out.tag == "value":
+            values[j] = out.value
+        elif out.tag == "escape":
+            tags[j], values[j] = TAG_ESCAPE, out.step
+        else:
+            tags[j] = TAG_ERROR
+    return tags, values
+
+
+ROW_ORACLES = {
+    "swallow-escape": _row_swallow_escape,
+    "swallow-lyap": _row_swallow_lyap,
+    "henon-escape": _row_henon_escape,
+    "henon-lyap": _row_henon_lyap,
+}
+
+_ERROR_RGB = (255, 0, 255)
+
+
+def _ramp_channel(value):
+    return 80 + int(round(175.0 * min(1.0, abs(value))))
+
+
+def _oracle_escape(tag, value):
+    if tag == TAG_ESCAPE:
+        return (255, 255, 0)
+    if tag == TAG_BOUNDED:
+        return (0, 0, 0)
+    return _ERROR_RGB
+
+
+def _oracle_lyap(tag, value):
+    if tag == TAG_ESCAPE:
+        return (255, 255, 0)
+    if tag == TAG_LYAP:
+        if value < -0.01:
+            return (_ramp_channel(value), 0, 0)
+        if value > 0.01:
+            return (0, 0, _ramp_channel(value))
+        return (0, 0, 0)
+    return _ERROR_RGB
+
+
+def _oracle_class(tag, value):
+    if tag == TAG_ESCAPE:
+        return (255, 255, 0)
+    if tag == TAG_WING:
+        return (128, 128, 128)
+    if tag in (TAG_BODY, TAG_BOUNDED):
+        return (0, 0, 0)
+    return _ERROR_RGB
+
+
+def _oracle_compare(tag, value):
+    if tag == TAG_AGREE:
+        return (255, 255, 255)
+    if tag == TAG_DISAGREE:
+        return (255, 0, 0)
+    return _ERROR_RGB
+
+
+COLOR_ORACLES = {
+    "escape": _oracle_escape,
+    "lyap": _oracle_lyap,
+    "class": _oracle_class,
+    "compare": _oracle_compare,
+}
+
+# ramp inputs where 175|v| is exactly k + 1/2, so rounding half to even matters
+HALF_WAY = [v for k in range(2, 175) if 175.0 * (v := (k + 0.5) / 175.0) == k + 0.5]
+PALETTE_VALUES = [0.0, -0.0, 0.005, -0.005, 0.01, -0.01,
+                  math.nextafter(0.01, 1.0), math.nextafter(-0.01, -1.0),
+                  0.5, -0.5, 0.999, 1.0, -1.0, 1.5, -7.0,
+                  math.inf, -math.inf, math.nan,
+                  *HALF_WAY, *(-v for v in HALF_WAY)]
 
 
 class TestGeometry:
@@ -213,6 +456,89 @@ class TestHenonKernels:
         assert np.array_equal(r1.values, r2.values)
 
 
+HENON_WINDOW = ((-2.2, 0.6), (-0.6, 0.6))
+# |a| > 10 on part of the window: those orbits leave at step 1
+STEP_ONE_WINDOW = ((-20.0, 3.0), (-15.0, 2.0))
+
+ORACLE_CASES = [
+    pytest.param("swallow-escape", (-2.2, 0.6), (-2.2, 0.6), {"steps": 300}, id="swallow-escape"),
+    pytest.param("swallow-escape", *STEP_ONE_WINDOW, {"steps": 300}, id="swallow-escape-step-one"),
+    pytest.param("swallow-escape", *STEP_ONE_WINDOW, {"steps": 300, "radius": 0.7},
+                 id="swallow-escape-small-radius"),
+    pytest.param("swallow-lyap", (-2.2, 0.6), (-2.2, 0.6), {"n": 300}, id="swallow-lyap"),
+    pytest.param("swallow-lyap", *STEP_ONE_WINDOW, {"n": 300}, id="swallow-lyap-step-one"),
+    pytest.param("henon-escape", *HENON_WINDOW, {"steps": 300}, id="henon-escape-m1"),
+    pytest.param("henon-escape", (-2.2, 0.6), (0.1, 1.3), {"steps": 300, "m": 2}, id="henon-escape-m2"),
+    pytest.param("henon-escape", (-2.2, 0.6), (0.1, 1.3), {"steps": 300, "m": 3}, id="henon-escape-m3"),
+    pytest.param("henon-escape", (-15.0, 2.0), (-0.6, 0.6), {"steps": 300}, id="henon-escape-step-one"),
+    pytest.param("henon-escape", *HENON_WINDOW, {"steps": 300, "map": "zero"}, id="henon-escape-zero"),
+    pytest.param("henon-escape", *HENON_WINDOW, {"steps": 300, "map": "sine-perturbed", "delta": 0.02},
+                 id="henon-escape-sine-perturbed"),
+    pytest.param("henon-lyap", *HENON_WINDOW, {"n": 300}, id="henon-lyap-m1"),
+    pytest.param("henon-lyap", (-2.2, 0.6), (0.1, 1.3), {"n": 300, "m": 2}, id="henon-lyap-m2"),
+    pytest.param("henon-lyap", (-2.2, 0.6), (0.1, 1.3), {"n": 300, "m": 3}, id="henon-lyap-m3"),
+    pytest.param("henon-lyap", (-15.0, 2.0), (-0.6, 0.6), {"n": 300}, id="henon-lyap-step-one"),
+    pytest.param("henon-lyap", *HENON_WINDOW, {"n": 300, "map": "zero"}, id="henon-lyap-zero"),
+    pytest.param("henon-lyap", *HENON_WINDOW, {"n": 300, "map": "sine-perturbed", "delta": 0.02},
+                 id="henon-lyap-sine-perturbed"),
+]
+
+
+class TestOrbitKernelOracle:
+    """Block kernels give the bytes of the row-at-a-time kernels."""
+
+    WIDTH, HEIGHT = 11, 7
+
+    def oracle(self, kernel, a_range, b_range, params):
+        a = atlas._a_centers(a_range, self.WIDTH)
+        rows = [ROW_ORACLES[kernel](a, float(b), params)
+                for b in atlas._b_centers(b_range, self.HEIGHT)]
+        return np.stack([t for t, _ in rows]), np.stack([v for _, v in rows])
+
+    @staticmethod
+    def assert_same_bytes(tags, values, expected):
+        assert tags.dtype == np.uint8 and values.dtype == np.float64
+        assert tags.tobytes() == expected[0].tobytes()
+        assert values.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("kernel, a_range, b_range, params", ORACLE_CASES)
+    def test_sweep_matches_row_oracle(self, kernel, a_range, b_range, params):
+        expected = self.oracle(kernel, a_range, b_range, params)
+        for workers in (1, 2, 3):
+            r = sweep(kernel, self.WIDTH, self.HEIGHT, a_range=a_range, b_range=b_range,
+                      params=params, workers=workers)
+            self.assert_same_bytes(r.tags, r.values, expected)
+
+    @pytest.mark.parametrize("kernel, a_range, b_range, params", [
+        case for case in ORACLE_CASES if "sine-perturbed" not in case.id
+    ])
+    @pytest.mark.parametrize("block", [1, 3, HEIGHT])
+    def test_block_heights_match_row_oracle(self, kernel, a_range, b_range, params, block):
+        assert atlas._runs_orbit_kernel(kernel, params)
+        a = atlas._a_centers(a_range, self.WIDTH)
+        b = atlas._b_centers(b_range, self.HEIGHT)
+        parts = [atlas._ORBIT_KERNELS[kernel](a, b[lo:lo + block], params)
+                 for lo in range(0, self.HEIGHT, block)]
+        tags = np.concatenate([t for t, _ in parts])
+        values = np.concatenate([v for _, v in parts])
+        self.assert_same_bytes(tags, values, self.oracle(kernel, a_range, b_range, params))
+
+    def test_cases_reach_every_exit(self):
+        seen = {}
+        for case in ORACLE_CASES:
+            kernel, a_range, b_range, params = case.values
+            tags, values = self.oracle(kernel, a_range, b_range, params)
+            seen[case.id] = (set(np.unique(tags)), values)
+        assert seen["henon-lyap-zero"][0] == {TAG_ERROR}
+        for case_id in ("henon-escape-step-one", "henon-lyap-step-one",
+                        "swallow-escape-step-one", "swallow-lyap-step-one"):
+            assert np.any(seen[case_id][1] == 1.0)
+        for case_id in ("henon-lyap-sine-perturbed", "swallow-lyap"):
+            assert {TAG_LYAP, TAG_ESCAPE} <= seen[case_id][0]
+        assert {TAG_BODY, TAG_WING, TAG_ESCAPE} <= seen["swallow-escape"][0]
+        assert not atlas._runs_orbit_kernel("henon-lyap", {"map": "sine-perturbed"})
+
+
 class TestRenormStrip:
     def test_values_match_direct_renormalization(self):
         r = sweep("renorm-strip", 3, 2)
@@ -311,6 +637,25 @@ class TestEmission:
         assert pixels[3] == (255, 0, 0)
         assert pixels[4] == (255, 255, 0)
         assert pixels[5] == (255, 0, 255)
+
+    @pytest.mark.parametrize("colormap", sorted(COLOR_ORACLES))
+    def test_palette_matches_scalar_colors(self, colormap):
+        tags = [list(range(8)) + [200]] * len(PALETTE_VALUES)
+        values = [[v] * 9 for v in PALETTE_VALUES]
+        r = make_raster(tags, values)
+        color = COLOR_ORACLES[colormap]
+        expected = b"".join(
+            bytes(color(tag, value)) for row_t, row_v in zip(tags, values)
+            for tag, value in zip(row_t, row_v)
+        )
+        header = f"P6\n9 {len(values)}\n255\n".encode("ascii")
+        assert render_ppm(r, colormap=colormap) == header + expected
+
+    def test_ramp_rounds_half_to_even(self):
+        assert 2.5 / 175.0 in HALF_WAY and 3.5 / 175.0 in HALF_WAY
+        r = make_raster([[TAG_LYAP, TAG_LYAP, TAG_LYAP]], [[2.5 / 175.0, -3.5 / 175.0, math.nan]])
+        body = render_ppm(r, colormap="lyap")[len(b"P6\n3 1\n255\n"):]
+        assert tuple(body) == (0, 0, 82, 84, 0, 0, 0, 0, 0)
 
     def test_class_and_compare_colors(self):
         r = make_raster([[TAG_BODY, TAG_WING, TAG_ESCAPE]], [[0.0, 4.0, 2.0]],

@@ -168,6 +168,8 @@ class TestExitCodes:
         ("special-params", "--digits", "-3"),
         ("swallow", "--grid", "3x3", "--workers", "1", "--radius", "0"),
         ("swallow", "--grid", "3x3", "--workers", "1", "--radius", "-1"),
+        ("swallow", "--grid", "3x3", "--workers", "0"),
+        ("swallow", "--grid", "3x3", "--workers", "-3"),
         ("attractors", "--a", "-0.5", "--b", "0.1", "--radius", "-1"),
         ("attractors", "--a", "-0.5", "--b", "0.1", "--max-period", "0"),
         ("attractors", "--a", "-0.5", "--b", "0.1", "--transient", "-5"),

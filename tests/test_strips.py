@@ -5,11 +5,11 @@ import math
 
 import pytest
 
+from henonlab.crossmap import ConeSpec
 from henonlab.errors import DomainError, ProductError
 from henonlab.henon import HenonMap, apply_map
 from henonlab.maps1d import ladder, piece_1d
 from henonlab.strips import (
-    ConeSpec,
     K0_LABELS,
     build_box,
     build_piece,
