@@ -349,11 +349,8 @@ def _block_swallow_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
 # Maps without hooks run on the compacting orbit loop above; hooked maps go
 # pixel by pixel through ``henon.orbit_escape`` and ``henon.lyapunov``.
 
-#: Builders whose hooks vanish, with the coefficient of y in x' = x^2+a-c*y.
-_PLAIN_MAPS: dict[str, Callable[[float, int], float]] = {
-    "standard": lambda b, m: b ** m,
-    "zero": lambda b, m: 0.0,
-}
+#: Builders whose hooks vanish: x' = x^2 + a - c*y with c = b^m (0 on "zero").
+_PLAIN_MAPS = ("standard", "zero")
 
 
 def _map_config(params: Mapping) -> tuple[str, int, dict]:
@@ -367,22 +364,37 @@ def _map_config(params: Mapping) -> tuple[str, int, dict]:
     return name, m, extra
 
 
-def _plain_pixels(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel (a, c) of a block on a map without hooks.
+def _row_coefficient(name: str, b: float, m: int) -> float | None:
+    """The coefficient b^m of a row's maps (0 on the zero map), or None when
+    it overflows a float."""
+    if name == "zero":
+        return 0.0
+    try:
+        return b ** m
+    except OverflowError:
+        return None
+
+
+def _plain_pixels(
+    a: np.ndarray, b: np.ndarray, params: Mapping
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pixel (a, c) of a block on a map without hooks, and the mask of
+    pixels whose row coefficient overflows (run with c = 0, tagged error).
 
     c is worked out once per row as a Python float power and then
     broadcast, so every pixel sees the same bits as a scalar evaluation.
     """
     name, m, _ = _map_config(params)
-    coefficient = _PLAIN_MAPS[name]
-    c = np.array([coefficient(float(row_b), m) for row_b in b])
-    return np.tile(a, b.size), np.repeat(c, a.size)
+    c = [_row_coefficient(name, float(row_b), m) for row_b in b]
+    overflow = np.repeat([v is None for v in c], a.size)
+    c_px = np.repeat([0.0 if v is None else v for v in c], a.size)
+    return np.tile(a, b.size), c_px, overflow
 
 
 def _block_henon_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
     n_max = int(params.get("steps", _DEFAULT_ESCAPE_STEPS))
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    a_px, bm = _plain_pixels(a, b, params)
+    a_px, bm, overflow = _plain_pixels(a, b, params)
 
     def advance(x, y, a_px, bm):
         x_new = x * x + a_px - bm * y
@@ -392,14 +404,17 @@ def _block_henon_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
     zeros = np.zeros(a_px.size)
     left, _, _, _ = _run_orbits(advance, (zeros, zeros, a_px, bm), n_max)
     tags = np.where(left > 0, TAG_ESCAPE, TAG_BOUNDED).astype(np.uint8)
-    return tags.reshape(b.size, a.size), left.astype(np.float64).reshape(b.size, a.size)
+    values = left.astype(np.float64)
+    tags[overflow] = TAG_ERROR
+    values[overflow] = 0.0
+    return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
 
 
 def _block_henon_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """Tangent-growth exponent of the orbit of the origin along (0, 1)."""
     n_steps = int(params.get("n", _DEFAULT_EXPONENT_STEPS))
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    a_px, bm = _plain_pixels(a, b, params)
+    a_px, bm, overflow = _plain_pixels(a, b, params)
 
     def advance(x, y, vx, vy, total, a_px, bm):
         wx = 2.0 * x * vx - bm * vy
@@ -417,9 +432,10 @@ def _block_henon_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np
     )
     tags = np.where(left > 0, TAG_ESCAPE, TAG_LYAP).astype(np.uint8)
     values = left.astype(np.float64)
-    tags[dead] = TAG_ERROR
-    values[dead] = 0.0
     values[live] = state[4] / n_steps
+    error = dead | overflow
+    tags[error] = TAG_ERROR
+    values[error] = 0.0
     return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
 
 
@@ -671,11 +687,16 @@ def _block_payload(cfg: Mapping, rows: range) -> tuple[int, np.ndarray, np.ndarr
         return rows.start, tags, values
     if kernel == "embed-compare":
         params["_embed_cfg"] = cfg["embed_cfg"]
+    else:
+        name, m, _ = _map_config(params)
     tags = np.empty((len(rows), a.size), dtype=np.uint8)
     values = np.empty((len(rows), a.size), dtype=np.float64)
     for k, i in enumerate(rows):
         if kernel == "embed-compare":
             params["_embed_state"] = cfg["embed_states"][i]
+        elif _row_coefficient(name, float(b[k]), m) is None:
+            tags[k], values[k] = TAG_ERROR, 0.0
+            continue
         tags[k], values[k] = _PIXEL_KERNELS[kernel](a, float(b[k]), params)
     return rows.start, tags, values
 
@@ -706,7 +727,7 @@ def sweep(
     if not (a_range[0] < a_range[1] and b_range[0] < b_range[1]):
         raise DomainError(f"empty parameter rectangle {a_range} x {b_range}")
     params = dict(params or {})
-    for key in ("steps", "n"):
+    for key in ("steps", "n", "m"):
         if key in params and int(params[key]) < 1:
             raise DomainError(f"{key} must be at least 1, got {params[key]}")
     if "radius" in params and not float(params["radius"]) > 0.0:

@@ -4,7 +4,8 @@ A chain of order-1 factors inverts the first coordinate of a xi-normalized
 map along a prescribed branch itinerary. The joint solve exchanges boundary
 data: it maps (x on the image side, y on the domain side) to (x on the
 domain side, y on the image side). Both coordinates of the answer come with
-analytic derivatives assembled from per-factor partials, plus an independent
+analytic first and second partials, solved exactly from the tridiagonal
+tangent system that the per-factor partials assemble, plus an independent
 forward-shooting oracle for cross-validation.
 """
 
@@ -30,12 +31,14 @@ __all__ = [
     "CrossMapChain",
     "CrossEval",
     "CrossDerivs",
+    "CrossJet",
     "ShootResult",
     "HyperbolicityReport",
     "DistortionReport",
     "factorize_chain",
     "eval_cross",
     "eval_cross_derivatives",
+    "eval_cross_jet",
     "slice_image",
     "shoot_oracle",
     "reverse_eval",
@@ -211,74 +214,148 @@ class CrossDerivs:
     y_path: tuple[float, ...]
 
 
-def eval_cross_derivatives(
-    chain: CrossMapChain,
-    x1: float,
-    y0: float,
-    tol: float = _SWEEP_TOL,
-) -> CrossDerivs:
-    """Solve the chain, then propagate gradients through the linear system.
+@dataclass(frozen=True)
+class CrossJet:
+    """Values, first and second partials of the cross map at one point."""
+
+    A: float
+    B: float
+    dA: tuple[float, float]  # (d/dx1, d/dy0)
+    dB: tuple[float, float]
+    d2A: tuple[float, float, float]  # (x1 x1, x1 y0, y0 y0)
+    d2B: tuple[float, float, float]
+
+
+def eval_cross_derivatives(chain: CrossMapChain, x1: float, y0: float) -> CrossDerivs:
+    """Solve the chain, then its tangent system, exactly.
 
     Each factor contributes dx_i = c_i dx_{i+1} + d_i dy_i with
     c_i = 1/(2 x_i + zeta_x) and d_i = b^m (1 - zeta_v)/(2 x_i + zeta_x),
-    and dy_{i+1} = dx_i. The gradient system is solved by the same sweeping
-    scheme as the values, with boundary data dx_N = (1, 0), dy_0 = (0, 1).
-    Convergence is measured per component in relative terms: the y0-column
-    scales like b^n and would otherwise freeze at an absolute-threshold
-    stop long before it carries any correct digits.
+    and dy_{i+1} = dx_i.  With the boundary data dx_N = (1, 0) and
+    dy_0 = (0, 1) this is a tridiagonal system in dx_0 .. dx_{N-1}, solved by
+    one forward elimination and one back substitution (Thomas algorithm).
+    The pivots 1 - d_i p_{i-1} are 1 + O(b^m), so no pivoting is needed,
+    and every column keeps its relative accuracy however small it is: the
+    y0-column scales like b^(m N).
     """
-    base = eval_cross(chain, x1, y0, tol=tol)
+    base, cs, ds, _, dx0, dx1 = _tangent_solve(chain, x1, y0, second=False)
+    n = chain.order
+    return CrossDerivs(
+        base.A, base.B, (dx0[0], dx1[0]), (dx0[n - 1], dx1[n - 1]),
+        tuple(cs), tuple(ds), base.x_path, base.y_path,
+    )
+
+
+def eval_cross_jet(chain: CrossMapChain, x1: float, y0: float) -> CrossJet:
+    """Cross-map values with first and second partials in (x1, y0).
+
+    Differentiating x_{i+1} = x_i^2 + a - v_i + zeta(x_i, v_i), v_i = b^m y_i,
+    twice along columns u, w of the first-order solve gives the tangent
+    system of ``eval_cross_derivatives`` again, now with zero boundary data
+    and the source
+        -c_i [(2 + zeta_xx) u_i w_i + b^m zeta_xv (u_i w'_i + w_i u'_i)
+              + b^2m zeta_vv u'_i w'_i],
+    where u'_i = u_{i-1} is the y-column (u'_0 is the boundary value).  The
+    factored system is reused for the three pairs (x1 x1, x1 y0, y0 y0).
+    """
+    base, _, _, second, dx0, dx1 = _tangent_solve(chain, x1, y0, second=True)
+    n = chain.order
+    return CrossJet(
+        base.A, base.B, (dx0[0], dx1[0]), (dx0[n - 1], dx1[n - 1]),
+        tuple(col[0] for col in second), tuple(col[n - 1] for col in second),
+    )
+
+
+def _tangent_solve(chain: CrossMapChain, x1: float, y0: float, second: bool):
+    """Solve the chain, factor its tangent system once and solve it for the
+    two first-order columns and, when ``second`` is set, the three
+    second-order ones.
+
+    Returns (values, c_i, d_i, second-order columns, x1-column, y0-column);
+    each column holds dx_0 .. dx_N.  Row i reads
+    dx_i = c_i dx_{i+1} + d_i dx_{i-1} + s_i, with dx_{-1} = dy_0.  Forward
+    elimination rewrites it as dx_i = p_i dx_{i+1} + r_i, where
+    p_i = c_i k_i, r_i = d_i k_i r_{i-1} + s_i k_i and
+    k_i = 1 / (1 - d_i p_{i-1}); the back substitution runs down from dx_N.
+    """
+    base = eval_cross(chain, x1, y0)
     f = chain.henon
     n = chain.order
     xs, ys = base.x_path, base.y_path
     bm = f.bm
-    z_dx, z_dv = f.zeta.dx, f.zeta.dv
-    cs = []
-    ds = []
+    zeta = f.zeta
+    hooked = zeta is not ZERO_FIELD
+    cs, ds, ps, ks = [], [], [], []
+    # the y0-column has dy_0 = 1; w holds its r_i until the back substitution
+    w = []
+    p = 0.0
+    r = 1.0
     for i in range(n):
-        v = bm * ys[i]
-        slope = 2.0 * xs[i] + z_dx(xs[i], v)
-        cs.append(1.0 / slope)
-        ds.append(bm * (1.0 - z_dv(xs[i], v)) / slope)
+        x = xs[i]
+        if hooked:
+            v = bm * ys[i]
+            slope = 2.0 * x + zeta.dx(x, v)
+            coupling = bm * (1.0 - zeta.dv(x, v))
+        else:
+            slope = 2.0 * x
+            coupling = bm
+        if slope == 0.0:
+            raise BranchError(f"chain point x_{i} = {x!r} is a fold point of its factor")
+        c = 1.0 / slope
+        d = coupling / slope
+        k = 1.0 / (1.0 - d * p)
+        p = c * k
+        r *= d * k
+        cs.append(c)
+        ds.append(d)
+        ps.append(p)
+        ks.append(k)
+        w.append(r)
+    w.append(0.0)
+    u = [0.0] * (n + 1)
+    u[n] = 1.0
+    for i in range(n - 1, -1, -1):
+        u[i] = ps[i] * u[i + 1]
+        w[i] += ps[i] * w[i + 1]
+    if not second:
+        return base, cs, ds, (), u, w
 
-    # columns d/dx1 (suffix 0) and d/dy0 (suffix 1) of dx_i and dy_i
-    dx0 = [0.0] * (n + 1)
-    dx1 = [0.0] * (n + 1)
-    dy0 = [0.0] * (n + 1)
-    dy1 = [0.0] * (n + 1)
-    dx0[n] = 1.0
-    dy1[0] = 1.0
-    for _ in range(_MAX_SWEEPS):
-        change = 0.0
+    # scaled sources s_i k_i of the (x1 x1, x1 y0, y0 y0) columns; the
+    # y-columns are u'_i = u_{i-1} and w'_i = w_{i-1}, with (0, 1) at i = 0
+    s_uu = [0.0] * n
+    s_uw = [0.0] * n
+    s_ww = [0.0] * n
+    u_prev, w_prev = 0.0, 1.0
+    for i in range(n):
+        ui, wi = u[i], w[i]
+        scale = -cs[i] * ks[i]
+        if hooked:
+            x = xs[i]
+            v = bm * ys[i]
+            fxx = 2.0 + zeta.dxx(x, v)
+            fxv = bm * zeta.dxv(x, v)
+            fvv = bm * bm * zeta.dvv(x, v)
+            s_uu[i] = scale * (fxx * ui * ui + 2.0 * fxv * ui * u_prev + fvv * u_prev * u_prev)
+            s_uw[i] = scale * (
+                fxx * ui * wi + fxv * (ui * w_prev + wi * u_prev) + fvv * u_prev * w_prev
+            )
+            s_ww[i] = scale * (fxx * wi * wi + 2.0 * fxv * wi * w_prev + fvv * w_prev * w_prev)
+        else:
+            s_uu[i] = 2.0 * scale * ui * ui
+            s_uw[i] = 2.0 * scale * ui * wi
+            s_ww[i] = 2.0 * scale * wi * wi
+        u_prev, w_prev = ui, wi
+    columns = []
+    for col in (s_uu, s_uw, s_ww):
+        r = 0.0
+        for i in range(n):
+            r = ds[i] * ks[i] * r + col[i]
+            col[i] = r
+        col.append(0.0)
         for i in range(n - 1, -1, -1):
-            c, d = cs[i], ds[i]
-            new0 = c * dx0[i + 1] + d * dy0[i]
-            new1 = c * dx1[i + 1] + d * dy1[i]
-            change = _max_rel_gap(change, new0, dx0[i], new1, dx1[i])
-            dx0[i] = new0
-            dx1[i] = new1
-        for i in range(1, n + 1):
-            change = _max_rel_gap(change, dx0[i - 1], dy0[i], dx1[i - 1], dy1[i])
-            dy0[i] = dx0[i - 1]
-            dy1[i] = dx1[i - 1]
-        if change <= tol:
-            break
-    else:
-        raise ConvergenceError("cross-map gradient sweep did not converge")
-
-    return CrossDerivs(
-        base.A, base.B, (dx0[0], dx1[0]), (dy0[n], dy1[n]), tuple(cs), tuple(ds), xs, ys
-    )
-
-
-def _max_rel_gap(change: float, new0: float, old0: float, new1: float, old1: float) -> float:
-    """Largest of change and the relative gaps |new - old| / max(|new|, |old|)."""
-    for new, old in ((new0, old0), (new1, old1)):
-        scale = abs(old) if abs(old) > abs(new) else abs(new)
-        gap = abs(new - old) / scale if scale else 0.0
-        if gap > change:
-            change = gap
-    return change
+            col[i] += ps[i] * col[i + 1]
+        columns.append(col)
+    return base, cs, ds, columns, u, w
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,10 @@ class HenonMap:
     def __post_init__(self):
         if self.m < 1:
             raise DomainError(f"multiplicity m must be at least 1, got {self.m}")
+        try:
+            self.b ** self.m
+        except OverflowError:
+            raise DomainError(f"b^m overflows at b = {self.b!r}, m = {self.m}") from None
 
     @property
     def bm(self) -> float:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .crossmap import (
+    CrossJet,
     CrossMapChain,
     eval_cross,
-    eval_cross_derivatives,
+    eval_cross_jet,
     factorize_chain,
 )
 from .errors import (
@@ -60,36 +61,85 @@ __all__ = [
     "certify_cone_expansion",
 ]
 
-# First differences tolerate small steps; second differences amplify
-# rounding by 1/h^2 and need a larger base step. Richardson extrapolation
-# keeps the truncation of both at O(h^4).
-_FD_GRAD_STEP = 1e-4
-_FD_CURV_STEP = 4e-3
 _MIN_CURVATURE = 1e-3
-
-
-def _slope_extrapolated(f: Callable[[float], float], h: float) -> float:
-    """Richardson-extrapolated central first difference at 0 (O(h^4))."""
-
-    def central(step: float) -> float:
-        return (f(step) - f(-step)) / (2.0 * step)
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
-
-
-def _curvature_extrapolated(f: Callable[[float], float], h: float) -> float:
-    """Richardson-extrapolated central second difference at 0 (O(h^4))."""
-    f0 = f(0.0)
-
-    def second(step: float) -> float:
-        return (f(step) - 2.0 * f0 + f(-step)) / (step * step)
-
-    return (4.0 * second(0.5 * h) - second(h)) / 3.0
 
 
 def _first_coord(f: HenonMap, x: float, y: float) -> float:
     v = f.bm * y
     return x * x + f.a - v + f.zeta.value(x, v)
+
+
+class _Fold(NamedTuple):
+    """Fold terms of one word of a cycle; see ``_fold_terms``."""
+
+    mu: float
+    slope: float
+    curv: float
+    dslope_other: float
+
+
+def _fold_terms(f: HenonMap, c: float, own: CrossJet, nxt: CrossJet) -> _Fold:
+    """Defect, slope and curvature of the fold leaving a word's strip.
+
+    ``own`` is the word's jet at (c, c_prev) and ``nxt`` the next word's jet
+    at (c_next, c); with the fold step F(x, y) = x^2 + a - b^m y +
+    zeta(x, b^m y) the defect along the chart ray is
+        defect(t) = F(c + t, B(c + t, c_prev)) - A_next(c_next, c + t).
+    Returns mu = defect(0); the slope S = F_x + F_y B_x - A_y = defect'(0);
+    its partial in c, which is the curvature
+        defect''(0) = F_xx + 2 F_xy B_x + F_yy B_x^2 + F_y B_xx - A_yy;
+    and its partial in the neighbouring anchors c_prev and c_next together,
+        F_xy B_y + F_yy B_x B_y + F_y B_xy - A_xy.
+    """
+    bm = f.bm
+    zeta = f.zeta
+    v = bm * own.B
+    fy = -bm * (1.0 - zeta.dv(c, v))
+    fxy = bm * zeta.dxv(c, v)
+    fyy = bm * bm * zeta.dvv(c, v)
+    bx, by = own.dB
+    bxx, bxy, _ = own.d2B
+    return _Fold(
+        _first_coord(f, c, own.B) - nxt.A,
+        2.0 * c + zeta.dx(c, v) + fy * bx - nxt.dA[1],
+        2.0 + zeta.dxx(c, v) + 2.0 * fxy * bx + fyy * bx * bx + fy * bxx - nxt.d2A[2],
+        fxy * by + fyy * bx * by + fy * bxy - nxt.d2A[1],
+    )
+
+
+def _cycle_folds(chains: Sequence[CrossMapChain]):
+    """Jets and fold terms of a word cycle as a function of its anchors.
+
+    Word i is evaluated at (c_i, c_{i-1}), so one jet per word serves both
+    its own fold and the previous word's.  The latest anchors are
+    remembered: the Newton solvers ask for residuals and then slopes at the
+    same iterate, and both come from the same jets.
+    """
+    count = len(chains)
+    f = chains[0].henon
+    last: list = [None, None]
+
+    def at(cs: Sequence[float]) -> tuple[list[CrossJet], list[_Fold]]:
+        key = tuple(cs)
+        if last[0] != key:
+            jets = [eval_cross_jet(chains[i], key[i], key[i - 1]) for i in range(count)]
+            folds = [
+                _fold_terms(f, key[i], jets[i], jets[(i + 1) % count]) for i in range(count)
+            ]
+            last[:] = [key, (jets, folds)]
+        return last[1]
+
+    return at
+
+
+def _check_chart(q: float, mu: float, sigma: float, where: str) -> None:
+    """Reject a fold whose chart cannot carry renormalized parameters."""
+    if abs(q) < _MIN_CURVATURE:
+        raise TangencyError(f"degenerate fold{where}: curvature {q!r} below {_MIN_CURVATURE}")
+    if sigma == 0.0 or not math.isfinite(q * mu * sigma):
+        raise TangencyError(
+            f"degenerate chart{where}: sigma {sigma!r}, mu {mu!r}, curvature {q!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -130,25 +180,26 @@ def _defect_at(chain: CrossMapChain, c: float, t: float) -> float:
 def find_tangency(chain: CrossMapChain, seed: float = 0.0) -> TangencyData:
     """Locate the anchor where the fold is tangent to the strip direction.
 
-    The anchor solves d(defect)/dt = 0 at t = 0 by a secant iteration on
-    finite differences; the curvature must be bounded away from zero for a
-    quadratic tangency."""
-    def grad(c: float) -> float:
-        return _slope_extrapolated(lambda t: _defect_at(chain, c, t), _FD_GRAD_STEP)
+    The anchor solves S(c) = d(defect)/dt = 0 at t = 0 by Newton's method.
+    Both ends of the chain sit at (c, c), so S and dS/dc (the curvature plus
+    the partial in the neighbouring anchor) come from one cross-map jet per
+    iterate; q is half the curvature there, which must be bounded away from
+    zero for a quadratic tangency."""
+    at = _cycle_folds((chain,))
 
-    # The finite-difference gradient bottoms out near rounding/h; accept a
-    # stall once it is far below the anchor-condition tolerance.
-    c = newton_safeguarded(grad, seed, ftol=1e-10)
-    derivs = eval_cross_derivatives(chain, c, c)
-    mu = _defect_at(chain, c, 0.0)
-    q = 0.5 * _curvature_extrapolated(
-        lambda t: _defect_at(chain, c, t), _FD_CURV_STEP
-    )
-    if abs(q) < _MIN_CURVATURE:
-        raise TangencyError(f"degenerate fold: curvature {q!r} below {_MIN_CURVATURE}")
-    z1 = (c, eval_cross(chain, c, c).B)
-    d = evaluate(chain.henon, z1).det
-    return TangencyData(chain, c, derivs.dA[0], derivs.dB[1], mu, q, d)
+    def slope(c: float) -> float:
+        return at((c,))[1][0].slope
+
+    def dslope(c: float) -> float:
+        fold = at((c,))[1][0]
+        return fold.curv + fold.dslope_other
+
+    c = newton_safeguarded(slope, seed, df=dslope)
+    (jet,), (fold,) = at((c,))
+    q = 0.5 * fold.curv
+    _check_chart(q, fold.mu, jet.dA[0], "")
+    d = evaluate(chain.henon, (c, jet.B)).det
+    return TangencyData(chain, c, jet.dA[0], jet.dB[1], fold.mu, q, d)
 
 
 # ---------------------------------------------------------------------------
@@ -456,22 +507,6 @@ class MultiRenormData:
         return Xp, Yp
 
 
-def _cross_defect(
-    chains: Sequence[CrossMapChain],
-    cs: Sequence[float],
-    i: int,
-    t: float,
-) -> float:
-    """Fold defect departing word i toward word i+1 in the cycle."""
-    count = len(chains)
-    prev = cs[(i - 1) % count]
-    nxt = (i + 1) % count
-    f = chains[i].henon
-    b_val = eval_cross(chains[i], cs[i] + t, prev).B
-    entry = eval_cross(chains[nxt], cs[nxt], cs[i] + t).A
-    return _first_coord(f, cs[i] + t, b_val) - entry
-
-
 def multi_renormalize(
     f: HenonMap,
     words: Sequence[str],
@@ -480,9 +515,11 @@ def multi_renormalize(
 ) -> MultiRenormData:
     """Renormalize a cycle of words to a cycle of quadratic-family maps.
 
-    The anchors solve all fold-tangency conditions jointly, starting from
-    ``anchor_seed`` when given; the chart scales gamma_i are the cyclically
-    weighted geometric means of the cross-map slopes, satisfying
+    The anchors solve all fold-tangency conditions jointly by Newton's
+    method on the fold slopes, starting from ``anchor_seed`` when given;
+    the slopes and their analytic 2x2 Jacobian come from one cross-map jet
+    per word, word i at (c_i, c_{i-1}).  The chart scales gamma_i are the
+    cyclically weighted geometric means of the cross-map slopes, satisfying
     gamma_i^2 = gamma_{i+1} sigma_{i+1}.  The rescaled parameters are
     stationary with respect to the anchors, so ``anchor_rtol`` can be
     relaxed when many nearby maps are renormalized in sequence."""
@@ -491,40 +528,31 @@ def multi_renormalize(
     chains = tuple(factorize_chain(f, w) for w in words)
     count = len(chains)
 
-    def grads(cs: Sequence[float]) -> tuple[float, ...]:
-        return tuple(
-            _slope_extrapolated(
-                lambda t, k=i: _cross_defect(chains, cs, k, t), _FD_GRAD_STEP
-            )
-            for i in range(count)
-        )
-
     if count == 1:
         t = find_tangency(chains[0], seed=anchor_seed[0] if anchor_seed else 0.0)
         cs: tuple[float, ...] = (t.c,)
+        sigma, lam, mu, q, d = [t.sigma], [t.lam], [t.mu], [t.q], [t.d]
     else:
-        seed = list(anchor_seed) if anchor_seed is not None else [0.0] * count
-        cs = tuple(newton2(grads, seed, rtol=anchor_rtol))
+        at = _cycle_folds(chains)
 
-    sigma = []
-    lam = []
-    mu = []
-    q = []
-    d = []
-    for i in range(count):
-        prev = cs[(i - 1) % count]
-        derivs = eval_cross_derivatives(chains[i], cs[i], prev)
-        sigma.append(derivs.dA[0])
-        lam.append(derivs.dB[1])
-        mu.append(_cross_defect(chains, cs, i, 0.0))
-        qi = 0.5 * _curvature_extrapolated(
-            lambda t, k=i: _cross_defect(chains, cs, k, t), _FD_CURV_STEP
-        )
-        if abs(qi) < _MIN_CURVATURE:
-            raise TangencyError(f"degenerate fold at cycle index {i}: curvature {qi!r}")
-        q.append(qi)
-        z1 = (cs[i], eval_cross(chains[i], cs[i], prev).B)
-        d.append(evaluate(f, z1).det)
+        def slopes(x: Sequence[float]) -> tuple[float, float]:
+            folds = at(x)[1]
+            return folds[0].slope, folds[1].slope
+
+        def jacobian(x: Sequence[float]):
+            fold0, fold1 = at(x)[1]
+            return (fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)
+
+        seed = list(anchor_seed) if anchor_seed is not None else [0.0] * count
+        cs = tuple(newton2(slopes, seed, jac=jacobian, rtol=anchor_rtol))
+        jets, folds = at(cs)
+        sigma = [jet.dA[0] for jet in jets]
+        lam = [jet.dB[1] for jet in jets]
+        mu = [fold.mu for fold in folds]
+        q = [0.5 * fold.curv for fold in folds]
+        d = [evaluate(f, (cs[i], jets[i].B)).det for i in range(count)]
+        for i in range(count):
+            _check_chart(q[i], mu[i], sigma[i], f" at cycle index {i}")
 
     denom = 1.0 - 2.0 ** (-count)
     gamma = []
@@ -649,6 +677,8 @@ def twin_find(
     its window center. Both predicted cycles are then located directly."""
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
+    if b_hat == 0.0:
+        raise DomainError("b_hat must be nonzero: it sets the scale of the b scan")
     word_minus, word_plus = _twin_words(k, j, b_hat)
     if a_range is None:
         _, a2 = special_parameters()

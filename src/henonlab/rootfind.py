@@ -1,12 +1,16 @@
 """Safeguarded scalar and small-system root finding.
 
-All solvers in the package funnel through these routines so that tolerances
-and iteration caps are uniform: relative tolerance 1e-12, at most 200
-iterations, bisection fallback whenever a bracket is available.  The one
+All iterative solvers in the package funnel through these routines so that
+tolerances and iteration caps are uniform: relative tolerance 1e-12, at most
+200 iterations, bisection fallback whenever a bracket is available.  The one
 exception is the per-factor solve of ``crossmap.eval_cross``, which runs the
 Newton iteration of ``newton_safeguarded`` (analytic slope, no bracket)
 written inline with the same tolerance, cap and stopping rule, because it
-is called millions of times per tangency search.
+is called millions of times per tangency search.  The fold-tangency solves
+of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
+cross-map jets; the secant update and the finite-difference Jacobian serve
+targets with no derivative at hand, such as the parameter roots of
+``renorm.solve_mu_zero`` and ``renorm.double_tangency``.
 """
 
 from __future__ import annotations
@@ -66,15 +70,13 @@ def newton_safeguarded(
     df: Callable[[float], float] | None = None,
     rtol: float = DEFAULT_RTOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    ftol: float = 0.0,
 ) -> float:
     """Newton iteration falling back to bisection inside an optional bracket.
 
     Without ``df`` a secant update is used. When a bracket is supplied the
     iterate is confined to it (bisection step whenever Newton exits or the
-    derivative degenerates) and the bracket shrinks around the sign change.
-    ``ftol`` accepts a stalled iterate whose residual is already below that
-    level; use it for targets whose evaluation carries a noise floor.
+    derivative degenerates) and the bracket shrinks around the sign change;
+    without one, a degenerate derivative is a ``ConvergenceError``.
     """
     lo = hi = flo = fhi = None
     if bracket is not None:
@@ -109,8 +111,6 @@ def newton_safeguarded(
                 use_bisection = True
         if use_bisection:
             if lo is None:
-                if abs(fx) <= ftol:
-                    return x
                 raise ConvergenceError(
                     f"newton stalled at x={x!r} with no bracket to fall back on"
                 )

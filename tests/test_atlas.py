@@ -326,6 +326,13 @@ class TestGeometry:
         with pytest.raises(DomainError):
             sweep("swallow-escape", 2, 2, params={key: value})
 
+    @pytest.mark.parametrize("kernel", ["henon-escape", "henon-lyap", "renorm-strip",
+                                        "embed-compare"])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_multiplicity_rejected(self, kernel, m):
+        with pytest.raises(DomainError, match="m must be at least 1"):
+            sweep(kernel, 2, 2, b_range=(-1.0, 1.0), params={"m": m}, workers=1)
+
     def test_grid_too_small_rejected(self):
         with pytest.raises(DomainError):
             sweep("swallow-escape", 1, 8)
@@ -343,6 +350,42 @@ class TestGeometry:
     def test_unknown_map_rejected(self):
         with pytest.raises(DomainError):
             sweep("henon-escape", 2, 2, params={"map": "no-such-map"})
+
+
+class TestCoefficientOverflow:
+    # row centres 2.75, 2.25, 1.75 overflow b^2000; 1.25^2000 ~ 1e194 and
+    # the underflowing 0.75 and 0.25 are computed as usual, with the same
+    # bits as the raster over (0, 1.5) whose three rows have these centres
+    B_RANGE = (0.0, 3.0)
+
+    @pytest.mark.parametrize("kernel, params", [
+        ("henon-escape", {"steps": 50}),
+        ("henon-lyap", {"n": 50}),
+        ("henon-escape", {"steps": 50, "map": "sine-perturbed"}),
+        ("henon-lyap", {"n": 50, "map": "sine-perturbed"}),
+        ("renorm-strip", {}),
+    ], ids=["escape", "lyap", "escape-hooked", "lyap-hooked", "renorm-strip"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_rows_are_error(self, kernel, params, workers):
+        a_range = (-1.87, -1.85) if kernel == "renorm-strip" else (-1.5, 0.2)
+        params = {**params, "m": 2000}
+        r = sweep(kernel, 3, 6, a_range=a_range, b_range=self.B_RANGE,
+                  params=params, workers=workers)
+        assert list(r.b_centers()) == [2.75, 2.25, 1.75, 1.25, 0.75, 0.25]
+        assert np.all(r.tags[:3] == TAG_ERROR)
+        assert np.all(r.values[:3] == 0.0)
+        low = sweep(kernel, 3, 3, a_range=a_range, b_range=(0.0, 1.5),
+                    params=params, workers=1)
+        assert r.tags[3:].tobytes() == low.tags.tobytes()
+        assert r.values[3:].tobytes() == low.values.tobytes()
+
+    def test_zero_map_never_overflows(self):
+        r = sweep("henon-escape", 3, 6, b_range=self.B_RANGE,
+                  params={"steps": 50, "map": "zero", "m": 2000}, workers=1)
+        flat = sweep("henon-escape", 3, 6, b_range=self.B_RANGE,
+                     params={"steps": 50, "map": "zero", "m": 1}, workers=1)
+        assert r.tags.tobytes() == flat.tags.tobytes()
+        assert r.values.tobytes() == flat.values.tobytes()
 
 
 class TestSwallowKernels:

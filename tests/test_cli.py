@@ -129,6 +129,13 @@ class TestExitCodes:
         assert rc == 3
         assert "no root" in err
 
+    def test_underflowing_chart_is_numerical_failure(self, capsys):
+        # the fold curvature is regular but sigma underflows to 0
+        rc, out, err = call(capsys, "renorm", "--a", "-1e300", "--b", "0.001")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: degenerate chart") and err.count("\n") == 1
+
     def test_missing_config_file(self, capsys):
         rc, _, err = call(capsys, "special-params", "--config", "/no/such/file")
         assert rc == 2
@@ -178,6 +185,15 @@ class TestExitCodes:
         ("certify", "--r-disk", "-1"),
         ("renorm", "--a", "nan", "--b", "0.001"),
         ("embed-swallow", "--n", "10"),
+        ("henon-atlas", "--kernel", "henon-escape", "--grid", "3x3", "--b-range", "-1:1",
+         "--m", "-1"),
+        ("henon-atlas", "--kernel", "henon-escape", "--grid", "3x3", "--m", "0"),
+        ("henon-atlas", "--kernel", "renorm-strip", "--grid", "2x2", "--m", "0"),
+        ("embed-swallow", "--grid", "2x2", "--m", "0"),
+        ("renorm", "--a", "-1.86", "--b", "2", "--m", "2000"),
+        ("twin", "--b-hat", "0"),
+        ("twin", "--b-hat", "-0"),
+        ("attractors", "--a", "-0.5", "--b", "2", "--m", "2000"),
     ], ids=lambda args: " ".join((args[0],) + args[-2:]))
     def test_bad_input_is_config_error(self, capsys, args):
         rc, out, err = call(capsys, *args)
@@ -371,6 +387,9 @@ _FAST_COMMANDS = {
                    ("a", "b", "seeds", "max-period", "transient", "radius", "m")),
     "swallow": (("--grid", "4x4", "--workers", "1", "--format", "csv"),
                 ("grid", "steps", "n", "radius", "a-range", "b-range")),
+    # flags whose values fail, or end the search, before the twin solve
+    "twin": ((), ("samples", "m", "b-hat", "k", "j", "a-range")),
+    "renorm-window": ((), ("a-lo", "a-hi", "b", "m", "word")),
 }
 
 
@@ -387,11 +406,39 @@ def _fast_invocation(draw):
     return argv
 
 
-@settings(max_examples=80, deadline=None)
-@given(argv=_fast_invocation())
-def test_fast_commands_never_crash(argv):
+@st.composite
+def _atlas_invocation(draw):
+    """henon-atlas on at most 4x4 pixels with short orbits, any map, and
+    multiplicities that are invalid, ordinary or overflow b^m."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kernel = draw(st.sampled_from(["henon-escape", "henon-lyap", "renorm-strip"]))
+    b_range = draw(st.one_of(
+        st.sampled_from(["1.5:2.5", "-1:1", "-0.5:0.5", "-3:-1.5", "0:1e-3"]), _BAD_RANGES
+    ))
+    return [
+        "henon-atlas", "--workers", "1", "--format", "csv", f"--kernel={kernel}",
+        f"--grid={width}x{height}", f"--b-range={b_range}",
+        f"--map={draw(st.sampled_from(['standard', 'zero', 'sine-perturbed']))}",
+        f"--m={draw(st.sampled_from([-2, -1, 0, 1, 2, 3, 2000]))}",
+        f"--steps={draw(st.integers(-1, 30))}", f"--n={draw(st.integers(-1, 30))}",
+    ]
+
+
+def _assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = run(argv)
     assert rc in (0, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_fast_invocation())
+def test_fast_commands_never_crash(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_atlas_invocation())
+def test_henon_atlas_never_crashes(argv):
+    _assert_clean_exit(argv)

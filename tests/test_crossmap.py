@@ -13,6 +13,7 @@ from henonlab.crossmap import (
     distortion_report,
     eval_cross,
     eval_cross_derivatives,
+    eval_cross_jet,
     factorize_chain,
     hyperbolicity_check,
     reverse_eval,
@@ -28,6 +29,7 @@ from henonlab.henon import (
     normalize_xi,
     sine_perturbed_fields,
 )
+from henonlab.renorm import conjugate_rescale
 from henonlab.rootfind import newton_safeguarded
 
 
@@ -161,6 +163,71 @@ class TestDerivatives:
         assert ratio == pytest.approx(prod, rel=1e-6)
 
 
+def _jet_probes(word, b, kind, count=6):
+    """Seeded (chain, x1, y0) inside the word's image on a standard map, a
+    sine-zeta map and a conjugated standard map (all zeta partials set)."""
+    rng = random.Random(f"jet|{word}|{b}|{kind}")
+    probes = []
+    for _ in range(count):
+        a = rng.uniform(-1.99, -1.83)
+        if kind == "standard":
+            f = HenonMap(a, b)
+        elif kind == "sine":
+            f = HenonMap(a, b, 1, sine_perturbed_fields(0.02)[0])
+        else:
+            f = conjugate_rescale(HenonMap(a, b), 0.05, 1.2)
+        chain = factorize_chain(f, word)
+        lo, hi = chain.piece.image
+        if kind == "conjugated":
+            lo, hi = -0.3, 0.3
+        pad = 0.1 * (hi - lo)
+        probes.append((chain, rng.uniform(lo + pad, hi - pad), rng.uniform(-1.0, 1.0)))
+    return probes
+
+
+class TestJet:
+    @pytest.mark.parametrize("kind", ["standard", "sine", "conjugated"])
+    @pytest.mark.parametrize("b", [0.0, 2.4e-3, -5e-3, 1e-2])
+    @pytest.mark.parametrize("word", ["c0", "c1", "bm0", "c1,bm0,bm0"])
+    def test_second_partials_match_differenced_columns(self, word, b, kind):
+        # each second partial against the central difference of the
+        # first-order column with the same scale in b: (x1 x1) differences
+        # the x1-column in x1, (x1 y0) and (y0 y0) the y0-column
+        h = 1e-5
+        for chain, x1, y0 in _jet_probes(word, b, kind):
+            jet = eval_cross_jet(chain, x1, y0)
+            d = eval_cross_derivatives(chain, x1, y0)
+            assert (jet.A, jet.B, jet.dA, jet.dB) == (d.A, d.B, d.dA, d.dB)
+            px = eval_cross_derivatives(chain, x1 + h, y0)
+            mx = eval_cross_derivatives(chain, x1 - h, y0)
+            py = eval_cross_derivatives(chain, x1, y0 + h)
+            my = eval_cross_derivatives(chain, x1, y0 - h)
+            for second, column in ((jet.d2A, lambda r: r.dA), (jet.d2B, lambda r: r.dB)):
+                fd = (
+                    (column(px)[0] - column(mx)[0]) / (2.0 * h),
+                    (column(px)[1] - column(mx)[1]) / (2.0 * h),
+                    (column(py)[1] - column(my)[1]) / (2.0 * h),
+                )
+                for got, ref in zip(second, fd):
+                    assert got == pytest.approx(ref, rel=1e-6, abs=0.0), (chain.henon, x1, y0)
+
+    def test_flat_map_has_no_y0_partials(self):
+        chain = make_chain("c1", a=-1.86, b=0.0)
+        jet = eval_cross_jet(chain, 0.1, 0.3)
+        assert jet.dA[1] == jet.dB[1] == 0.0
+        assert jet.d2A[1:] == jet.d2B[1:] == (0.0, 0.0)
+
+    def test_fold_point_on_the_chain_is_branch_error(self):
+        # x1 = a puts x_1 on the fold of the last factor, where the inverse
+        # branch has no derivative
+        chain = make_chain("s-", a=-2.0, b=0.0)
+        assert eval_cross(chain, -2.0, 0.0).x_path[1] == 0.0
+        with pytest.raises(BranchError):
+            eval_cross_derivatives(chain, -2.0, 0.0)
+        with pytest.raises(BranchError):
+            eval_cross_jet(chain, -2.0, 0.0)
+
+
 class TestReverseEval:
     @pytest.mark.parametrize("word", ["s-", "w=", "c1"])
     def test_round_trip(self, word):
@@ -234,7 +301,8 @@ class TestDistortion:
 
 # ---------------------------------------------------------------------------
 # oracle: the per-factor solve through newton_safeguarded and the sweeps
-# as they were before the factor polish was written inline
+# as they were before the factor polish was written inline, and the
+# Gauss-Seidel gradient sweeps that the direct tangent solve replaced
 # ---------------------------------------------------------------------------
 
 def _reference_solve_factor(f, sign, x_next, y_here):
@@ -338,6 +406,26 @@ def _outcome(fn, *args, **kwargs):
         return "raised", type(exc).__name__
 
 
+def _assert_derivs_match(chain, x1, y0, rel=1e-13):
+    """The direct tangent solve against the gradient sweeps: the same
+    outcome, the same solved path and per-factor partials, and the four
+    partials to ``rel`` relative (zeros compared by ==)."""
+    try:
+        ref = _reference_eval_cross_derivatives(chain, x1, y0)
+    except Exception as exc:
+        got = _outcome(eval_cross_derivatives, chain, x1, y0)
+        assert got == ("raised", type(exc).__name__), (chain.henon, x1, y0)
+        return
+    got = eval_cross_derivatives(chain, x1, y0)
+    assert (got.A, got.B, got.x_path, got.y_path) == (ref.A, ref.B, ref.x_path, ref.y_path)
+    assert (got.factor_dx, got.factor_dy) == (ref.factor_dx, ref.factor_dy)
+    for g, r in zip(got.dA + got.dB, ref.dA + ref.dB):
+        if g == 0.0 or r == 0.0:
+            assert g == r, (chain.henon, x1, y0)
+        else:
+            assert abs(g - r) <= rel * abs(r), (chain.henon, x1, y0, g, r)
+
+
 ORACLE_WORDS = ["c0", "c1", "bm0", "c1,bm0,bm0"]
 ORACLE_BS = [0.0, 2.4e-3, -5e-3, 1e-2]
 
@@ -378,9 +466,7 @@ class TestInlineSolveOracle:
             ref = _outcome(_reference_eval_cross, chain, x1, y0, max_sweeps=cap)
             assert got == ref, (chain.henon, x1, y0, cap)
             if cap == 200:
-                got = _outcome(eval_cross_derivatives, chain, x1, y0)
-                ref = _outcome(_reference_eval_cross_derivatives, chain, x1, y0)
-                assert got == ref, (chain.henon, x1, y0)
+                _assert_derivs_match(chain, x1, y0)
 
     def test_probe_set_reaches_every_outcome(self):
         outcomes = set()

@@ -160,6 +160,11 @@ class TestOrbits:
         with pytest.raises(DomainError):
             HenonMap(a=-1.4, b=0.3, m=0)
 
+    def test_overflowing_power_rejected(self):
+        with pytest.raises(DomainError, match="overflows"):
+            HenonMap(a=-1.4, b=2.0, m=2000)
+        assert HenonMap(a=-1.4, b=0.5, m=2000).bm == 0.0
+
     def test_escape_from_origin(self):
         f = HenonMap(a=1.0, b=0.0)
         traj, escaped, steps = orbit_escape(f, (0.0, 0.0), n_max=100, r_esc=10.0)

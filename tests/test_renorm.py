@@ -23,6 +23,9 @@ from henonlab.henon import (
 )
 from henonlab.maps1d import quad, special_parameters
 from henonlab.renorm import (
+    _cycle_folds,
+    _defect_at,
+    _first_coord,
     certify_cone_expansion,
     conjugate_rescale,
     delta_star,
@@ -34,6 +37,7 @@ from henonlab.renorm import (
     solve_mu_zero,
     twin_find,
 )
+from henonlab.rootfind import _fd_jacobian
 
 A1, A2 = special_parameters()
 
@@ -395,6 +399,127 @@ class TestDoubleTangency:
                 seed=(-1.70, 0.3),
             )
         assert isinstance(info.value.samples, list)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Richardson finite differences of the fold defect that the
+# analytic fold terms replaced (centered_slope above is the slope rule)
+# ---------------------------------------------------------------------------
+
+def _curvature_extrapolated(g, h: float) -> float:
+    """Richardson-extrapolated central second difference at 0 (O(h^4))."""
+    g0 = g(0.0)
+
+    def second(step: float) -> float:
+        return (g(step) - 2.0 * g0 + g(-step)) / (step * step)
+
+    return (4.0 * second(0.5 * h) - second(h)) / 3.0
+
+
+def _cross_defect(chains, cs, i: int, t: float) -> float:
+    """Fold defect departing word i toward word i+1 in the cycle."""
+    count = len(chains)
+    prev = cs[(i - 1) % count]
+    nxt = (i + 1) % count
+    b_val = eval_cross(chains[i], cs[i] + t, prev).B
+    entry = eval_cross(chains[nxt], cs[nxt], cs[i] + t).A
+    return _first_coord(chains[i].henon, cs[i] + t, b_val) - entry
+
+
+_FD_GRAD_STEP = 1e-4
+_FD_CURV_STEP = 4e-3
+_FOLD_WORDS = [("c0",), ("c1",), ("c1,bm0,bm0",), ("c1", "c1,bm0,bm0")]
+
+
+def _fold_map(kind: str, a: float, b: float) -> HenonMap:
+    if kind == "standard":
+        return HenonMap(a, b)
+    if kind == "sine":
+        return HenonMap(a, b, 1, sine_perturbed_fields(0.01)[0])
+    return conjugate_rescale(HenonMap(a, b), 0.05, 1.2)
+
+
+def _check_newton_derivatives(f: HenonMap, words, abs_tol: float) -> None:
+    """The slope derivatives handed to the Newton solvers against central
+    differences of the analytic slopes, at the anchors and off them."""
+    # one word: d/dc of the slope with both chain ends at (c, c)
+    chain = factorize_chain(f, words[0])
+    at = _cycle_folds((chain,))
+    c = find_tangency(chain).c
+    h = 1e-6
+    for x in (c, c + 1e-3):
+        fold = at((x,))[1][0]
+        fd = (at((x + h,))[1][0].slope - at((x - h,))[1][0].slope) / (2.0 * h)
+        assert fold.curv + fold.dslope_other == pytest.approx(fd, abs=abs_tol)
+    # two words: the analytic newton2 Jacobian
+    at = _cycle_folds(tuple(factorize_chain(f, w) for w in words))
+    cs = multi_renormalize(f, words).c
+    for x in ([cs[0], cs[1]], [cs[0] + 1e-3, cs[1] - 1e-3]):
+        f0, f1 = at(x)[1]
+        jac = ((f0.curv, f0.dslope_other), (f1.dslope_other, f1.curv))
+        fd = _fd_jacobian(lambda y: tuple(fold.slope for fold in at(y)[1]), x, 1e-7)
+        for row, fd_row in zip(jac, fd):
+            assert row == pytest.approx(fd_row, abs=abs_tol)
+
+
+class TestAnalyticFoldOracle:
+    @pytest.mark.parametrize("words", _FOLD_WORDS, ids=lambda w: "+".join(w))
+    @pytest.mark.parametrize("b", [0.0, 2.4e-3, -2.4e-3, 1e-2])
+    @pytest.mark.parametrize("kind", ["standard", "sine", "conjugated"])
+    def test_fold_terms_match_richardson(self, kind, b, words):
+        for a in (-1.8608, -1.8665368062):
+            f = _fold_map(kind, a, b)
+            chains = tuple(factorize_chain(f, w) for w in words)
+            md = multi_renormalize(f, words)
+            at = _cycle_folds(chains)
+            for i in range(md.count):
+                def defect(t, cs=md.c):
+                    return _cross_defect(chains, cs, i, t)
+
+                # the anchor is where the differenced slope vanishes, and
+                # q is half the differenced curvature there
+                assert abs(centered_slope(defect, _FD_GRAD_STEP)) <= 1e-10
+                assert md.q[i] == pytest.approx(
+                    0.5 * _curvature_extrapolated(defect, _FD_CURV_STEP), rel=2e-9
+                )
+                assert md.mu[i] == defect(0.0)
+                # slope and curvature away from the anchor
+                for offset in (1e-3, -2e-3):
+                    cs = tuple(c + offset * (k + 1) for k, c in enumerate(md.c))
+                    fold = at(cs)[1][i]
+                    assert fold.slope == pytest.approx(
+                        centered_slope(lambda t: defect(t, cs), _FD_GRAD_STEP), abs=1e-10
+                    )
+                    assert fold.curv == pytest.approx(
+                        _curvature_extrapolated(lambda t: defect(t, cs), _FD_CURV_STEP),
+                        rel=2e-9,
+                    )
+
+    @pytest.mark.parametrize("b", [0.0, 2.4e-3, -2.4e-3, 1e-2])
+    @pytest.mark.parametrize("kind", ["standard", "sine", "conjugated"])
+    def test_newton_derivatives_match_differenced_slopes(self, kind, b):
+        f = _fold_map(kind, -1.8665368062, b)
+        _check_newton_derivatives(f, ("c1", "c1,bm0,bm0"), abs_tol=1e-8)
+
+    @pytest.mark.parametrize("a", [-1.70, -1.72])
+    def test_newton_derivatives_on_a_thick_chart(self, a):
+        # at b = 0.1 with a strong zeta the O(b^m) terms of the neighbour
+        # partial are resolvable by differences
+        f = HenonMap(a, 0.1, 1, sine_perturbed_fields(0.05)[0])
+        _check_newton_derivatives(f, ("w=3", "w="), abs_tol=1e-9)
+
+    @pytest.mark.parametrize("word", ["c1", "c2", "c1,bm0,bm0"])
+    def test_flat_curvature_is_exact(self, word):
+        for a in (-1.86, -1.8665368062):
+            t = find_tangency(factorize_chain(HenonMap(a, 0.0), word))
+            assert t.q == 1.0
+            assert t.mu == _defect_at(t.chain, t.c, 0.0)
+
+    def test_underflowing_chart_is_tangency_error(self):
+        # sigma underflows to 0 while the curvature stays 2: the renormalized
+        # parameters would divide by zero
+        with pytest.raises(TangencyError, match="degenerate chart"):
+            renormalize(HenonMap(-1e300, 1e-3), "c1")
 
 
 @pytest.fixture(scope="module")
