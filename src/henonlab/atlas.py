@@ -4,14 +4,14 @@ Six pixel kernels cover the composed-quadratic parameter plane (escape
 classification and derivative-growth exponents), the Henon-family plane
 (origin escape and tangent-growth exponents), per-pixel renormalization
 output, and the agreement test between renormalized one-dimensional
-predictions and direct two-dimensional orbits.  The four orbit kernels
-(both composed-quadratic kernels, and the Henon kernels on maps without
-hooks) iterate a whole block of rows per numpy step on one compacting
-loop; the others go pixel by pixel, one row per task.  A raster is a pure
-function of its configuration: payloads never depend on worker count,
-block size or evaluation order, so re-runs are byte-identical.  PPM
-colours come from per-tag palettes applied to the whole tag and value
-arrays.
+predictions and direct two-dimensional orbits.  The five orbit kernels
+(both composed-quadratic kernels, the Henon kernels on maps without hooks,
+and the two orbit checks of embed-compare) iterate a whole block of rows
+per numpy step on one compacting loop; the others go pixel by pixel, one
+row per task.  A raster is a pure function of its configuration: payloads
+never depend on worker count, block size or evaluation order, so re-runs
+are byte-identical.  PPM colours come from per-tag palettes applied to the
+whole tag and value arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, HenonLabError
 from .henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
-from .maps1d import DEFAULT_ESCAPE_RADIUS, swallow_classify
+from .maps1d import DEFAULT_ESCAPE_RADIUS, parse_word
 from .renorm import multi_renormalize, renormalize
 
 # ---------------------------------------------------------------------------
@@ -212,10 +212,11 @@ _COLORMAP_NOTES: dict[str, str] = {
 # ---------------------------------------------------------------------------
 # orbit kernels over row blocks
 # ---------------------------------------------------------------------------
-# The composed-quadratic kernels and the Henon kernels on maps without hooks
-# advance every pixel of a block of rows per numpy step.  The live set is an
-# index array that loses each orbit at the step it leaves, so late steps cost
-# in proportion to the pixels still iterating.  Every operation is
+# The composed-quadratic kernels, the Henon kernels on maps without hooks and
+# the orbit checks of embed-compare (after its serial tracking along each
+# row) advance every pixel of a block of rows per numpy step.  The live set
+# is an index array that loses each orbit at the step it leaves, so late
+# steps cost in proportion to the pixels still iterating.  Every operation is
 # elementwise and keeps the order of the scalar recurrences, so a pixel's
 # payload does not depend on the block it was computed in.
 
@@ -260,32 +261,35 @@ def _composed_orbits(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.concatenate((a_px, b_px)), np.concatenate((b_px, a_px))
 
 
-def _composed_exits(left: np.ndarray, live: np.ndarray, n: int):
+def _composed_exits(left: np.ndarray, n: int):
     """(alive_ab, alive_ba, steps_ab, steps_ba) of n pixels' stacked orbits."""
-    alive = np.zeros(2 * n, dtype=bool)
-    alive[live] = True
+    alive = left == 0
     return alive[:n], alive[n:], left[:n], left[n:]
 
 
-def _block_swallow_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
-    """Escape classification of the composed orbits started at x = 0.
+def _composed_left(first: np.ndarray, second: np.ndarray, n_max: int, r_esc: float) -> np.ndarray:
+    """Escape step of the orbit of 0 under x -> x^2+first -> x^2+second, or 0
+    when it stays bounded for n_max composed steps.
 
     Both half-steps of composed step k report step k, the same counting as
     the scalar classifier.
     """
-    n_max = int(params.get("steps", _DEFAULT_ESCAPE_STEPS))
-    r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    first, second = _composed_orbits(a, b)
-
     def advance(x, first, second):
         x = x * x + first
         escaped = np.abs(x) > r_esc
         x = x * x + second
         return (x, first, second), escaped | (np.abs(x) > r_esc), None
 
-    left, _, live, _ = _run_orbits(advance, (np.zeros(first.size), first, second), n_max)
+    return _run_orbits(advance, (np.zeros(first.size), first, second), n_max)[0]
+
+
+def _block_swallow_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Escape classification of the composed orbits started at x = 0."""
+    n_max = int(params.get("steps", _DEFAULT_ESCAPE_STEPS))
+    r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
+    left = _composed_left(*_composed_orbits(a, b), n_max, r_esc)
     n = a.size * b.size
-    alive_ab, alive_ba, steps_ab, steps_ba = _composed_exits(left, live, n)
+    alive_ab, alive_ba, steps_ab, steps_ba = _composed_exits(left, n)
 
     tags = np.full(n, TAG_ESCAPE, dtype=np.uint8)
     tags[alive_ab & alive_ba] = TAG_BODY
@@ -322,7 +326,7 @@ def _block_swallow_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
         advance, (x0, np.zeros(first.size), first, second), n_steps
     )
     n = a.size * b.size
-    alive_ab, alive_ba, steps_ab, steps_ba = _composed_exits(left, live, n)
+    alive_ab, alive_ba, steps_ab, steps_ba = _composed_exits(left, n)
     exponent = np.zeros(2 * n)
     exponent[live] = state[1] / n_steps
     exp_ab, exp_ba = exponent[:n], exponent[n:]
@@ -498,6 +502,8 @@ def _embed_config(params: Mapping) -> dict:
     words = tuple(params.get("words", _EMBED_WORDS))
     if len(words) != 2:
         raise DomainError("embed-compare needs exactly two words")
+    for word in words:
+        parse_word(str(word))
     seed = params.get("seed", _EMBED_SEED)
     tol = float(params.get("tol", _EMBED_TOL))
     if not tol > 0.0:
@@ -568,34 +574,6 @@ def _embed_solve(target, x, anchors, J, cfg, max_iter=12):
     return False, x, anchors, J, md
 
 
-def _embed_direct_bounded(md, x, m, n_composed, r_esc) -> bool:
-    """Iterate the tracked map from the chart origin; True when the orbit
-    stays inside the renormalization domain.
-
-    One composed step is a full passage through both words plus the two
-    fold steps, mirroring the period of the renormalized composition; the
-    orbit escapes when its first chart coordinate first exceeds the same
-    radius the one-dimensional classifier uses.
-    """
-    period = md.chains[0].order + md.chains[1].order + 2
-    a, b = x
-    bm = b ** m
-    c0 = md.c[0]
-    g0 = md.gamma[0]
-    px, py = md.chart(0, 0.0, 0.0)
-    # The standard map is written out rather than called through
-    # ``henon.iterate``: this loop runs tens of thousands of steps per pixel,
-    # and a function call per step would dominate the embed-compare raster.
-    for _ in range(n_composed):
-        for _ in range(period):
-            px, py = px * px + a - bm * py, px
-        if not abs(px) < 1e100:
-            return False
-        if abs((px - c0) / g0) > r_esc:
-            return False
-    return True
-
-
 def _embed_row_states(a_targets, b_targets, cfg):
     """Serial walk down the left edge: each row's starting solution.
 
@@ -617,27 +595,49 @@ def _embed_row_states(a_targets, b_targets, cfg):
     return states
 
 
-def _row_embed_compare(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+def _block_embed_compare(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted against direct boundedness at every tracked pixel.
+
+    Each row walks left to right from its stored starting state, and a pixel
+    whose track fails stays error.  The prediction is the a-then-b composed
+    orbit of the target.  The direct check iterates the tracked map from the
+    chart origin: one composed step is a full passage through both words
+    plus the two fold steps, mirroring the period of the renormalized
+    composition, and the orbit escapes when its first chart coordinate first
+    exceeds the same radius the prediction uses.
+    """
     cfg = params["_embed_cfg"]
-    x, anchors, J = params["_embed_state"]
-    width = a.size
-    tags = np.full(width, TAG_ERROR, dtype=np.uint8)
-    values = np.zeros(width)
-    n_composed, r_esc, m = cfg["steps"], cfg["radius"], cfg["m"]
-    for j in range(width):
-        target = (float(a[j]), float(b))
-        ok, x_new, anchors_new, J, md = _embed_solve(target, x, anchors, J, cfg)
-        if not ok:
-            J = None
-            continue
-        x, anchors = x_new, anchors_new
-        predicted = swallow_classify(target[0], target[1], n_composed, r_esc)
-        predicted_bounded = predicted.steps_ab is None
-        direct_bounded = _embed_direct_bounded(md, x, m, n_composed, r_esc)
-        agree = predicted_bounded == direct_bounded
-        tags[j] = TAG_AGREE if agree else TAG_DISAGREE
-        values[j] = 1.0 if agree else 0.0
-    return tags, values
+    n_composed, r_esc = cfg["steps"], cfg["radius"]
+    tracked, orbits = [], []
+    for k, (x, anchors, J) in enumerate(params["_embed_states"]):
+        for j in range(a.size):
+            target = (float(a[j]), float(b[k]))
+            ok, x_new, anchors_new, J, md = _embed_solve(target, x, anchors, J, cfg)
+            if not ok:
+                J = None
+                continue
+            x, anchors = x_new, anchors_new
+            tracked.append(k * a.size + j)
+            orbits.append((*md.chart(0, 0.0, 0.0), x[0], x[1] ** cfg["m"], md.c[0], md.gamma[0]))
+            # the same at every pixel: chain orders depend on the words alone
+            period = md.chains[0].order + md.chains[1].order + 2
+
+    def advance(px, py, a_px, bm, c0, g0):
+        for _ in range(period):
+            px, py = px * px + a_px - bm * py, px
+        escaped = ~(np.abs(px) < 1e100) | (np.abs((px - c0) / g0) > r_esc)
+        return (px, py, a_px, bm, c0, g0), escaped, None
+
+    tags = np.full(b.size * a.size, TAG_ERROR, dtype=np.uint8)
+    values = np.zeros(b.size * a.size)
+    if tracked:
+        direct = _run_orbits(advance, tuple(np.array(orbits).T), n_composed)[0] == 0
+        first, second = np.tile(a, b.size)[tracked], np.repeat(b, a.size)[tracked]
+        predicted = _composed_left(first, second, n_composed, r_esc) == 0
+        agree = predicted == direct
+        tags[tracked] = np.where(agree, TAG_AGREE, TAG_DISAGREE)
+        values[tracked] = agree
+    return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
 
 
 _ORBIT_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, Mapping], tuple[np.ndarray, np.ndarray]]] = {
@@ -645,13 +645,13 @@ _ORBIT_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, Mapping], tuple[np.n
     "swallow-lyap": _block_swallow_lyap,
     "henon-escape": _block_henon_escape,
     "henon-lyap": _block_henon_lyap,
+    "embed-compare": _block_embed_compare,
 }
 
 _PIXEL_KERNELS: dict[str, Callable[[np.ndarray, float, Mapping], tuple[np.ndarray, np.ndarray]]] = {
     "henon-escape": _row_henon_escape,
     "henon-lyap": _row_henon_lyap,
     "renorm-strip": _row_renorm_strip,
-    "embed-compare": _row_embed_compare,
 }
 
 
@@ -661,15 +661,17 @@ _PIXEL_KERNELS: dict[str, Callable[[np.ndarray, float, Mapping], tuple[np.ndarra
 
 def _runs_orbit_kernel(kernel: str, params: Mapping) -> bool:
     """True when the kernel runs on the compacting orbit loop: the
-    composed-quadratic kernels, and the Henon kernels on maps without hooks."""
+    composed-quadratic kernels, the Henon kernels on maps without hooks, and
+    embed-compare."""
     if kernel.startswith("henon-"):
         return str(params.get("map", "standard")) in _PLAIN_MAPS
-    return kernel.startswith("swallow-")
+    return kernel in _ORBIT_KERNELS
 
 
 def _row_blocks(cfg: Mapping, workers: int) -> list[range]:
-    """Row ranges of the tasks: one block per worker for the orbit kernels,
-    at most _BLOCK_PIXELS pixels each, and one row per task otherwise."""
+    """Row ranges of the tasks: one block per worker for the orbit kernels
+    (embed-compare among them), at most _BLOCK_PIXELS pixels each, and one
+    row per task for the per-pixel kernels."""
     height = cfg["height"]
     rows = 1
     if cfg["orbit"]:
@@ -683,18 +685,15 @@ def _block_payload(cfg: Mapping, rows: range) -> tuple[int, np.ndarray, np.ndarr
     kernel = cfg["kernel"]
     params = dict(cfg["params"])
     if cfg["orbit"]:
+        if kernel == "embed-compare":
+            params["_embed_states"] = cfg["embed_states"][rows.start:rows.stop]
         tags, values = _ORBIT_KERNELS[kernel](a, b, params)
         return rows.start, tags, values
-    if kernel == "embed-compare":
-        params["_embed_cfg"] = cfg["embed_cfg"]
-    else:
-        name, m, _ = _map_config(params)
+    name, m, _ = _map_config(params)
     tags = np.empty((len(rows), a.size), dtype=np.uint8)
     values = np.empty((len(rows), a.size), dtype=np.float64)
-    for k, i in enumerate(rows):
-        if kernel == "embed-compare":
-            params["_embed_state"] = cfg["embed_states"][i]
-        elif _row_coefficient(name, float(b[k]), m) is None:
+    for k in range(len(rows)):
+        if _row_coefficient(name, float(b[k]), m) is None:
             tags[k], values[k] = TAG_ERROR, 0.0
             continue
         tags[k], values[k] = _PIXEL_KERNELS[kernel](a, float(b[k]), params)
@@ -736,6 +735,10 @@ def sweep(
         workers = os.cpu_count() or 1
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
+    if kernel == "renorm-strip":
+        parse_word(str(params.get("word", "c1")))
+    if kernel == "embed-compare":
+        params["_embed_cfg"] = _embed_config(params)
 
     cfg: dict = {
         "kernel": kernel,
@@ -747,10 +750,8 @@ def sweep(
         "orbit": _runs_orbit_kernel(kernel, params),
     }
     if kernel == "embed-compare":
-        embed_cfg = _embed_config(params)
-        cfg["embed_cfg"] = embed_cfg
         cfg["embed_states"] = _embed_row_states(
-            _a_centers(a_range, width), _b_centers(b_range, height), embed_cfg
+            _a_centers(a_range, width), _b_centers(b_range, height), params["_embed_cfg"]
         )
 
     tags = np.empty((height, width), dtype=np.uint8)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConvergenceError, DomainError, LadderError, ProductError, WordError
-from .rootfind import bisect, central_diff, newton2
+from .rootfind import bisect, newton2
 
 __all__ = [
     "QuadraticLadder",
@@ -495,6 +495,10 @@ def lyap_composed(
     return lam_ab, lam_ba
 
 
-def dalpha2_da(a: float, h: float = 1e-6) -> float:
-    """Finite-difference derivative of the alpha2 rung in the parameter."""
-    return central_diff(_alpha2_of, a, h)
+def dalpha2_da(a: float) -> float:
+    """Derivative of the alpha2 rung in the parameter: the chain rule down
+    the ladder alpha0 = -alpha, alpha_{k+1} = sqrt(alpha_k - a)."""
+    lad = ladder(a)
+    d_alpha0 = -1.0 / math.sqrt(1.0 - 4.0 * a)
+    d_alpha1 = (d_alpha0 - 1.0) / (2.0 * lad.require("alpha1"))
+    return (d_alpha1 - 1.0) / (2.0 * lad.require("alpha2"))

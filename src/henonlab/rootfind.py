@@ -25,7 +25,6 @@ __all__ = [
     "bisect",
     "newton_safeguarded",
     "newton2",
-    "central_diff",
 ]
 
 DEFAULT_RTOL = 1e-12
@@ -185,11 +184,6 @@ def _fd_jacobian(F, x, h):
         rows[0][j] = (fp[0] - fm[0]) / (2.0 * hj)
         rows[1][j] = (fp[1] - fm[1]) / (2.0 * hj)
     return ((rows[0][0], rows[0][1]), (rows[1][0], rows[1][1]))
-
-
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """First derivative by central difference."""
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def _finite(v: float) -> bool:

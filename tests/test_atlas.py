@@ -225,6 +225,49 @@ ROW_ORACLES = {
     "henon-lyap": _row_henon_lyap,
 }
 
+
+def _embed_direct_bounded(md, x, m, n_composed, r_esc):
+    """The tracked map's orbit of the chart origin, one standard-map step at
+    a time; True when it stays inside the renormalization domain."""
+    period = md.chains[0].order + md.chains[1].order + 2
+    a, b = x
+    bm = b ** m
+    c0 = md.c[0]
+    g0 = md.gamma[0]
+    px, py = md.chart(0, 0.0, 0.0)
+    for _ in range(n_composed):
+        for _ in range(period):
+            px, py = px * px + a - bm * py, px
+        if not abs(px) < 1e100:
+            return False
+        if abs((px - c0) / g0) > r_esc:
+            return False
+    return True
+
+
+def _row_embed_compare(a, b, cfg, state):
+    """One embed-compare row pixel by pixel: track, then the scalar swallow
+    classifier and the scalar direct orbit."""
+    x, anchors, J = state
+    tags = np.full(a.size, TAG_ERROR, dtype=np.uint8)
+    values = np.zeros(a.size)
+    n_composed, r_esc, m = cfg["steps"], cfg["radius"], cfg["m"]
+    for j in range(a.size):
+        target = (float(a[j]), float(b))
+        ok, x_new, anchors_new, J, md = atlas._embed_solve(target, x, anchors, J, cfg)
+        if not ok:
+            J = None
+            continue
+        x, anchors = x_new, anchors_new
+        predicted = swallow_classify(target[0], target[1], n_composed, r_esc)
+        predicted_bounded = predicted.steps_ab is None
+        direct_bounded = _embed_direct_bounded(md, x, m, n_composed, r_esc)
+        agree = predicted_bounded == direct_bounded
+        tags[j] = TAG_AGREE if agree else TAG_DISAGREE
+        values[j] = 1.0 if agree else 0.0
+    return tags, values
+
+
 _ERROR_RGB = (255, 0, 255)
 
 
@@ -624,6 +667,50 @@ class TestEmbedCompare:
     def test_word_count_validated(self):
         with pytest.raises(DomainError):
             sweep("embed-compare", 2, 2, params={"words": ("c1",)})
+
+
+EMBED_ORACLE_CASES = [
+    pytest.param(21, 21, None, {}, id="default-21x21"),
+    pytest.param(9, 7, (-2.6, 0.9), {}, id="disagree-9x7"),
+    pytest.param(7, 6, (-30.0, 30.0), {}, id="failed-tracks-7x6"),
+    pytest.param(8, 6, None, {"steps": 300, "radius": 4.0}, id="short-small-radius-8x6"),
+    pytest.param(4, 3, None, {"seed": (5.0, 5.0)}, id="untracked-seed"),
+    # b^3 at this seed is the default seed's b, so the tracks succeed
+    pytest.param(6, 5, None, {"m": 3, "seed": (-1.8665368062, -0.1346835110153426)}, id="m3-6x5"),
+]
+
+
+class TestEmbedCompareOracle:
+    """The block kernel gives the bytes of the pixel-by-pixel row walk."""
+
+    @staticmethod
+    def oracle(width, height, window, params):
+        a_range, b_range = (window, window) if window else atlas.DEFAULT_RANGES["embed-compare"]
+        cfg = atlas._embed_config(params)
+        a = atlas._a_centers(a_range, width)
+        b = atlas._b_centers(b_range, height)
+        states = atlas._embed_row_states(a, b, cfg)
+        rows = [_row_embed_compare(a, float(b[i]), cfg, states[i]) for i in range(height)]
+        return np.stack([t for t, _ in rows]), np.stack([v for _, v in rows])
+
+    @pytest.mark.parametrize("width, height, window, params", EMBED_ORACLE_CASES)
+    def test_sweep_matches_pixel_oracle(self, width, height, window, params):
+        expected = self.oracle(width, height, window, params)
+        for workers in (1, 2, 3):
+            r = sweep("embed-compare", width, height, a_range=window, b_range=window,
+                      params=params, workers=workers)
+            TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values, expected)
+
+    def test_cases_reach_every_exit(self):
+        counts = {}
+        for case in EMBED_ORACLE_CASES:
+            tags, _ = self.oracle(*case.values)
+            counts[case.id] = {tag: int(np.count_nonzero(tags == tag))
+                               for tag in (TAG_AGREE, TAG_DISAGREE, TAG_ERROR)}
+        assert counts["disagree-9x7"][TAG_DISAGREE] > 0
+        assert counts["failed-tracks-7x6"] == {TAG_AGREE: 7, TAG_DISAGREE: 0, TAG_ERROR: 35}
+        assert counts["untracked-seed"][TAG_ERROR] == 12
+        assert counts["m3-6x5"][TAG_ERROR] == 0
 
 
 class TestDeterminism:

@@ -190,6 +190,8 @@ class TestExitCodes:
         ("henon-atlas", "--kernel", "henon-escape", "--grid", "3x3", "--m", "0"),
         ("henon-atlas", "--kernel", "renorm-strip", "--grid", "2x2", "--m", "0"),
         ("embed-swallow", "--grid", "2x2", "--m", "0"),
+        ("embed-swallow", "--grid", "3x3", "--words", "c1;zz"),
+        ("henon-atlas", "--kernel", "renorm-strip", "--word", "zz"),
         ("renorm", "--a", "-1.86", "--b", "2", "--m", "2000"),
         ("twin", "--b-hat", "0"),
         ("twin", "--b-hat", "-0"),
@@ -424,6 +426,22 @@ def _atlas_invocation(draw):
     ]
 
 
+@st.composite
+def _embed_invocation(draw):
+    """embed-swallow on at most 3x3 pixels with short orbits, valid and
+    malformed word pairs, and tracking seeds far from the swallow."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    words = draw(st.sampled_from(
+        ["c1;c1,bm0,bm0", "c1;c2", "c1;zz", "c1", "c1;;", "c1;c1,,e", "e;c1", "c1;c1;c1"]
+    ))
+    seed = draw(st.sampled_from(["auto", "5,5", "-30,30", "1e300,-1e300", "0,0", "-1.9,0.5"]))
+    return [
+        "embed-swallow", "--workers", "1", "--format", "csv", f"--grid={width}x{height}",
+        f"--words={words}", f"--seed={seed}",
+        f"--steps={draw(st.integers(-1, 30))}", f"--m={draw(st.integers(-1, 3))}",
+    ]
+
+
 def _assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -441,4 +459,10 @@ def test_fast_commands_never_crash(argv):
 @settings(max_examples=60, deadline=None)
 @given(argv=_atlas_invocation())
 def test_henon_atlas_never_crashes(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=_embed_invocation())
+def test_embed_swallow_never_crashes(argv):
     _assert_clean_exit(argv)

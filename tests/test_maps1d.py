@@ -116,6 +116,14 @@ def test_dalpha2_range():
         assert -0.55 <= dalpha2_da(a) <= -0.28
 
 
+def test_dalpha2_matches_central_difference():
+    h = 1e-6
+    for i in range(51):
+        a = A2 + (A1 - A2) * i / 50.0
+        fd = (ladder(a + h).alpha2 - ladder(a - h).alpha2) / (2.0 * h)
+        assert abs(dalpha2_da(a) - fd) <= 1e-8 * abs(fd)
+
+
 # ---------------------------------------------------------------------------
 # pieces and star products
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from henonlab.errors import BracketError, ConvergenceError
-from henonlab.rootfind import bisect, central_diff, newton2, newton_safeguarded
+from henonlab.rootfind import bisect, newton2, newton_safeguarded
 
 
 def test_bisect_sqrt2():
@@ -66,7 +66,3 @@ def test_newton2_intersection():
     )
     assert abs(sol[0] - math.sqrt(2.0)) < 1e-10
     assert abs(sol[1] - math.sqrt(2.0)) < 1e-10
-
-
-def test_central_and_second_diff():
-    assert abs(central_diff(math.sin, 0.3, 1e-5) - math.cos(0.3)) < 1e-9
