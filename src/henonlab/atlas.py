@@ -504,14 +504,22 @@ def _embed_config(params: Mapping) -> dict:
         raise DomainError("embed-compare needs exactly two words")
     for word in words:
         parse_word(str(word))
-    seed = params.get("seed", _EMBED_SEED)
+    m = int(params.get("m", 1))
+    seed = params.get("seed")
+    if seed is None:
+        # The default seed is tuned for m = 1; other odd m keep its b^m.
+        a1, b1 = _EMBED_SEED
+        if m % 2 == 0:
+            raise DomainError(f"no real b gives the default seed's b^m = {b1!r} at even "
+                              f"m = {m}; give a tracking seed (--seed A,B)")
+        seed = (a1, math.copysign(abs(b1) ** (1.0 / m), b1))
     tol = float(params.get("tol", _EMBED_TOL))
     if not tol > 0.0:
         raise DomainError(f"tracking tolerance must be positive, got {tol!r}")
     return {
         "words": words,
         "seed": (float(seed[0]), float(seed[1])),
-        "m": int(params.get("m", 1)),
+        "m": m,
         "tol": tol,
         "steps": int(params.get("steps", _DEFAULT_ESCAPE_STEPS)),
         "radius": float(params.get("radius", DEFAULT_ESCAPE_RADIUS)),

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from itertools import pairwise
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .crossmap import (
     CrossJet,
@@ -22,6 +23,7 @@ from .crossmap import (
     factorize_chain,
 )
 from .errors import (
+    BracketError,
     ConvergenceError,
     DomainError,
     HenonLabError,
@@ -330,29 +332,42 @@ def solve_mu_zero(
     a_lo: float,
     a_hi: float,
     coarse: int = 24,
-    rtol: float = 1e-11,
 ) -> float:
-    """Parameter at which the word's fold defect vanishes."""
+    """Parameter at which the word's fold defect vanishes.
+
+    If the defect changes sign (or vanishes) at the window ends, this is the
+    root inside the window; otherwise the root in the first of ``coarse``
+    cells whose ends do.  One bracketed secant from the middle of that
+    bracket runs to rounding level, since downstream quantities amplify
+    parameter error by up to ~1e6; a window centred on a nearby root is a
+    warm start."""
 
     def mu(a: float) -> float:
         return find_tangency(factorize_chain(build(a), word)).mu
 
-    values = []
-    for k in range(coarse + 1):
-        a = a_lo + (a_hi - a_lo) * k / coarse
-        values.append((a, mu(a)))
-    for (a0, m0), (a1, m1) in zip(values, values[1:]):
-        if m0 == 0.0:
-            return a0
-        if m0 * m1 < 0.0:
-            root = bisect(mu, a0, a1, rtol=rtol)
-            # A secant polish drives the defect itself to rounding level,
-            # well below what the bisection interval guarantees; downstream
-            # quantities amplify parameter error by up to ~1e6.
-            return newton_safeguarded(mu, root, bracket=(a0, a1), rtol=1e-15)
-    raise ConvergenceError(
-        f"defect of {word!r} has no root in [{a_lo!r}, {a_hi!r}]"
-    )
+    def root_in(a0: float, a1: float) -> float:
+        return newton_safeguarded(mu, 0.5 * (a0 + a1), bracket=(a0, a1), rtol=1e-15)
+
+    try:
+        return root_in(a_lo, a_hi)
+    except BracketError:
+        pass
+    grid = (a_lo + (a_hi - a_lo) * k / coarse for k in range(coarse + 1))
+    cell = _first_sign_change((a, mu(a)) for a in grid)
+    if cell is None:
+        raise ConvergenceError(f"defect of {word!r} has no root in [{a_lo!r}, {a_hi!r}]")
+    return root_in(*cell)
+
+
+def _first_sign_change(samples: Iterable[tuple[float, float]]) -> tuple[float, float] | None:
+    """First cell (x0, x1) of a lazy run of (x, f(x)) samples over which f
+    changes sign, (x0, x0) where f(x0) is exactly zero, or None."""
+    for (x0, f0), (x1, f1) in pairwise(samples):
+        if f0 == 0.0:
+            return (x0, x0)
+        if f0 * f1 < 0.0:
+            return (x0, x1)
+    return None
 
 
 @dataclass(frozen=True)
@@ -674,7 +689,8 @@ def twin_find(
     (widened tenfold on retry). Moving along the short word's curve past b0
     sweeps the long word's renormalized value through the attracting range;
     the returned point puts it at ``target`` while the short word stays at
-    its window center. Both predicted cycles are then located directly."""
+    its window center. Both predicted cycles are then located directly.
+    Every root is one bracketed secant; traced roots start from the last."""
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
     if b_hat == 0.0:
@@ -684,11 +700,8 @@ def twin_find(
         _, a2 = special_parameters()
         a_range = (a2 + 5e-4, -1.82)
 
-    def at(a: float, b: float) -> HenonMap:
-        return build(a, b)
-
-    a_m = solve_mu_zero(lambda a: at(a, 0.0), word_minus, *a_range)
-    a_p = solve_mu_zero(lambda a: at(a, 0.0), word_plus, *a_range)
+    a_m = solve_mu_zero(lambda a: build(a, 0.0), word_minus, *a_range)
+    a_p = solve_mu_zero(lambda a: build(a, 0.0), word_plus, *a_range)
 
     hi1 = piece_1d(f"c{j + 1}", a_m).hi
     hi2 = piece_1d(f"c{j + 2}", a_m).hi
@@ -699,15 +712,9 @@ def twin_find(
     state = {"am": a_m, "ap": a_p}
 
     def trace_roots(b: float) -> tuple[float, float]:
-        half = 4e-3
-        state["am"] = solve_mu_zero(
-            lambda a: at(a, b), word_minus, state["am"] - half, state["am"] + half,
-            coarse=12,
-        )
-        state["ap"] = solve_mu_zero(
-            lambda a: at(a, b), word_plus, state["ap"] - half, state["ap"] + half,
-            coarse=12,
-        )
+        for key, word in (("am", word_minus), ("ap", word_plus)):
+            state[key] = solve_mu_zero(lambda a: build(a, b), word,
+                                       state[key] - 4e-3, state[key] + 4e-3, coarse=12)
         return state["am"], state["ap"]
 
     def gap(b: float) -> float:
@@ -719,12 +726,7 @@ def twin_find(
         bs = [sign * lo * ratio**i for i in range(n)]
         vals = [(b, gap(b)) for b in bs]
         scanned.extend(vals)
-        for (b0, g0), (b1, g1) in zip(vals, vals[1:]):
-            if g0 == 0.0:
-                return (b0, b0)
-            if g0 * g1 < 0.0:
-                return (b0, b1)
-        return None
+        return _first_sign_change(vals)
 
     scanned: list[tuple[float, float]] = []
     lo, hi = mag * eta**1.5, mag * math.sqrt(eta)
@@ -737,30 +739,23 @@ def twin_find(
             f"for b in [{sign * lo / 10.0!r}, {sign * hi * 10.0!r}]",
             scanned,
         )
-    b0 = bisect(gap, found[0], found[1], rtol=1e-10)
+    b0 = newton_safeguarded(gap, 0.5 * (found[0] + found[1]), bracket=found, rtol=1e-10)
     a_at_b0 = trace_roots(b0)[0]
 
     curve_samples = []
     for off in (-3e-5, -1e-5, 0.0, 1e-5, 3e-5):
         b = b0 * (1.0 + off)
         am = trace_roots(b)[0]
-        curve_samples.append(renormalize(at(am, b), word_minus).abar)
+        curve_samples.append(renormalize(build(am, b), word_minus).abar)
 
-    def plus_value(b: float) -> float:
+    def off_target(b: float) -> float:
         am = trace_roots(b)[0]
-        return renormalize(at(am, b), word_plus).abar
+        return renormalize(build(am, b), word_plus).abar - target
 
     def locate(direction: float) -> tuple[float, float] | None:
-        prev_b, prev_h = b0, plus_value(b0) - target
-        for u in (1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4):
-            b = b0 * (1.0 + direction * u)
-            h = plus_value(b) - target
-            if prev_h == 0.0:
-                return (prev_b, prev_b)
-            if prev_h * h < 0.0:
-                return (prev_b, b)
-            prev_b, prev_h = b, h
-        return None
+        offsets = (0.0, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4)
+        bs = (b0 * (1.0 + direction * u) for u in offsets)
+        return _first_sign_change((b, off_target(b)) for b in bs)
 
     hit = locate(1.0) or locate(-1.0)
     if hit is None:
@@ -769,15 +764,10 @@ def twin_find(
             f"near b0={b0!r}",
             scanned,
         )
-    def off_target(b: float) -> float:
-        return plus_value(b) - target
-
-    # The target value moves by ~1e6 per unit b, so the bisected interval
-    # alone leaves a visible residual; a secant polish removes it.
-    b_star = bisect(off_target, hit[0], hit[1], rtol=1e-12)
-    b_star = newton_safeguarded(off_target, b_star, bracket=hit, rtol=1e-15)
+    # The target value moves by ~1e6 per unit b: run to rounding level.
+    b_star = newton_safeguarded(off_target, 0.5 * (hit[0] + hit[1]), bracket=hit, rtol=1e-15)
     a_star = trace_roots(b_star)[0]
-    chosen = at(a_star, b_star)
+    chosen = build(a_star, b_star)
     abar_minus = renormalize(chosen, word_minus).abar
     abar_plus = renormalize(chosen, word_plus).abar
 

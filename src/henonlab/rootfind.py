@@ -8,9 +8,11 @@ Newton iteration of ``newton_safeguarded`` (analytic slope, no bracket)
 written inline with the same tolerance, cap and stopping rule, because it
 is called millions of times per tangency search.  The fold-tangency solves
 of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
-cross-map jets; the secant update and the finite-difference Jacobian serve
-targets with no derivative at hand, such as the parameter roots of
-``renorm.solve_mu_zero`` and ``renorm.double_tangency``.
+cross-map jets.  Each parameter root of ``renorm.solve_mu_zero`` and
+``renorm.twin_find`` is one bracketed secant solve, and
+``renorm.double_tangency`` uses the finite-difference Jacobian.  Plain
+``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
+and the window edges of ``renorm.renorm_window``.
 """
 
 from __future__ import annotations

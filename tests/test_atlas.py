@@ -668,6 +668,23 @@ class TestEmbedCompare:
         with pytest.raises(DomainError):
             sweep("embed-compare", 2, 2, params={"words": ("c1",)})
 
+    def test_odd_m_default_seed_keeps_b_power(self):
+        default = sweep("embed-compare", 6, 5, params={"m": 3}, workers=1)
+        seeded = sweep("embed-compare", 6, 5, workers=1, params={
+            "m": 3, "seed": (-1.8665368062, -(2.44311150e-3) ** (1.0 / 3.0))})
+        TestOrbitKernelOracle.assert_same_bytes(default.tags, default.values,
+                                                (seeded.tags, seeded.values))
+        assert not np.any(default.tags == TAG_ERROR)
+
+    def test_even_m_default_seed_is_domain_error(self):
+        with pytest.raises(DomainError, match="--seed"):
+            sweep("embed-compare", 2, 2, params={"m": 2}, workers=1)
+
+    def test_even_m_explicit_seed_runs(self):
+        r = sweep("embed-compare", 2, 2, params={"m": 2, "seed": (-1.8665368062, 0.05)},
+                  workers=1)
+        assert r.tags.shape == (2, 2)
+
 
 EMBED_ORACLE_CASES = [
     pytest.param(21, 21, None, {}, id="default-21x21"),

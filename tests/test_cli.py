@@ -72,6 +72,16 @@ class TestReports:
         assert "M = 5" in out
         assert "bbar = 0.001" in out
 
+    def test_twin_report_pins(self, capsys):
+        rc, out, _ = call(capsys, "twin", "--target", "-0.5")
+        assert rc == 0
+        report = dict(line.split(" = ", 1) for line in out.splitlines()
+                      if not line.startswith("cycle "))
+        assert report["periods"] == "5, 11"
+        assert float(report["a"]) == pytest.approx(-1.86583322066959, rel=1e-12)
+        assert float(report["b"]) == pytest.approx(0.0023762018982587, rel=1e-12)
+        assert float(report["abar_plus"]) == pytest.approx(-0.5, abs=1e-9)
+
     def test_attractors_report(self, capsys):
         rc, out, _ = call(capsys, "attractors", "--a", "-0.5", "--b", "0.1")
         assert rc == 0
@@ -191,6 +201,7 @@ class TestExitCodes:
         ("henon-atlas", "--kernel", "renorm-strip", "--grid", "2x2", "--m", "0"),
         ("embed-swallow", "--grid", "2x2", "--m", "0"),
         ("embed-swallow", "--grid", "3x3", "--words", "c1;zz"),
+        ("embed-swallow", "--grid", "3x3", "--m", "2"),
         ("henon-atlas", "--kernel", "renorm-strip", "--word", "zz"),
         ("renorm", "--a", "-1.86", "--b", "2", "--m", "2000"),
         ("twin", "--b-hat", "0"),
@@ -442,6 +453,21 @@ def _embed_invocation(draw):
     ]
 
 
+@st.composite
+def _twin_invocation(draw):
+    """Full twin solves: targets inside and outside the attracting range,
+    both orientations of b, two cascade indices and short curve scans."""
+    target = draw(st.one_of(
+        st.floats(-3.0, 1.0, allow_nan=False).map(repr), _BAD_VALUES
+    ))
+    return [
+        "twin", f"--target={target}",
+        f"--b-hat={draw(st.sampled_from([1e-3, -1e-3, 1e-2, -1e-2, 3e-2]))}",
+        f"--k={draw(st.sampled_from([1, 2]))}",
+        f"--samples={draw(st.integers(2, 9))}",
+    ]
+
+
 def _assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -465,4 +491,10 @@ def test_henon_atlas_never_crashes(argv):
 @settings(max_examples=40, deadline=None)
 @given(argv=_embed_invocation())
 def test_embed_swallow_never_crashes(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=20, deadline=None)
+@given(argv=_twin_invocation())
+def test_twin_never_crashes(argv):
     _assert_clean_exit(argv)

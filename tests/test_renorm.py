@@ -2,6 +2,7 @@
 
 import functools
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,8 @@ from henonlab.renorm import (
     solve_mu_zero,
     twin_find,
 )
-from henonlab.rootfind import _fd_jacobian
+from henonlab import renorm
+from henonlab.rootfind import _fd_jacobian, bisect, newton_safeguarded
 
 A1, A2 = special_parameters()
 
@@ -555,6 +557,108 @@ class TestTwin:
         assert long_cycle.spectral_radius == pytest.approx(
             math.sqrt(3.0) - 1.0, abs=1e-3
         )
+
+
+def _scan_bisect_polish(build, word, a_lo, a_hi, coarse=24):
+    """Oracle for ``solve_mu_zero``: the coarse scan, bisection to 1e-11
+    and secant polish it replaced.  Also returns the number of coarse cells
+    whose ends change sign or start at an exact zero."""
+
+    def mu(a: float) -> float:
+        return find_tangency(factorize_chain(build(a), word)).mu
+
+    grid = [a_lo + (a_hi - a_lo) * k / coarse for k in range(coarse + 1)]
+    values = [(a, mu(a)) for a in grid]
+    cells = list(zip(values, values[1:]))
+    changes = sum(1 for (_, m0), (_, m1) in cells if m0 == 0.0 or m0 * m1 < 0.0)
+    for (a0, m0), (a1, m1) in cells:
+        if m0 == 0.0:
+            return a0, changes
+        if m0 * m1 < 0.0:
+            root = bisect(mu, a0, a1, rtol=1e-11)
+            return newton_safeguarded(mu, root, bracket=(a0, a1), rtol=1e-15), changes
+    raise ConvergenceError(f"defect of {word!r} has no root in [{a_lo!r}, {a_hi!r}]")
+
+
+def _recorded_twin(b_hat: float):
+    """Default twin search at (k, j) = (1, 0), recording every
+    ``solve_mu_zero`` window and counting the maps built."""
+    windows, builds = [], [0]
+    solve = renorm.solve_mu_zero
+
+    def recording(build, word, a_lo, a_hi, coarse=24):
+        windows.append((build, word, a_lo, a_hi, coarse))
+        return solve(build, word, a_lo, a_hi, coarse)
+
+    def build(a: float, b: float) -> HenonMap:
+        builds[0] += 1
+        return HenonMap(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renorm, "solve_mu_zero", recording)
+        twin_find(build, k=1, j=0, b_hat=b_hat)
+    return windows, builds[0]
+
+
+@pytest.fixture(scope="module", params=[1e-2, -1e-2], ids=["b_hat+", "b_hat-"])
+def recorded_twin(request):
+    return _recorded_twin(request.param)
+
+
+def _renorm_windows(flat_roots):
+    """The flat_roots windows and the a_star windows of renorm_window."""
+    windows, hi = [], -1.82
+    for k, root in enumerate(flat_roots, start=1):
+        windows.append((build_flat, f"c{k}", A2 + 1e-7, hi, 48))
+        hi = root - 1e-9
+    for b in (0.0, 1e-3, -1e-3):
+        for a_lo in (-1.8646, -1.8645):
+            windows.append((lambda a, b=b: HenonMap(a, b), "c1", a_lo, -1.8580, 24))
+    return windows
+
+
+class TestParameterRootOracle:
+    """One bracketed secant per window gives the scan oracle's root."""
+
+    @staticmethod
+    def assert_matches_oracle(windows):
+        for build, word, a_lo, a_hi, coarse in windows:
+            expected, changes = _scan_bisect_polish(build, word, a_lo, a_hi, coarse)
+            assert changes == 1, (word, a_lo, a_hi)
+            root = solve_mu_zero(build, word, a_lo, a_hi, coarse)
+            assert abs(root - expected) <= 2.0 * math.ulp(expected), (word, a_lo, a_hi)
+
+    def test_twin_windows(self, recorded_twin):
+        windows, _ = recorded_twin
+        assert len(windows) > 50
+        self.assert_matches_oracle(windows)
+
+    def test_flat_and_renorm_windows(self, flat_roots):
+        self.assert_matches_oracle(_renorm_windows(flat_roots))
+
+    def test_at_most_eight_maps_per_root(self, recorded_twin):
+        windows, builds = recorded_twin
+        assert builds <= 8 * len(windows)
+
+    @staticmethod
+    def solve_with_defect(monkeypatch, defect, coarse=24):
+        monkeypatch.setattr(renorm, "factorize_chain", lambda f, word: f)
+        monkeypatch.setattr(renorm, "find_tangency", lambda a: SimpleNamespace(mu=defect(a)))
+        return solve_mu_zero(lambda a: a, "c1", 0.0, 1.0, coarse)
+
+    def test_exact_zero_at_an_end(self, monkeypatch):
+        assert self.solve_with_defect(monkeypatch, lambda a: a) == 0.0
+        assert self.solve_with_defect(monkeypatch, lambda a: a - 1.0) == 1.0
+
+    def test_unbracketed_ends_take_first_coarse_root(self, monkeypatch):
+        root = self.solve_with_defect(monkeypatch, lambda a: (a - 0.3) * (a - 0.7))
+        assert root == pytest.approx(0.3, abs=1e-15)
+        # a root on a grid point is returned as it stands
+        assert self.solve_with_defect(monkeypatch, lambda a: (a - 0.25) * (a - 0.7)) == 0.25
+
+    def test_unbracketed_ends_without_root_raise(self, monkeypatch):
+        with pytest.raises(ConvergenceError, match="no root"):
+            self.solve_with_defect(monkeypatch, lambda a: (a - 0.5) ** 2 + 1e-3)
 
 
 @pytest.fixture(scope="module")
