@@ -549,18 +549,21 @@ def _embed_jacobian(x, anchors, base, words, m):
     ), anchors
 
 
-def _embed_solve(target, x, anchors, J, cfg, max_iter=12):
+def _embed_solve(target, x, anchors, J, cfg, max_iter=12, md=None):
     """Track the map whose rescaled parameters hit ``target``.
 
     Damped Newton with a frozen Jacobian, refreshed only when the iteration
-    struggles; every evaluation reuses the previous tangency anchors.
+    struggles; every evaluation reuses the previous tangency anchors.  ``md``
+    is the renormalization already solved at the starting ``x`` (with
+    ``anchors`` its anchors), such as the last solve of the previous pixel;
+    when given, it stands in for the first evaluation.
     Returns (ok, x, anchors, J, md).
     """
     words, m, tol = cfg["words"], cfg["m"], cfg["tol"]
-    md = None
     try:
         for attempt in range(max_iter):
-            md, anchors = _embed_eval(x, anchors, words, m)
+            if attempt > 0 or md is None:
+                md, anchors = _embed_eval(x, anchors, words, m)
             g = (md.abar[0] - target[0], md.abar[1] - target[1])
             if max(abs(g[0]), abs(g[1])) <= tol:
                 return True, x, anchors, J, md
@@ -589,16 +592,17 @@ def _embed_row_states(a_targets, b_targets, cfg):
     sweeps parallelize without changing any pixel.
     """
     x = cfg["seed"]
-    anchors = None
-    J = None
+    anchors = md = J = None
     states = []
     for i in range(b_targets.size):
         target = (float(a_targets[0]), float(b_targets[i]))
-        ok, x_new, anchors_new, J, _ = _embed_solve(
-            target, x, anchors, J, cfg, max_iter=40
+        ok, x_new, anchors_new, J, md_new = _embed_solve(
+            target, x, anchors, J, cfg, max_iter=40, md=md
         )
         if ok:
-            x, anchors = x_new, anchors_new
+            x, anchors, md = x_new, anchors_new, md_new
+        else:
+            md = None
         states.append((x, anchors, J))
     return states
 
@@ -618,11 +622,12 @@ def _block_embed_compare(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple
     n_composed, r_esc = cfg["steps"], cfg["radius"]
     tracked, orbits = [], []
     for k, (x, anchors, J) in enumerate(params["_embed_states"]):
+        md = None
         for j in range(a.size):
             target = (float(a[j]), float(b[k]))
-            ok, x_new, anchors_new, J, md = _embed_solve(target, x, anchors, J, cfg)
+            ok, x_new, anchors_new, J, md = _embed_solve(target, x, anchors, J, cfg, md=md)
             if not ok:
-                J = None
+                J = md = None
                 continue
             x, anchors = x_new, anchors_new
             tracked.append(k * a.size + j)

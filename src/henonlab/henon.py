@@ -54,6 +54,13 @@ class Field2:
     dxv: Callable[[float, float], float] = _zero
     dvv: Callable[[float, float], float] = _zero
 
+    def __reduce_ex__(self, protocol):
+        # The chain solvers test ``zeta is ZERO_FIELD``, so the zero field
+        # must come back from a pickle as the module singleton.
+        if self is ZERO_FIELD:
+            return "ZERO_FIELD"
+        return super().__reduce_ex__(protocol)
+
 
 ZERO_FIELD = Field2()
 

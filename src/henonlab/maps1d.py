@@ -201,6 +201,21 @@ def _midpoint_signs(a: float, x: float, n: int) -> tuple[int, ...]:
     return tuple(signs)
 
 
+def _factor(token: str, a: float, lad: QuadraticLadder, built: dict[str, Piece1D]) -> Piece1D:
+    """The piece of one token, built at most once per word: ``built`` holds
+    the pieces made so far, shared by the c and boundary builders."""
+    piece = built.get(token)
+    if piece is None:
+        if token.startswith("c"):
+            piece = _c_piece(int(token[1:]), a, lad, built)
+        elif token.startswith("bm") or token.startswith("bp"):
+            piece = _boundary_piece(token, a, lad, built)
+        else:
+            piece = _base_piece(token, a, lad)
+        built[token] = piece
+    return piece
+
+
 def _base_piece(token: str, a: float, lad: QuadraticLadder) -> Piece1D:
     l, req = lad, lad.require
     if token == "e":
@@ -217,8 +232,6 @@ def _base_piece(token: str, a: float, lad: QuadraticLadder) -> Piece1D:
         seg, n = (req("tilde_alpha2"), l.alpha0), 2
     elif token == "s-":
         seg, n = (-l.alpha0, -req("tilde_alpha2")), 2
-    elif token.startswith("bm") or token.startswith("bp"):
-        return _boundary_piece(token, a, lad)
     else:
         raise WordError(f"unknown token {token!r}")
     lo, hi = seg
@@ -227,21 +240,24 @@ def _base_piece(token: str, a: float, lad: QuadraticLadder) -> Piece1D:
     return Piece1D((token,), a, lo, hi, n, _midpoint_signs(a, mid, n), img[0], img[1])
 
 
-def _c_piece(k: int, a: float, lad: QuadraticLadder) -> Piece1D:
-    piece = _base_piece("w=", a, lad)
-    if k >= 1:
-        piece = star(piece, _base_piece("s+", a, lad))
-    for _ in range(k - 1):
-        piece = star(piece, _base_piece("s-", a, lad))
+def _c_piece(k: int, a: float, lad: QuadraticLadder, built: dict[str, Piece1D]) -> Piece1D:
+    """c0 = w=, c1 = c0 * s+ and c_i = c_{i-1} * s-; each level is kept in
+    ``built``."""
+    piece = _factor("w=", a, lad, built)
+    for i in range(1, k + 1):
+        key = f"c{i}"
+        if key not in built:
+            built[key] = star(piece, _factor("s+" if i == 1 else "s-", a, lad, built))
+        piece = built[key]
     return piece
 
 
-def _boundary_piece(token: str, a: float, lad: QuadraticLadder) -> Piece1D:
+def _boundary_piece(token: str, a: float, lad: QuadraticLadder, built: dict[str, Piece1D]) -> Piece1D:
     """Piece over the gap between consecutive c_j segments, pulled back one
     step on the negative (bm) or positive (bp) branch."""
     j = int(token[2:])
-    cj = _c_piece(j, a, lad)
-    cj1 = _c_piece(j + 1, a, lad)
+    cj = _c_piece(j, a, lad, built)
+    cj1 = _c_piece(j + 1, a, lad, built)
     gap_lo, gap_hi = cj1.hi, cj.hi
     if gap_hi - gap_lo <= 0.0:
         raise ProductError(f"empty gap between c{j} and c{j + 1} at a={a!r}")
@@ -305,12 +321,10 @@ def piece_1d(word: str | Sequence[str], a: float) -> Piece1D:
     """Build the 1-D piece of a word at parameter a."""
     tokens = parse_word(word) if isinstance(word, str) else tuple(word)
     lad = ladder(a)
+    built: dict[str, Piece1D] = {}
     piece: Piece1D | None = None
     for token in tokens:
-        if token.startswith("c"):
-            factor = _c_piece(int(token[1:]), a, lad)
-        else:
-            factor = _base_piece(token, a, lad)
+        factor = _factor(token, a, lad, built)
         piece = factor if piece is None else star(piece, factor)
     assert piece is not None
     return piece

@@ -340,10 +340,15 @@ def solve_mu_zero(
     cells whose ends do.  One bracketed secant from the middle of that
     bracket runs to rounding level, since downstream quantities amplify
     parameter error by up to ~1e6; a window centred on a nearby root is a
-    warm start."""
+    warm start.  Each defect evaluation seeds its tangency search with the
+    anchor of the previous one (the first with 0.0)."""
+    anchor = 0.0
 
     def mu(a: float) -> float:
-        return find_tangency(factorize_chain(build(a), word)).mu
+        nonlocal anchor
+        t = find_tangency(factorize_chain(build(a), word), seed=anchor)
+        anchor = t.c
+        return t.mu
 
     def root_in(a0: float, a1: float) -> float:
         return newton_safeguarded(mu, 0.5 * (a0 + a1), bracket=(a0, a1), rtol=1e-15)
@@ -709,12 +714,17 @@ def twin_find(
 
     sign = 1.0 if b_hat >= 0.0 else -1.0
     mag = abs(b_hat)
-    state = {"am": a_m, "ap": a_p}
+    a_min, a_max = min(a_range), max(a_range)
+    state = {"am": a_m, "ap": a_p, "b": 0.0}
 
     def trace_roots(b: float) -> tuple[float, float]:
+        # The root curves move about 2.1 (c1) and 2.5 (c1,bm0,bm0) in a per
+        # unit b, so the window around the last root grows with the b step.
+        half = 4e-3 + 4.0 * abs(b - state["b"])
         for key, word in (("am", word_minus), ("ap", word_plus)):
-            state[key] = solve_mu_zero(lambda a: build(a, b), word,
-                                       state[key] - 4e-3, state[key] + 4e-3, coarse=12)
+            lo, hi = max(state[key] - half, a_min), min(state[key] + half, a_max)
+            state[key] = solve_mu_zero(lambda a: build(a, b), word, lo, hi, coarse=12)
+        state["b"] = b
         return state["am"], state["ap"]
 
     def gap(b: float) -> float:

@@ -9,8 +9,11 @@ written inline with the same tolerance, cap and stopping rule, because it
 is called millions of times per tangency search.  The fold-tangency solves
 of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
 cross-map jets.  Each parameter root of ``renorm.solve_mu_zero`` and
-``renorm.twin_find`` is one bracketed secant solve, and
-``renorm.double_tangency`` uses the finite-difference Jacobian.  Plain
+``renorm.twin_find`` is one bracketed secant solve, whose first secant
+partner is a bracket end, and ``renorm.double_tangency`` uses the
+finite-difference Jacobian.  ``newton2`` takes a step already within
+tolerance whole, so the tracked anchor solves of ``atlas``, which start
+from the last solution, cost two evaluations when it still holds.  Plain
 ``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
 and the window edges of ``renorm.renorm_window``.
 """
@@ -74,7 +77,9 @@ def newton_safeguarded(
 ) -> float:
     """Newton iteration falling back to bisection inside an optional bracket.
 
-    Without ``df`` a secant update is used. When a bracket is supplied the
+    Without ``df`` a secant update is used; its first partner is the bracket
+    end whose sign differs from f(x0) when a bracket is supplied, and a point
+    1e-8 (relative) beside x0 otherwise. When a bracket is supplied the
     iterate is confined to it (bisection step whenever Newton exits or the
     derivative degenerates) and the bracket shrinks around the sign change;
     without one, a degenerate derivative is a ``ConvergenceError``.
@@ -94,7 +99,11 @@ def newton_safeguarded(
     fx = f(x)
     if fx == 0.0:
         return x
-    x_prev, f_prev = x + max(1e-8, 1e-8 * abs(x)), None
+    if lo is not None and df is None:
+        # the bracket end across the sign change is a free secant partner
+        x_prev, f_prev = (lo, flo) if (fx > 0.0) != (flo > 0.0) else (hi, fhi)
+    else:
+        x_prev, f_prev = x + max(1e-8, 1e-8 * abs(x)), None
 
     for _ in range(max_iter):
         if df is not None:
@@ -142,7 +151,9 @@ def newton2(
 
     The finite-difference Jacobian uses central differences with a step
     scaled by the iterate. Damping halves the step (up to 8 times) while the
-    residual norm fails to decrease.
+    residual norm fails to decrease, except for a step already within
+    ``rtol``, which is taken whole: at the rounding floor the residual cannot
+    decrease, so from a converged seed the solve costs two evaluations of F.
     """
     x = [float(x0[0]), float(x0[1])]
     fx = F(x)
@@ -158,11 +169,12 @@ def newton2(
         dx0 = (fx[0] * J[1][1] - fx[1] * J[0][1]) / det
         dx1 = (fx[1] * J[0][0] - fx[0] * J[1][0]) / det
 
+        whole = _converged(max(abs(dx0), abs(dx1)), max(abs(x[0]), abs(x[1])), rtol)
         scale = 1.0
         for _ in range(8):
             cand = [x[0] - scale * dx0, x[1] - scale * dx1]
             f_cand = F(cand)
-            if max(abs(f_cand[0]), abs(f_cand[1])) < rnorm or scale <= 1.0 / 256:
+            if whole or max(abs(f_cand[0]), abs(f_cand[1])) < rnorm or scale <= 1.0 / 256:
                 break
             scale *= 0.5
         x_prev = list(x)

@@ -34,7 +34,7 @@ from henonlab.atlas import (
 from henonlab.errors import DomainError
 from henonlab.henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
 from henonlab.maps1d import swallow_classify
-from henonlab.renorm import renormalize
+from henonlab.renorm import multi_renormalize, renormalize
 
 
 def make_raster(tags, values, kernel="henon-lyap", a_range=(0.0, 1.0), b_range=(0.0, 1.0)):
@@ -245,9 +245,24 @@ def _embed_direct_bounded(md, x, m, n_composed, r_esc):
     return True
 
 
+def _embed_row_states(a_targets, b_targets, cfg):
+    """The left-edge walk that solves every row's starting pixel afresh."""
+    x, anchors, J = cfg["seed"], None, None
+    states = []
+    for i in range(b_targets.size):
+        target = (float(a_targets[0]), float(b_targets[i]))
+        ok, x_new, anchors_new, J, _ = atlas._embed_solve(target, x, anchors, J, cfg,
+                                                          max_iter=40)
+        if ok:
+            x, anchors = x_new, anchors_new
+        states.append((x, anchors, J))
+    return states
+
+
 def _row_embed_compare(a, b, cfg, state):
     """One embed-compare row pixel by pixel: track, then the scalar swallow
-    classifier and the scalar direct orbit."""
+    classifier and the scalar direct orbit.  Every track starts with a fresh
+    renormalization at its starting point."""
     x, anchors, J = state
     tags = np.full(a.size, TAG_ERROR, dtype=np.uint8)
     values = np.zeros(a.size)
@@ -706,7 +721,7 @@ class TestEmbedCompareOracle:
         cfg = atlas._embed_config(params)
         a = atlas._a_centers(a_range, width)
         b = atlas._b_centers(b_range, height)
-        states = atlas._embed_row_states(a, b, cfg)
+        states = _embed_row_states(a, b, cfg)
         rows = [_row_embed_compare(a, float(b[i]), cfg, states[i]) for i in range(height)]
         return np.stack([t for t, _ in rows]), np.stack([v for _, v in rows])
 
@@ -717,6 +732,37 @@ class TestEmbedCompareOracle:
             r = sweep("embed-compare", width, height, a_range=window, b_range=window,
                       params=params, workers=workers)
             TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values, expected)
+
+    def test_tracks_reuse_the_last_renormalization(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return multi_renormalize(*args, **kwargs)
+
+        monkeypatch.setattr(atlas, "multi_renormalize", counted)
+        r = sweep("embed-compare", 21, 21, workers=1)
+        assert np.count_nonzero(r.tags == TAG_ERROR) == 0
+        # 1,343 when every pixel solved its starting point again
+        assert len(calls) <= 950
+
+    def test_fresh_evaluation_after_a_failed_track(self, monkeypatch):
+        a = atlas._a_centers(atlas.DEFAULT_RANGES["embed-compare"][0], 5)
+        given = []
+        solve = atlas._embed_solve
+
+        def fail_middle_column(target, x, anchors, J, cfg, max_iter=12, md=None):
+            ok, *rest = solve(target, x, anchors, J, cfg, max_iter=max_iter, md=md)
+            if max_iter == 40:
+                return (ok, *rest)
+            given.append(md is not None)
+            return (ok and target[0] != a[2], *rest)
+
+        monkeypatch.setattr(atlas, "_embed_solve", fail_middle_column)
+        r = sweep("embed-compare", 5, 2, workers=1)
+        assert [list(row).count(TAG_ERROR) for row in r.tags] == [1, 1]
+        # each row's first pixel and the pixel after the failed one start afresh
+        assert given == [False, True, True, False, True] * 2
 
     def test_cases_reach_every_exit(self):
         counts = {}

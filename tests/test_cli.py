@@ -82,6 +82,20 @@ class TestReports:
         assert float(report["b"]) == pytest.approx(0.0023762018982587, rel=1e-12)
         assert float(report["abar_plus"]) == pytest.approx(-0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("args", [
+        ("--samples", "3"),
+        ("--b-hat", "0.03"),
+        ("--k", "2"),
+        ("--k", "2", "--b-hat", "-0.01"),
+    ])
+    def test_coarse_twin_scans_keep_the_roots(self, capsys, args):
+        # each scan step moves the roots farther than the base window
+        rc, out, err = call(capsys, "twin", *args)
+        assert rc == 0, err
+        radii = [float(line.split("spectral radius = ")[1].split(",")[0])
+                 for line in out.splitlines() if line.startswith("cycle period")]
+        assert len(radii) == 2 and max(radii) < 1.0
+
     def test_attractors_report(self, capsys):
         rc, out, _ = call(capsys, "attractors", "--a", "-0.5", "--b", "0.1")
         assert rc == 0

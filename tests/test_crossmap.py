@@ -1,6 +1,7 @@
 """Tests for cross-map chains: solves, oracles, derivatives, margins."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from henonlab.crossmap import (
 )
 from henonlab.errors import BranchError, ConvergenceError, DomainError, NonMonotoneError
 from henonlab.henon import (
+    ZERO_FIELD,
     Field2,
     HenonMap,
     apply_map,
@@ -489,3 +491,26 @@ class TestInlineSolveOracle:
             assert (std.A, std.B, std.x_path, std.y_path, std.sweeps) == (
                 hooked.A, hooked.B, hooked.x_path, hooked.y_path, hooked.sweeps
             )
+
+
+class TestPickledMaps:
+    """A map or chain sent to a pool worker keeps the unhooked solve."""
+
+    def test_zero_field_unpickles_as_the_singleton(self):
+        f = pickle.loads(pickle.dumps(HenonMap(-1.8, 1e-3)))
+        assert f.zeta is ZERO_FIELD and f.xi is ZERO_FIELD
+        assert f.normalized
+        assert pickle.loads(pickle.dumps(Field2())) == Field2()
+
+    @pytest.mark.parametrize("word", ["c1", "c1,bm0,bm0"])
+    def test_eval_cross_bit_identical_after_pickling(self, word):
+        f = HenonMap(-1.8665368062, -2.4431115e-3)
+        chain = factorize_chain(f, word)
+        copies = (factorize_chain(pickle.loads(pickle.dumps(f)), word),
+                  pickle.loads(pickle.dumps(chain)))
+        for x1 in linspace(-0.2, 0.2, 5):
+            for y0 in linspace(-0.1, 0.1, 3):
+                expected = repr(eval_cross(chain, x1, y0))
+                for copy in copies:
+                    assert copy.henon.zeta is ZERO_FIELD
+                    assert repr(eval_cross(copy, x1, y0)) == expected

@@ -7,6 +7,7 @@ themselves (the independent oracle for the ladder and the small pieces).
 import math
 
 import pytest
+from henonlab import maps1d
 from hypothesis import given, settings, strategies as st
 
 from henonlab.errors import DomainError, LadderError, ProductError, WordError
@@ -233,6 +234,75 @@ def test_twin_word_order():
     for k, j in ((1, 0), (2, 1), (3, 2)):
         p = piece_1d(f"c{k},bm{j},bm0", a)
         assert p.order == 2 * k + 2 * j + 8
+
+
+def _rebuilt_c_piece(k, a, lad):
+    piece = maps1d._base_piece("w=", a, lad)
+    if k >= 1:
+        piece = star(piece, maps1d._base_piece("s+", a, lad))
+    for _ in range(k - 1):
+        piece = star(piece, maps1d._base_piece("s-", a, lad))
+    return piece
+
+
+def _rebuilt_boundary_piece(token, a, lad):
+    j = int(token[2:])
+    cj = _rebuilt_c_piece(j, a, lad)
+    cj1 = _rebuilt_c_piece(j + 1, a, lad)
+    gap_lo, gap_hi = cj1.hi, cj.hi
+    if gap_hi - gap_lo <= 0.0:
+        raise ProductError(f"empty gap between c{j} and c{j + 1} at a={a!r}")
+    lo_r, hi_r = gap_hi - a, gap_lo - a
+    if hi_r < 0.0:
+        raise LadderError(f"gap preimage does not exist at a={a!r}")
+    lo_r = max(lo_r, 0.0)
+    if token.startswith("bm"):
+        lo, hi = -math.sqrt(lo_r), -math.sqrt(hi_r)
+    else:
+        lo, hi = math.sqrt(hi_r), math.sqrt(lo_r)
+        lo, hi = min(lo, hi), max(lo, hi)
+    n = cj.order + 1
+    if j == 0:
+        img = (-lad.alpha0, lad.require("tilde_alpha2"))
+    else:
+        img = (-lad.require("tilde_alpha2"), lad.alpha0)
+    mid = 0.5 * (lo + hi)
+    return maps1d.Piece1D((token,), a, lo, hi, n, maps1d._midpoint_signs(a, mid, n),
+                          img[0], img[1])
+
+
+def _rebuilt_piece(word, a):
+    """The builder that makes every factor afresh, token by token."""
+    lad = ladder(a)
+    piece = None
+    for token in parse_word(word):
+        if token.startswith("c"):
+            factor = _rebuilt_c_piece(int(token[1:]), a, lad)
+        elif token.startswith("b"):
+            factor = _rebuilt_boundary_piece(token, a, lad)
+        else:
+            factor = maps1d._base_piece(token, a, lad)
+        piece = factor if piece is None else star(piece, factor)
+    return piece
+
+
+def _outcome(build, word, a):
+    try:
+        return repr(build(word, a))
+    except (LadderError, ProductError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("word", ["c1", "c2", "c1,bm0", "c1,bm0,bm0", "c2,bp1,bm0"])
+def test_shared_factors_build_the_same_piece(word):
+    # -1.7 has no gap preimage, -0.25 no tilde_alpha2 and 0.0 an empty gap
+    kinds = set()
+    for a in (-1.95, -1.8665368062, -1.7, -0.25, 0.0):
+        expected = _outcome(_rebuilt_piece, word, a)
+        assert _outcome(piece_1d, word, a) == expected
+        kinds.add(expected.split("(")[0].split(":")[0])
+    assert {"Piece1D", "LadderError"} <= kinds
+    assert ("ProductError" in kinds) == ("b" in word)
 
 
 def test_parse_word_errors():

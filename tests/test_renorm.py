@@ -639,7 +639,8 @@ class TestParameterRootOracle:
     @staticmethod
     def solve_with_defect(monkeypatch, defect):
         monkeypatch.setattr(renorm, "factorize_chain", lambda f, word: f)
-        monkeypatch.setattr(renorm, "find_tangency", lambda a: SimpleNamespace(mu=defect(a)))
+        monkeypatch.setattr(renorm, "find_tangency",
+                            lambda a, seed=0.0: SimpleNamespace(mu=defect(a), c=seed))
         return solve_mu_zero(lambda a: a, "c1", 0.0, 1.0)
 
     def test_exact_zero_at_an_end(self, monkeypatch):

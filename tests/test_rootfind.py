@@ -66,3 +66,38 @@ def test_newton2_intersection():
     )
     assert abs(sol[0] - math.sqrt(2.0)) < 1e-10
     assert abs(sol[1] - math.sqrt(2.0)) < 1e-10
+
+
+class _Counted:
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def test_bracketed_secant_partners_the_opposite_end():
+    # two end checks and x0; the secant through x0 and the end across the
+    # sign change lands on the root of a line, so no fifth evaluation
+    f = _Counted(lambda x: 3.0 * x - 1.0)
+    root = newton_safeguarded(f, 0.5, bracket=(0.0, 1.0))
+    assert root == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert f.calls == 4
+    f = _Counted(lambda x: 1.0 - 3.0 * x)
+    assert newton_safeguarded(f, 0.2, bracket=(0.0, 1.0)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert f.calls == 4
+
+
+def test_newton2_from_converged_seed_takes_the_step_whole():
+    def F(v):
+        return (v[0] ** 2 + v[1] ** 2 - 4.0, v[1] - v[0])
+
+    def J(v):
+        return ((2.0 * v[0], 2.0 * v[1]), (-1.0, 1.0))
+
+    root = newton2(F, (1.0, 1.5), jac=J)
+    counted = _Counted(F)
+    again = newton2(counted, root, jac=J)
+    assert counted.calls <= 2
+    assert max(abs(again[0] - root[0]), abs(again[1] - root[1])) <= 1e-12 * 2.0
