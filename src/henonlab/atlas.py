@@ -8,10 +8,14 @@ predictions and direct two-dimensional orbits.  The five orbit kernels
 (both composed-quadratic kernels, the Henon kernels on maps without hooks,
 and the two orbit checks of embed-compare) iterate a whole block of rows
 per numpy step on one compacting loop; the others go pixel by pixel, one
-row per task.  A raster is a pure function of its configuration: payloads
-never depend on worker count, block size or evaluation order, so re-runs
-are byte-identical.  PPM colours come from per-tag palettes applied to the
-whole tag and value arrays.
+row per task.  On that loop the three escape kernels (swallow-escape,
+henon-escape and the embed-compare checks) also retire an orbit whose
+position repeats bit for bit, which is exact because each step is a pure
+function of the position; the exponent kernels run every step, since their
+payload sums a term per step.  A raster is a pure function of its
+configuration: payloads never depend on worker count, block size or
+evaluation order, so re-runs are byte-identical.  PPM colours come from
+per-tag palettes applied to the whole tag and value arrays.
 """
 
 from __future__ import annotations
@@ -224,7 +228,7 @@ _COLORMAP_NOTES: dict[str, str] = {
 _BLOCK_PIXELS = 1 << 14
 
 
-def _run_orbits(advance, state: tuple[np.ndarray, ...], n_steps: int):
+def _run_orbits(advance, state: tuple[np.ndarray, ...], n_steps: int, position: int = 0):
     """Iterate per-orbit state up to n_steps, dropping orbits as they leave.
 
     ``state`` holds equal-length arrays, the orbit parameters included, so
@@ -234,24 +238,52 @@ def _run_orbits(advance, state: tuple[np.ndarray, ...], n_steps: int):
     died.  Returns (left, dead, live, state): the step at which each orbit
     left (0 if it did not), the dead mask, the indices of the orbits still
     live after n_steps, and their state.
+
+    With ``position`` > 0 the first ``position`` state arrays are the orbit's
+    position and the others stay constant, and each step, its leave test
+    included, depends on nothing but the position and those constants.  Then
+    an orbit also retires, keeping ``left`` 0, when its position repeats bit
+    for bit the one saved at the last power-of-two step, the start counting
+    as step 0 (Brent's cycle detection).  A repeat at step k of the position
+    of step s means that steps s+1..k, all of which stayed, recur forever, so
+    the full loop would report 0 as well.  Positions are compared as int64
+    bit patterns: equal bits give equal steps, NaNs included.  An orbit that
+    leaves on the step its position repeats still records that step.  The
+    exponent kernels keep position 0, as their payload sums a term over every
+    one of the n_steps steps.
     """
     size = state[0].size
     left = np.zeros(size, dtype=np.int64)
     dead = np.zeros(size, dtype=bool)
     live = np.arange(size)
+    marks = _position_bits(state, position)
     with np.errstate(all="ignore"):
         for step in range(1, n_steps + 1):
             if not live.size:
                 break
             state, gone, stalled = advance(*state)
-            if gone.any():
+            drop = gone
+            if position:
+                drop = state[0].view(np.int64) == marks[0]
+                for arr, mark in zip(state[1:position], marks[1:]):
+                    drop &= arr.view(np.int64) == mark
+                drop |= gone
+            if drop.any():
                 left[live[gone]] = step
                 if stalled is not None:
                     dead[live[stalled]] = True
-                keep = ~gone
+                keep = ~drop
                 live = live[keep]
                 state = tuple(arr[keep] for arr in state)
+                marks = tuple(mark[keep] for mark in marks)
+            if position and step & (step - 1) == 0:
+                marks = _position_bits(state, position)
     return left, dead, live, state
+
+
+def _position_bits(state: tuple[np.ndarray, ...], position: int) -> tuple[np.ndarray, ...]:
+    """Copies of the first ``position`` state arrays as int64 bit patterns."""
+    return tuple(arr.view(np.int64).copy() for arr in state[:position])
 
 
 def _composed_orbits(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +312,7 @@ def _composed_left(first: np.ndarray, second: np.ndarray, n_max: int, r_esc: flo
         x = x * x + second
         return (x, first, second), escaped | (np.abs(x) > r_esc), None
 
-    return _run_orbits(advance, (np.zeros(first.size), first, second), n_max)[0]
+    return _run_orbits(advance, (np.zeros(first.size), first, second), n_max, position=1)[0]
 
 
 def _block_swallow_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
@@ -400,13 +432,14 @@ def _block_henon_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
     a_px, bm, overflow = _plain_pixels(a, b, params)
 
+    # x itself passed the previous step's test (step 1 starts at 0), so the
+    # escape test needs only the new x
     def advance(x, y, a_px, bm):
         x_new = x * x + a_px - bm * y
-        escaped = np.maximum(np.abs(x_new), np.abs(x)) > r_esc
-        return (x_new, x, a_px, bm), escaped, None
+        return (x_new, x, a_px, bm), np.abs(x_new) > r_esc, None
 
     zeros = np.zeros(a_px.size)
-    left, _, _, _ = _run_orbits(advance, (zeros, zeros, a_px, bm), n_max)
+    left = _run_orbits(advance, (zeros, zeros, a_px, bm), n_max, position=2)[0]
     tags = np.where(left > 0, TAG_ESCAPE, TAG_BOUNDED).astype(np.uint8)
     values = left.astype(np.float64)
     tags[overflow] = TAG_ERROR
@@ -427,8 +460,7 @@ def _block_henon_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np
         total = total + np.log(growth)
         vx, vy = wx / growth, vx / growth
         x_new = x * x + a_px - bm * y
-        escaped = np.maximum(np.abs(x_new), np.abs(x)) > r_esc
-        return (x_new, x, vx, vy, total, a_px, bm), dead | escaped, dead
+        return (x_new, x, vx, vy, total, a_px, bm), dead | (np.abs(x_new) > r_esc), dead
 
     zeros = np.zeros(a_px.size)
     left, dead, live, state = _run_orbits(
@@ -644,7 +676,7 @@ def _block_embed_compare(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple
     tags = np.full(b.size * a.size, TAG_ERROR, dtype=np.uint8)
     values = np.zeros(b.size * a.size)
     if tracked:
-        direct = _run_orbits(advance, tuple(np.array(orbits).T), n_composed)[0] == 0
+        direct = _run_orbits(advance, tuple(np.array(orbits).T), n_composed, position=2)[0] == 0
         first, second = np.tile(a, b.size)[tracked], np.repeat(b, a.size)[tracked]
         predicted = _composed_left(first, second, n_composed, r_esc) == 0
         agree = predicted == direct

@@ -320,13 +320,13 @@ def star(piece: Piece1D, other: Piece1D) -> Piece1D:
 def piece_1d(word: str | Sequence[str], a: float) -> Piece1D:
     """Build the 1-D piece of a word at parameter a."""
     tokens = parse_word(word) if isinstance(word, str) else tuple(word)
+    if not tokens:
+        raise WordError("empty word", 0)
     lad = ladder(a)
     built: dict[str, Piece1D] = {}
-    piece: Piece1D | None = None
-    for token in tokens:
-        factor = _factor(token, a, lad, built)
-        piece = factor if piece is None else star(piece, factor)
-    assert piece is not None
+    piece = _factor(tokens[0], a, lad, built)
+    for token in tokens[1:]:
+        piece = star(piece, _factor(token, a, lad, built))
     return piece
 
 

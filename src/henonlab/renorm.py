@@ -341,7 +341,10 @@ def solve_mu_zero(
     bracket runs to rounding level, since downstream quantities amplify
     parameter error by up to ~1e6; a window centred on a nearby root is a
     warm start.  Each defect evaluation seeds its tangency search with the
-    anchor of the previous one (the first with 0.0)."""
+    anchor of the previous one (the first with 0.0).  The window ends may
+    come in either order but must differ."""
+    if a_lo == a_hi:
+        raise DomainError(f"empty parameter window [{a_lo!r}, {a_hi!r}] for {word!r}")
     anchor = 0.0
 
     def mu(a: float) -> float:

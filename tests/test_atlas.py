@@ -1,5 +1,6 @@
 """Raster kernels, worker determinism, and emission round-trips."""
 
+import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -638,6 +639,148 @@ class TestOrbitKernelOracle:
             assert {TAG_LYAP, TAG_ESCAPE} <= seen[case_id][0]
         assert {TAG_BODY, TAG_WING, TAG_ESCAPE} <= seen["swallow-escape"][0]
         assert not atlas._runs_orbit_kernel("henon-lyap", {"map": "sine-perturbed"})
+
+
+# ---------------------------------------------------------------------------
+# retirement of exactly periodic orbits against the full orbit loop
+# ---------------------------------------------------------------------------
+
+def _full_run_orbits(advance, state, n_steps, position=0):
+    """The orbit loop without retirement: every orbit runs until it leaves or
+    the steps run out, whatever ``position`` says."""
+    size = state[0].size
+    left = np.zeros(size, dtype=np.int64)
+    dead = np.zeros(size, dtype=bool)
+    live = np.arange(size)
+    with np.errstate(all="ignore"):
+        for step in range(1, n_steps + 1):
+            if not live.size:
+                break
+            state, gone, stalled = advance(*state)
+            if gone.any():
+                left[live[gone]] = step
+                if stalled is not None:
+                    dead[live[stalled]] = True
+                keep = ~gone
+                live = live[keep]
+                state = tuple(arr[keep] for arr in state)
+    return left, dead, live, state
+
+
+def _logged_run_orbits(run, log):
+    """``run`` with each advance logged: per step, the orbits advanced and
+    whether any position held a NaN or an infinity."""
+    def logged(advance, state, n_steps, position=0):
+        steps = []
+        log.append(steps)
+
+        def counted(*state):
+            pos = state[:position]
+            steps.append((state[0].size, any(np.isnan(p).any() for p in pos),
+                          any(np.isinf(p).any() for p in pos)))
+            return advance(*state)
+
+        return run(counted, state, n_steps, position)
+    return logged
+
+
+SWALLOW_WINDOW = ((-2.2, 0.6), (-2.2, 0.6))
+
+RETIRE_CASES = [
+    pytest.param("swallow-escape", (-1.42, -1.38), (-1.42, -1.38), {"steps": 2000},
+                 id="swallow-late-marks"),
+    pytest.param("swallow-escape", (0.2495, 0.2501), (0.2495, 0.2501), {"steps": 2000},
+                 id="swallow-parabolic"),
+    pytest.param("swallow-escape", *STEP_ONE_WINDOW, {"steps": 2000, "radius": math.inf},
+                 id="swallow-overflow"),
+    pytest.param("henon-escape", (-1.3, -1.0), (0.2, 0.4), {"steps": 2000}, id="henon-late-marks"),
+    pytest.param("henon-escape", (0.24, 0.2505), (-0.002, 0.002), {"steps": 2000},
+                 id="henon-parabolic"),
+    pytest.param("henon-escape", (-15.0, 2.0), (-0.6, 0.6), {"steps": 2000, "radius": math.inf},
+                 id="henon-nan"),
+    pytest.param("embed-compare", None, None, {"steps": 2000}, id="embed"),
+    pytest.param("embed-compare", None, None, {"steps": 2000, "radius": math.inf},
+                 id="embed-overflow"),
+]
+
+
+class TestOrbitRetirement:
+    """Retiring exactly periodic orbits gives the bytes of the full loop."""
+
+    WIDTH, HEIGHT = 11, 7
+
+    def run(self, monkeypatch, run_orbits, kernel, a_range, b_range, params, size=None):
+        width, height = size or (self.WIDTH, self.HEIGHT)
+        with monkeypatch.context() as mp:
+            mp.setattr(atlas, "_run_orbits", run_orbits)
+            return sweep(kernel, width, height, a_range=a_range, b_range=b_range,
+                         params=params, workers=1)
+
+    @pytest.mark.parametrize("kernel, a_range, b_range, params", RETIRE_CASES)
+    def test_sweep_matches_full_loop(self, monkeypatch, kernel, a_range, b_range, params):
+        full = self.run(monkeypatch, _full_run_orbits, kernel, a_range, b_range, params)
+        for workers in (1, 2, 3):
+            r = sweep(kernel, self.WIDTH, self.HEIGHT, a_range=a_range, b_range=b_range,
+                      params=params, workers=workers)
+            TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values, (full.tags, full.values))
+
+    def test_cases_reach_every_exit(self, monkeypatch):
+        seen = {}
+        for case in RETIRE_CASES:
+            retiring, looping = [], []
+            self.run(monkeypatch, _logged_run_orbits(atlas._run_orbits, retiring), *case.values)
+            self.run(monkeypatch, _logged_run_orbits(_full_run_orbits, looping), *case.values)
+            # orbits advanced per step, the retiring run padded to the full one
+            sizes = [(np.array([s for s, _, _ in r] + [0] * (len(f) - len(r))),
+                      np.array([s for s, _, _ in f])) for r, f in zip(retiring, looping)]
+            seen[case.id] = {
+                # orbits retired after the mark of step 1024
+                "late": any(f[1999] - r[1999] > f[1024] - r[1024]
+                            for r, f in sizes if f.size == 2000),
+                "unsettled": any(len(r) == 2000 for r in retiring),
+                "nan": any(nan for steps in retiring for _, nan, _ in steps),
+                "inf": any(inf for steps in retiring for _, _, inf in steps),
+                "retired": any(r.sum() < f.sum() for r, f in sizes),
+            }
+        assert all(flags["retired"] for flags in seen.values())
+        for case_id in ("swallow-late-marks", "henon-late-marks", "swallow-parabolic"):
+            assert seen[case_id]["late"]
+        for case_id in ("swallow-parabolic", "henon-parabolic"):
+            assert seen[case_id]["unsettled"]
+        assert seen["henon-nan"]["nan"]
+        for case_id in ("swallow-overflow", "henon-nan"):
+            assert seen[case_id]["inf"]
+
+    def test_orbit_leaving_on_a_repeat_records_its_step(self):
+        # a fixed point repeats its start at step 1; outside the radius it leaves there
+        def advance(x, r):
+            x = x + 0.0
+            return (x, r), np.abs(x) > r, None
+
+        state = (np.array([0.5, 2.0, -3.0, np.nan]), np.ones(4))
+        left, _, live, _ = atlas._run_orbits(advance, state, 50, position=1)
+        assert left.tolist() == [0, 1, 1, 0]
+        assert live.size == 0
+        assert left.tolist() == _full_run_orbits(advance, state, 50)[0].tolist()
+
+    def test_figures_swallow_raster_step_count(self, monkeypatch):
+        log = []
+        self.run(monkeypatch, _logged_run_orbits(atlas._run_orbits, log), "swallow-escape",
+                 *SWALLOW_WINDOW, {"steps": 2000, "radius": 10.0}, size=(200, 200))
+        # 87.0 M when every bounded orbit ran to the last step; 25.3 M retiring
+        assert sum(size for steps in log for size, _, _ in steps) <= 30_000_000
+
+
+#: SHA-256 of the 200x200 swallow-escape PPM at the benchmark's figures
+#: settings.  The kernel uses +, *, abs and comparisons only, all exactly
+#: rounded, so the bytes do not depend on the platform's libm.
+FIGURES_SWALLOW_PPM_SHA256 = "ed1aa5e41ce315154aadfef429e149554a40ce6e53c3c971dc2a3883b240679b"
+
+
+def test_figures_swallow_ppm_bytes_pinned():
+    r = sweep("swallow-escape", 200, 200, *SWALLOW_WINDOW,
+              params={"steps": 2000, "radius": 10.0}, workers=2)
+    assert hashlib.sha256(render_ppm(r)).hexdigest() == FIGURES_SWALLOW_PPM_SHA256
 
 
 class TestRenormStrip:

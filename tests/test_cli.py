@@ -96,6 +96,11 @@ class TestReports:
                  for line in out.splitlines() if line.startswith("cycle period")]
         assert len(radii) == 2 and max(radii) < 1.0
 
+    def test_reversed_twin_window(self, capsys):
+        rc, out, err = call(capsys, "twin", "--a-range", "-1.82:-1.88")
+        assert rc == 0, err
+        assert "periods = 5, 11" in out.splitlines()
+
     def test_attractors_report(self, capsys):
         rc, out, _ = call(capsys, "attractors", "--a", "-0.5", "--b", "0.1")
         assert rc == 0
@@ -221,6 +226,8 @@ class TestExitCodes:
         ("twin", "--b-hat", "0"),
         ("twin", "--b-hat", "-0"),
         ("attractors", "--a", "-0.5", "--b", "2", "--m", "2000"),
+        ("twin", "--a-range", "-1.87:-1.87"),
+        ("renorm-window", "--a-lo", "-1.86", "--a-hi", "-1.86"),
     ], ids=lambda args: " ".join((args[0],) + args[-2:]))
     def test_bad_input_is_config_error(self, capsys, args):
         rc, out, err = call(capsys, *args)

@@ -315,6 +315,13 @@ def test_parse_word_errors():
         parse_word("s-,,w=")
 
 
+@pytest.mark.parametrize("tokens", [(), []])
+def test_piece_of_empty_token_sequence_is_word_error(tokens):
+    with pytest.raises(WordError, match="empty word") as err:
+        piece_1d(tokens, -1.86)
+    assert err.value.position == 0
+
+
 # ---------------------------------------------------------------------------
 # swallow classification and boundary curves
 # ---------------------------------------------------------------------------
