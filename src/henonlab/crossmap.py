@@ -32,6 +32,7 @@ __all__ = [
     "CrossEval",
     "CrossDerivs",
     "CrossJet",
+    "CrossParamJet",
     "ShootResult",
     "HyperbolicityReport",
     "DistortionReport",
@@ -39,6 +40,7 @@ __all__ = [
     "eval_cross",
     "eval_cross_derivatives",
     "eval_cross_jet",
+    "eval_cross_param_jet",
     "slice_image",
     "shoot_oracle",
     "reverse_eval",
@@ -226,6 +228,18 @@ class CrossJet:
     d2B: tuple[float, float, float]
 
 
+@dataclass(frozen=True)
+class CrossParamJet(CrossJet):
+    """A cross-map jet with its partials in the parameters p = (a, b^m)."""
+
+    dA_p: tuple[float, float]  # (d/da, d/db^m)
+    dB_p: tuple[float, float]
+    d2A_xp: tuple[float, float]  # (x1 a, x1 b^m)
+    d2B_xp: tuple[float, float]
+    d2A_yp: tuple[float, float]  # (y0 a, y0 b^m)
+    d2B_yp: tuple[float, float]
+
+
 def eval_cross_derivatives(chain: CrossMapChain, x1: float, y0: float) -> CrossDerivs:
     """Solve the chain, then its tangent system, exactly.
 
@@ -238,10 +252,10 @@ def eval_cross_derivatives(chain: CrossMapChain, x1: float, y0: float) -> CrossD
     and every column keeps its relative accuracy however small it is: the
     y0-column scales like b^(m N).
     """
-    base, cs, ds, _, dx0, dx1 = _tangent_solve(chain, x1, y0, second=False)
+    base, cs, ds, _, _, u, w, _ = _tangent_solve(chain, x1, y0, second=False)
     n = chain.order
     return CrossDerivs(
-        base.A, base.B, (dx0[0], dx1[0]), (dx0[n - 1], dx1[n - 1]),
+        base.A, base.B, (u[0], w[0]), (u[n - 1], w[n - 1]),
         tuple(cs), tuple(ds), base.x_path, base.y_path,
     )
 
@@ -258,12 +272,89 @@ def eval_cross_jet(chain: CrossMapChain, x1: float, y0: float) -> CrossJet:
     where u'_i = u_{i-1} is the y-column (u'_0 is the boundary value).  The
     factored system is reused for the three pairs (x1 x1, x1 y0, y0 y0).
     """
-    base, _, _, second, dx0, dx1 = _tangent_solve(chain, x1, y0, second=True)
+    base, _, _, _, _, u, w, second = _tangent_solve(chain, x1, y0, second=True)
     n = chain.order
     return CrossJet(
-        base.A, base.B, (dx0[0], dx1[0]), (dx0[n - 1], dx1[n - 1]),
+        base.A, base.B, (u[0], w[0]), (u[n - 1], w[n - 1]),
         tuple(col[0] for col in second), tuple(col[n - 1] for col in second),
     )
+
+
+def eval_cross_param_jet(chain: CrossMapChain, x1: float, y0: float) -> CrossParamJet:
+    """``eval_cross_jet`` plus the columns in the parameters p = (a, b^m).
+
+    The factor equation x_{i+1} = x_i^2 + a - v_i + zeta(x_i, v_i),
+    v_i = b^m y_i, is linear in a and in b^m, so d/da and d/db^m solve the
+    factored tangent system with zero boundary data and the sources -c_i
+    and c_i (1 - zeta_v) y_i.  The mixed columns (x1 p, y0 p) take the
+    second-order source of ``eval_cross_jet`` for the pair (g, q), with
+    V_g = b^m g'_i and V_q = b^m q'_i + y_i [p = b^m],
+        -c_i [(2 + zeta_xx) g_i q_i + zeta_xv (g_i V_q + q_i V_g)
+              + zeta_vv V_g V_q] + c_i (1 - zeta_v) g'_i [p = b^m],
+    the last term coming from b^m inside the coupling d_i.  The partials
+    are those of the built map in its own a and b^m: m, zeta and xi are
+    held fixed.
+    """
+    base, cs, ds, ps, ks, u, w, second = _tangent_solve(chain, x1, y0, second=True)
+    f = chain.henon
+    n = chain.order
+    bm = f.bm
+    zeta = f.zeta
+    hooked = zeta is not ZERO_FIELD
+    xs, ys = base.x_path, base.y_path
+    # per factor: c_i k_i, 1 - zeta_v, 2 + zeta_xx, zeta_xv, zeta_vv
+    nodes = []
+    for i in range(n):
+        x = xs[i]
+        if hooked:
+            v = bm * ys[i]
+            nodes.append((cs[i] * ks[i], 1.0 - zeta.dv(x, v),
+                          2.0 + zeta.dxx(x, v), zeta.dxv(x, v), zeta.dvv(x, v)))
+        else:
+            nodes.append((cs[i] * ks[i], 1.0, 2.0, 0.0, 0.0))
+    q_a, q_m = _solve_scaled(ds, ks, ps, [
+        [-node[0] for node in nodes],
+        [node[0] * node[1] * ys[i] for i, node in enumerate(nodes)],
+    ])
+    mixed = []
+    for g, g_start in ((u, 0.0), (w, 1.0)):
+        for q, dm in ((q_a, 0.0), (q_m, 1.0)):
+            col = [0.0] * n
+            g_prev, q_prev = g_start, 0.0
+            for i, (scale, coupling, fxx, fxv, fvv) in enumerate(nodes):
+                gi, qi = g[i], q[i]
+                vg = bm * g_prev
+                vq = bm * q_prev + dm * ys[i]
+                src = fxx * gi * qi
+                if hooked:
+                    src += fxv * (gi * vq + qi * vg) + fvv * vg * vq
+                col[i] = scale * (dm * coupling * g_prev - src)
+                g_prev, q_prev = gi, qi
+            mixed.append(col)
+    x1a, x1m, y0a, y0m = _solve_scaled(ds, ks, ps, mixed)
+    return CrossParamJet(
+        base.A, base.B, (u[0], w[0]), (u[n - 1], w[n - 1]),
+        tuple(col[0] for col in second), tuple(col[n - 1] for col in second),
+        (q_a[0], q_m[0]), (q_a[n - 1], q_m[n - 1]),
+        (x1a[0], x1m[0]), (x1a[n - 1], x1m[n - 1]),
+        (y0a[0], y0m[0]), (y0a[n - 1], y0m[n - 1]),
+    )
+
+
+def _solve_scaled(ds: list, ks: list, ps: list, columns: list) -> list:
+    """Solve the factored tangent system with zero boundary data, once for
+    each column of scaled sources s_i k_i in ``columns``; each column is
+    filled in place and gains the row dx_N = 0."""
+    n = len(ds)
+    for col in columns:
+        r = 0.0
+        for i in range(n):
+            r = ds[i] * ks[i] * r + col[i]
+            col[i] = r
+        col.append(0.0)
+        for i in range(n - 1, -1, -1):
+            col[i] += ps[i] * col[i + 1]
+    return columns
 
 
 def _tangent_solve(chain: CrossMapChain, x1: float, y0: float, second: bool):
@@ -271,8 +362,8 @@ def _tangent_solve(chain: CrossMapChain, x1: float, y0: float, second: bool):
     two first-order columns and, when ``second`` is set, the three
     second-order ones.
 
-    Returns (values, c_i, d_i, second-order columns, x1-column, y0-column);
-    each column holds dx_0 .. dx_N.  Row i reads
+    Returns (values, c_i, d_i, p_i, k_i, x1-column, y0-column, second-order
+    columns); each column holds dx_0 .. dx_N.  Row i reads
     dx_i = c_i dx_{i+1} + d_i dx_{i-1} + s_i, with dx_{-1} = dy_0.  Forward
     elimination rewrites it as dx_i = p_i dx_{i+1} + r_i, where
     p_i = c_i k_i, r_i = d_i k_i r_{i-1} + s_i k_i and
@@ -318,7 +409,7 @@ def _tangent_solve(chain: CrossMapChain, x1: float, y0: float, second: bool):
         u[i] = ps[i] * u[i + 1]
         w[i] += ps[i] * w[i + 1]
     if not second:
-        return base, cs, ds, (), u, w
+        return base, cs, ds, ps, ks, u, w, ()
 
     # scaled sources s_i k_i of the (x1 x1, x1 y0, y0 y0) columns; the
     # y-columns are u'_i = u_{i-1} and w'_i = w_{i-1}, with (0, 1) at i = 0
@@ -345,17 +436,7 @@ def _tangent_solve(chain: CrossMapChain, x1: float, y0: float, second: bool):
             s_uw[i] = 2.0 * scale * ui * wi
             s_ww[i] = 2.0 * scale * wi * wi
         u_prev, w_prev = ui, wi
-    columns = []
-    for col in (s_uu, s_uw, s_ww):
-        r = 0.0
-        for i in range(n):
-            r = ds[i] * ks[i] * r + col[i]
-            col[i] = r
-        col.append(0.0)
-        for i in range(n - 1, -1, -1):
-            col[i] += ps[i] * col[i + 1]
-        columns.append(col)
-    return base, cs, ds, columns, u, w
+    return base, cs, ds, ps, ks, u, w, _solve_scaled(ds, ks, ps, [s_uu, s_uw, s_ww])
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +560,11 @@ def hyperbolicity_check(
     At every probe both
         |dA/dx1|/c + |dA/dy0|/c_v <= 1   and
         |dB/dy0|/c + |dB/dx1|/c_h <= 1
-    must hold; the margin is one minus the worst left-hand side.
+    must hold; the margin is one minus the worst left-hand side.  An empty
+    probe grid is a ``DomainError``.
     """
+    if not (len(x1_values) and len(y0_values)):
+        raise DomainError("hyperbolicity check needs a nonempty probe grid")
     worst = -math.inf
     worst_point = (math.nan, math.nan)
     worst_lhs = (math.nan, math.nan)
@@ -517,52 +601,56 @@ def distortion_report(
     ab_values: Sequence[tuple[float, float]],
     x1_values: Sequence[float],
     y0_values: Sequence[float],
-    fd_step: float = 1e-6,
 ) -> DistortionReport:
     """Uniform bounds over a parameter/probe grid.
 
     B0 bounds values and first partials of the cross map; B1 bounds the
-    phase-space gradient of log|dA/dx1| and log|dB/dy0| (central finite
-    differences); Bm bounds the parameter gradient of log|dB/dy0 / b^(m n)|
-    and is reported as None when any grid point has b = 0. The sum-formula
-    gap compares |dA/dx1| against the product of per-factor slopes along the
-    solved path; it vanishes identically at b = 0.
+    phase-space gradient of log|dA/dx1| and log|dB/dy0|, read off the jet
+    as (A_x1x1, A_x1y0)/A_x1 and (B_x1y0, B_y0y0)/B_y0; Bm bounds the
+    parameter gradient of log|dB/dy0 / b^(m n)|, from the (y0, a) and
+    (y0, b^m) columns with d(b^m)/db = m b^(m-1), and is reported as None
+    when any grid point has b = 0. The sum-formula gap compares |dA/dx1|
+    against the product of per-factor slopes along the solved path; it
+    vanishes identically at b = 0.
+
+    ``build(a, b)`` must return a map that carries a and b themselves, with
+    m, zeta and xi independent of (a, b): the parameter columns
+    differentiate in the built map's own a and b^m.  Empty grids are a
+    ``DomainError``.
     """
-    h = fd_step
+    if not (len(ab_values) and len(x1_values) and len(y0_values)):
+        raise DomainError("distortion report needs nonempty parameter and probe grids")
     B0 = 0.0
     B1 = 0.0
     Bm: float | None = 0.0
     gap = 0.0
     count = 0
-
-    def chain_at(a: float, b: float) -> CrossMapChain:
-        return factorize_chain(build(a, b), word)
-
-    def log_abs_dA(ch: CrossMapChain, x1: float, y0: float) -> float:
-        return math.log(abs(eval_cross_derivatives(ch, x1, y0).dA[0]))
-
-    def log_abs_dB(ch: CrossMapChain, x1: float, y0: float) -> float:
-        return math.log(abs(eval_cross_derivatives(ch, x1, y0).dB[1]))
-
     for a, b in ab_values:
-        ch = chain_at(a, b)
-        mn = ch.henon.m * ch.order
+        f = _built_map(build, a, b)
+        ch = factorize_chain(f, word)
+        mn = f.m * ch.order
+        dbm_db = f.m * b ** (f.m - 1)
         for x1 in x1_values:
             for y0 in y0_values:
                 d = eval_cross_derivatives(ch, x1, y0)
+                jet = eval_cross_param_jet(ch, x1, y0)
                 count += 1
                 B0 = max(
                     B0,
                     abs(d.A), abs(d.B),
                     abs(d.dA[0]), abs(d.dA[1]), abs(d.dB[0]), abs(d.dB[1]),
                 )
+                ax, by = jet.dA[0], jet.dB[1]
+                B1 = max(B1, abs(jet.d2A[0] / ax), abs(jet.d2A[1] / ax))
                 # dB/dy0 vanishes identically at b = 0; its log has no
                 # gradient there and the chain is effectively 1-D
-                fns = (log_abs_dA,) if b == 0.0 else (log_abs_dA, log_abs_dB)
-                for fn in fns:
-                    gx = (fn(ch, x1 + h, y0) - fn(ch, x1 - h, y0)) / (2 * h)
-                    gy = (fn(ch, x1, y0 + h) - fn(ch, x1, y0 - h)) / (2 * h)
-                    B1 = max(B1, abs(gx), abs(gy))
+                if b != 0.0:
+                    if by == 0.0:
+                        raise DomainError(
+                            f"dB/dy0 of {word!r} underflows at (x1, y0) = ({x1!r}, {y0!r}), "
+                            f"b = {b!r}"
+                        )
+                    B1 = max(B1, abs(jet.d2B[1] / by), abs(jet.d2B[2] / by))
                 prod = 1.0
                 for c in d.factor_dx:
                     prod *= abs(c)
@@ -570,11 +658,19 @@ def distortion_report(
                 if b == 0.0:
                     Bm = None
                 elif Bm is not None:
-                    def scaled(aa: float, bb: float) -> float:
-                        chh = chain_at(aa, bb)
-                        return log_abs_dB(chh, x1, y0) - mn * math.log(abs(bb))
-
-                    ga = (scaled(a + h, b) - scaled(a - h, b)) / (2 * h)
-                    gb = (scaled(a, b + h) - scaled(a, b - h)) / (2 * h)
+                    ga = jet.d2B_yp[0] / by
+                    gb = jet.d2B_yp[1] * dbm_db / by - mn / b
                     Bm = max(Bm, abs(ga), abs(gb))
     return DistortionReport(B0, B1, Bm, gap, count)
+
+
+def _built_map(build: Callable[[float, float], HenonMap], a: float, b: float) -> HenonMap:
+    """``build(a, b)``, checked to carry a and b: derivatives in the
+    parameters are taken in the built map's own a and b^m."""
+    f = build(a, b)
+    if f.a != a or f.b != b:
+        raise DomainError(
+            f"build({a!r}, {b!r}) returned a map at (a, b) = ({f.a!r}, {f.b!r}); "
+            "parameter derivatives need a family that carries its own a and b"
+        )
+    return f

@@ -18,8 +18,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .crossmap import (
     CrossJet,
     CrossMapChain,
+    _built_map,
     eval_cross,
     eval_cross_jet,
+    eval_cross_param_jet,
     factorize_chain,
 )
 from .errors import (
@@ -29,6 +31,7 @@ from .errors import (
     HenonLabError,
     NoCrossingError,
     TangencyError,
+    WordError,
 )
 from .henon import (
     AttractorReport,
@@ -629,31 +632,86 @@ def double_tangency(
     """Parameter point where the folds of two words are tangent at once.
 
     Runs a two-dimensional Newton iteration on both fold defects from the
-    given (a, b) seed. ``dmu_db`` records the transversality of the defect
-    difference across the crossing."""
+    given (a, b) seed, with the exact Jacobian of ``_mu_gradient``.
+    ``dmu_db`` records the transversality of the defect difference across
+    the crossing, read off the same Jacobian at the solution.
+
+    ``build(a, b)`` must return a map that carries a and b themselves, with
+    m, zeta and xi independent of (a, b); any other family is a
+    ``DomainError``, as are malformed words.  A failed solve is a
+    ``NoCrossingError`` carrying the evaluated (a, b, mu1, mu2) samples."""
     trace: list[tuple[float, float, float, float]] = []
+    last: list = [None, None]
+
+    def tangencies(x: Sequence[float]) -> tuple[TangencyData, TangencyData]:
+        key = (x[0], x[1])
+        if last[0] != key:
+            f = _built_map(build, *key)
+            ts = (find_tangency(factorize_chain(f, word1)),
+                  find_tangency(factorize_chain(f, word2)))
+            trace.append((key[0], key[1], ts[0].mu, ts[1].mu))
+            last[:] = [key, ts]
+        return last[1]
 
     def both(x: Sequence[float]) -> tuple[float, float]:
-        f = build(x[0], x[1])
-        m1 = find_tangency(factorize_chain(f, word1)).mu
-        m2 = find_tangency(factorize_chain(f, word2)).mu
-        trace.append((x[0], x[1], m1, m2))
-        return (m1, m2)
+        t1, t2 = tangencies(x)
+        return (t1.mu, t2.mu)
+
+    def jacobian(x: Sequence[float]):
+        t1, t2 = tangencies(x)
+        return _mu_gradient(t1), _mu_gradient(t2)
 
     try:
-        a, b = newton2(both, seed, rtol=1e-13)
+        a, b = newton2(both, seed, jac=jacobian, rtol=1e-13)
         mu1, mu2 = both([a, b])
+        (_, db1), (_, db2) = jacobian([a, b])
+    except (DomainError, WordError):
+        raise
     except HenonLabError as exc:
         raise NoCrossingError(
             f"defects of {word1!r} and {word2!r} admit no common zero "
             f"near {seed!r}: {exc}",
             trace,
         ) from exc
-    hb = 1e-7 * max(1.0, abs(b))
-    gp = both([a, b + hb])
-    gm = both([a, b - hb])
-    dmu_db = ((gp[0] - gp[1]) - (gm[0] - gm[1])) / (2.0 * hb)
-    return DoubleTangency(a, b, mu1, mu2, dmu_db)
+    return DoubleTangency(a, b, mu1, mu2, db1 - db2)
+
+
+def _mu_gradient(t: TangencyData) -> tuple[float, float]:
+    """Exact (dmu/da, dmu/db) of a word's fold defect at its tangency.
+
+    With the anchor c held fixed the defect D and the fold slope S of
+    ``_fold_terms`` have partials D_p, S_p in p = (a, b^m), from the
+    parameter columns of the jet at (c, c):
+        D_p = [p = a] - [p = b^m] (1 - zeta_v) B + F_y B_p - A_p,
+        S_p = zeta_xv v_p + (b^m zeta_vv v_p - [p = b^m] (1 - zeta_v)) B_x1
+              + F_y B_x1p - A_y0p,
+    with v = b^m B and v_p = b^m B_p + [p = b^m] B.  The anchor moves by
+    dc/dp = -S_p / S_c, S_c = curvature + neighbour partial, and
+    D_c = F_y lam - sigma at S = 0, so dmu/dp = D_p + D_c dc/dp; the
+    b-column carries d(b^m)/db = m b^(m-1)."""
+    f = t.chain.henon
+    c = t.c
+    jet = eval_cross_param_jet(t.chain, c, c)
+    fold = _fold_terms(f, c, jet, jet)
+    bm = f.bm
+    zeta = f.zeta
+    v = bm * jet.B
+    coupling = 1.0 - zeta.dv(c, v)
+    fy = -bm * coupling
+    fxv = zeta.dxv(c, v)
+    fvv = zeta.dvv(c, v)
+    bx = jet.dB[0]
+    d_c = fy * jet.dB[1] - jet.dA[0]
+    s_c = fold.curv + fold.dslope_other
+    grad = []
+    for k, dm in ((0, 0.0), (1, 1.0)):
+        b_p = jet.dB_p[k]
+        v_p = bm * b_p + dm * jet.B
+        d_p = (1.0 - dm) - dm * coupling * jet.B + fy * b_p - jet.dA_p[k]
+        s_p = (fxv * v_p + (bm * fvv * v_p - dm * coupling) * bx
+               + fy * jet.d2B_xp[k] - jet.d2A_yp[k])
+        grad.append(d_p - d_c * s_p / s_c)
+    return grad[0], grad[1] * f.m * f.b ** (f.m - 1)
 
 
 @dataclass(frozen=True)
@@ -703,6 +761,8 @@ def twin_find(
         raise DomainError(f"samples must be at least 2, got {samples}")
     if b_hat == 0.0:
         raise DomainError("b_hat must be nonzero: it sets the scale of the b scan")
+    if j < 0:
+        raise DomainError(f"gap index j must be non-negative, got {j}")
     word_minus, word_plus = _twin_words(k, j, b_hat)
     if a_range is None:
         _, a2 = special_parameters()
@@ -854,6 +914,8 @@ def certify_cone_expansion(
     outside the cone, and the fitted per-step contraction rate kappa of the
     K1 growth law (kappa < 1 means expansion builds exponentially with
     passage time). Sampled evidence only, not a proof."""
+    if j < 0:
+        raise DomainError(f"gap index j must be non-negative, got {j}")
     lad = ladder(f.a)
     alpha0 = lad.require("alpha0")
     if fat is None:

@@ -8,13 +8,14 @@ Newton iteration of ``newton_safeguarded`` (analytic slope, no bracket)
 written inline with the same tolerance, cap and stopping rule, because it
 is called millions of times per tangency search.  The fold-tangency solves
 of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
-cross-map jets.  Each parameter root of ``renorm.solve_mu_zero`` and
-``renorm.twin_find`` is one bracketed secant solve, whose first secant
-partner is a bracket end, and ``renorm.double_tangency`` uses the
-finite-difference Jacobian.  ``newton2`` takes a step already within
-tolerance whole, so the tracked anchor solves of ``atlas``, which start
-from the last solution, cost two evaluations when it still holds.  Plain
-``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
+cross-map jets, and ``renorm.double_tangency`` passes the exact parameter
+Jacobian of its two fold defects, taken from the jets' parameter columns;
+``newton2`` has no finite-difference mode.  Each parameter root of
+``renorm.solve_mu_zero`` and ``renorm.twin_find`` is one bracketed secant
+solve, whose first secant partner is a bracket end.  ``newton2`` takes a
+step already within tolerance whole, so the tracked anchor solves of
+``atlas``, which start from the last solution, cost two evaluations when
+it still holds.  Plain ``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
 and the window edges of ``renorm.renorm_window``.
 """
 
@@ -142,27 +143,23 @@ def newton_safeguarded(
 def newton2(
     F: Callable[[Sequence[float]], tuple[float, float]],
     x0: Sequence[float],
-    jac: Callable[[Sequence[float]], tuple[tuple[float, float], tuple[float, float]]] | None = None,
+    jac: Callable[[Sequence[float]], tuple[tuple[float, float], tuple[float, float]]],
     rtol: float = DEFAULT_RTOL,
     max_iter: int = 100,
-    fd_step: float = 1e-7,
 ) -> tuple[float, float]:
-    """Damped 2x2 Newton with an optional analytic Jacobian.
+    """Damped 2x2 Newton with the analytic Jacobian ``jac``.
 
-    The finite-difference Jacobian uses central differences with a step
-    scaled by the iterate. Damping halves the step (up to 8 times) while the
-    residual norm fails to decrease, except for a step already within
-    ``rtol``, which is taken whole: at the rounding floor the residual cannot
-    decrease, so from a converged seed the solve costs two evaluations of F.
+    ``jac`` is asked for at the current iterate only, always after F there.
+    Damping halves the step (up to 8 times) while the residual norm fails to
+    decrease, except for a step already within ``rtol``, which is taken
+    whole: at the rounding floor the residual cannot decrease, so from a
+    converged seed the solve costs two evaluations of F.
     """
     x = [float(x0[0]), float(x0[1])]
     fx = F(x)
     rnorm = max(abs(fx[0]), abs(fx[1]))
     for _ in range(max_iter):
-        if jac is not None:
-            J = jac(x)
-        else:
-            J = _fd_jacobian(F, x, fd_step)
+        J = jac(x)
         det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
         if det == 0.0 or not _finite(det):
             raise ConvergenceError(f"singular jacobian at {tuple(x)!r}")
@@ -184,20 +181,6 @@ def newton2(
         if _converged(step, max(abs(x[0]), abs(x[1])), rtol) or rnorm == 0.0:
             return (x[0], x[1])
     raise ConvergenceError(f"newton2 did not converge after {max_iter} iterations")
-
-
-def _fd_jacobian(F, x, h):
-    rows = [[0.0, 0.0], [0.0, 0.0]]
-    for j in range(2):
-        hj = h * max(1.0, abs(x[j]))
-        xp = list(x)
-        xm = list(x)
-        xp[j] += hj
-        xm[j] -= hj
-        fp, fm = F(xp), F(xm)
-        rows[0][j] = (fp[0] - fm[0]) / (2.0 * hj)
-        rows[1][j] = (fp[1] - fm[1]) / (2.0 * hj)
-    return ((rows[0][0], rows[0][1]), (rows[1][0], rows[1][1]))
 
 
 def _finite(v: float) -> bool:

@@ -228,6 +228,8 @@ class TestExitCodes:
         ("attractors", "--a", "-0.5", "--b", "2", "--m", "2000"),
         ("twin", "--a-range", "-1.87:-1.87"),
         ("renorm-window", "--a-lo", "-1.86", "--a-hi", "-1.86"),
+        ("certify", "--j", "-1"),
+        ("twin", "--j", "-1"),
     ], ids=lambda args: " ".join((args[0],) + args[-2:]))
     def test_bad_input_is_config_error(self, capsys, args):
         rc, out, err = call(capsys, *args)
@@ -489,6 +491,17 @@ def _twin_invocation(draw):
     ]
 
 
+@st.composite
+def _certify_invocation(draw):
+    """certify on grids up to 3x3, gap indices on both sides of zero and
+    exclusion radii that are negative, zero, ordinary or infinite."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [
+        "certify", f"--grid={width}x{height}", f"--j={draw(st.integers(-2, 3))}",
+        f"--r-disk={draw(st.sampled_from(['-1', '0', '0.1', 'inf']))}",
+    ]
+
+
 def _assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -518,4 +531,10 @@ def test_embed_swallow_never_crashes(argv):
 @settings(max_examples=20, deadline=None)
 @given(argv=_twin_invocation())
 def test_twin_never_crashes(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=_certify_invocation())
+def test_certify_never_crashes(argv):
     _assert_clean_exit(argv)

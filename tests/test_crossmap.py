@@ -10,11 +10,13 @@ from henonlab.crossmap import (
     ConeSpec,
     CrossDerivs,
     CrossEval,
+    DistortionReport,
     det_identity,
     distortion_report,
     eval_cross,
     eval_cross_derivatives,
     eval_cross_jet,
+    eval_cross_param_jet,
     factorize_chain,
     hyperbolicity_check,
     reverse_eval,
@@ -273,6 +275,13 @@ class TestHyperbolicity:
                 worst = max(worst, abs(d.dB[0]))
         assert worst > cone.c_v
 
+    @pytest.mark.parametrize("x1_values,y0_values", [([], [0.0]), ([0.0], []), ([], [])])
+    def test_empty_grid_is_domain_error(self, x1_values, y0_values):
+        # an empty grid would report a vacuous pass with an infinite margin
+        chain = make_chain("s-", a=-1.95, b=1e-3)
+        with pytest.raises(DomainError, match="nonempty"):
+            hyperbolicity_check(chain, ConeSpec(eta=0.5), x1_values, y0_values)
+
 
 class TestDistortion:
     def test_small_b_report(self):
@@ -299,6 +308,84 @@ class TestDistortion:
         )
         assert report.Bm is None
         assert report.sum_formula_gap <= 1e-10
+
+    @pytest.mark.parametrize("build,word,ab_values", [
+        (HenonMap, ",".join(["s-"] * 8), [(-1.95, 1e-4)]),
+        (HenonMap, ",".join(["s-"] * 24), [(-1.95, 1e-4)]),
+        (HenonMap, "s-", [(-1.95, 1e-4), (-1.95, 0.0)]),
+        (lambda a, b: HenonMap(a, b, 1, sine_perturbed_fields(0.02)[0]), "c1",
+         [(-1.9, 2.4e-3), (-1.88, -5e-3)]),
+        (lambda a, b: HenonMap(a, b, 2), "c1,bm0,bm0", [(-1.9, 0.05), (-1.88, -0.07)]),
+    ], ids=["s-x8", "s-x24", "s-flat", "c1-sine", "m2"])
+    def test_matches_finite_difference_oracle(self, build, word, ab_values):
+        grids = (ab_values, linspace(-0.6, 0.6, 3), linspace(-0.5, 0.5, 3))
+        got = distortion_report(build, word, *grids)
+        ref = _reference_distortion_report(build, word, *grids)
+        assert (got.B0, got.sum_formula_gap, got.n_probes) == (
+            ref.B0, ref.sum_formula_gap, ref.n_probes
+        )
+        assert got.B1 == pytest.approx(ref.B1, rel=1e-6)
+        if ref.Bm is None:
+            assert got.Bm is None
+        else:
+            assert got.Bm == pytest.approx(ref.Bm, rel=1e-6)
+
+    @pytest.mark.parametrize("grids", [
+        ([], [0.0], [0.0]), ([(-1.95, 1e-4)], [], [0.0]), ([(-1.95, 1e-4)], [0.0], []),
+    ], ids=["params", "x1", "y0"])
+    def test_empty_grid_is_domain_error(self, grids):
+        with pytest.raises(DomainError, match="nonempty"):
+            distortion_report(HenonMap, "s-", *grids)
+
+    def test_family_must_carry_its_parameters(self):
+        with pytest.raises(DomainError, match="carries its own a and b"):
+            distortion_report(lambda a, b: build_map("zero", a, b), "s-",
+                              [(-1.95, 1e-4)], [0.0], [0.0])
+
+
+def _reference_distortion_report(build, word, ab_values, x1_values, y0_values, h=1e-6):
+    """The distortion bounds on central differences with step ``h``: B1
+    from differenced log|dA/dx1| and log|dB/dy0|, Bm from differenced
+    log|dB/dy0 / b^(m n)| over rebuilt maps."""
+    B0 = B1 = gap = 0.0
+    Bm = 0.0
+    count = 0
+
+    def chain_at(a, b):
+        return factorize_chain(build(a, b), word)
+
+    def log_abs_dA(ch, x1, y0):
+        return math.log(abs(eval_cross_derivatives(ch, x1, y0).dA[0]))
+
+    def log_abs_dB(ch, x1, y0):
+        return math.log(abs(eval_cross_derivatives(ch, x1, y0).dB[1]))
+
+    for a, b in ab_values:
+        ch = chain_at(a, b)
+        mn = ch.henon.m * ch.order
+        for x1 in x1_values:
+            for y0 in y0_values:
+                d = eval_cross_derivatives(ch, x1, y0)
+                count += 1
+                B0 = max(B0, abs(d.A), abs(d.B), *map(abs, d.dA + d.dB))
+                for fn in (log_abs_dA,) if b == 0.0 else (log_abs_dA, log_abs_dB):
+                    gx = (fn(ch, x1 + h, y0) - fn(ch, x1 - h, y0)) / (2 * h)
+                    gy = (fn(ch, x1, y0 + h) - fn(ch, x1, y0 - h)) / (2 * h)
+                    B1 = max(B1, abs(gx), abs(gy))
+                prod = 1.0
+                for c in d.factor_dx:
+                    prod *= abs(c)
+                gap = max(gap, abs(abs(d.dA[0]) - prod) / abs(d.dA[0]))
+                if b == 0.0:
+                    Bm = None
+                elif Bm is not None:
+                    def scaled(aa, bb):
+                        return log_abs_dB(chain_at(aa, bb), x1, y0) - mn * math.log(abs(bb))
+
+                    ga = (scaled(a + h, b) - scaled(a - h, b)) / (2 * h)
+                    gb = (scaled(a, b + h) - scaled(a, b - h)) / (2 * h)
+                    Bm = max(Bm, abs(ga), abs(gb))
+    return DistortionReport(B0, B1, Bm, gap, count)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +578,51 @@ class TestInlineSolveOracle:
             assert (std.A, std.B, std.x_path, std.y_path, std.sweeps) == (
                 hooked.A, hooked.B, hooked.x_path, hooked.y_path, hooked.sweeps
             )
+
+
+_PARAM_STEP = 1e-6
+
+
+def _differenced_parameter_columns(chain, x1, y0):
+    """Central differences in a and in b^m = b (m = 1) of (A, B) and of the
+    four phase partials, in the field order of ``CrossParamJet``."""
+    f = chain.henon
+    columns = []
+    for da, db in ((_PARAM_STEP, 0.0), (0.0, _PARAM_STEP)):
+        sides = []
+        for sign in (1.0, -1.0):
+            shifted = HenonMap(f.a + sign * da, f.b + sign * db, f.m, f.zeta)
+            d = eval_cross_derivatives(factorize_chain(shifted, chain.piece), x1, y0)
+            sides.append((d.A, d.B, d.dA[0], d.dB[0], d.dA[1], d.dB[1]))
+        columns.append([(p - q) / (2.0 * _PARAM_STEP) for p, q in zip(*sides)])
+    return columns
+
+
+class TestParameterColumns:
+    """The (a, b^m) columns of ``eval_cross_param_jet`` against central
+    differences over the inline-solve probe set."""
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["standard", "hooked"])
+    @pytest.mark.parametrize("b", ORACLE_BS)
+    @pytest.mark.parametrize("word", ORACLE_WORDS)
+    def test_columns_match_central_differences(self, word, b, hooked):
+        checked = 0
+        for chain, x1, y0, cap in _oracle_probes(word, b, hooked):
+            if cap != 200 or _outcome(eval_cross, chain, x1, y0)[0] != "ok":
+                continue  # the probes that leave the branch or stall
+            fd = _differenced_parameter_columns(chain, x1, y0)
+            jet = eval_cross_param_jet(chain, x1, y0)
+            plain = eval_cross_jet(chain, x1, y0)
+            assert repr((jet.A, jet.B, jet.dA, jet.dB, jet.d2A, jet.d2B)) == repr(
+                (plain.A, plain.B, plain.dA, plain.dB, plain.d2A, plain.d2B)
+            )
+            for k in range(2):
+                got = (jet.dA_p[k], jet.dB_p[k], jet.d2A_xp[k], jet.d2B_xp[k],
+                       jet.d2A_yp[k], jet.d2B_yp[k])
+                for g, r in zip(got, fd[k]):
+                    assert abs(g - r) <= 1e-6 * max(1.0, abs(g)), (chain.henon, x1, y0, k, g, r)
+            checked += 1
+        assert checked >= 10
 
 
 class TestPickledMaps:

@@ -14,11 +14,13 @@ from henonlab.errors import (
     DomainError,
     NoCrossingError,
     TangencyError,
+    WordError,
 )
 from henonlab.henon import (
     Field2,
     HenonMap,
     apply_map,
+    build_map,
     find_attractors,
     sine_perturbed_fields,
 )
@@ -27,6 +29,7 @@ from henonlab.renorm import (
     _cycle_folds,
     _defect_at,
     _first_coord,
+    _mu_gradient,
     certify_cone_expansion,
     conjugate_rescale,
     delta_star,
@@ -39,7 +42,7 @@ from henonlab.renorm import (
     twin_find,
 )
 from henonlab import renorm
-from henonlab.rootfind import _fd_jacobian, bisect, newton_safeguarded
+from henonlab.rootfind import bisect, newton2, newton_safeguarded
 
 A1, A2 = special_parameters()
 
@@ -402,6 +405,93 @@ class TestDoubleTangency:
             )
         assert isinstance(info.value.samples, list)
 
+    @pytest.mark.parametrize("kind,m,seed", [
+        ("standard", 1, (-1.86583, 2.376e-3)),
+        ("standard", 1, (-1.86583301618128, 2.37610577353131e-3)),
+        ("sine", 1, (-1.86583, 2.376e-3)),
+        ("standard", 2, (-1.86583, 0.04875)),
+    ])
+    def test_matches_finite_difference_oracle(self, kind, m, seed):
+        def build(a, b):
+            if kind == "sine":
+                return HenonMap(a, b, m, sine_perturbed_fields(0.01)[0])
+            return HenonMap(a, b, m)
+
+        dt = double_tangency(build, "c1", "c1,bm0,bm0", seed)
+        ref = _reference_double_tangency(build, "c1", "c1,bm0,bm0", seed)
+        assert abs(dt.mu1) <= 1e-12 and abs(dt.mu2) <= 1e-12
+        assert dt.a == pytest.approx(ref.a, rel=1e-12)
+        assert dt.b == pytest.approx(ref.b, rel=1e-12)
+        assert dt.dmu_db == pytest.approx(ref.dmu_db, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("word", ["c1", "c1,bm0,bm0"])
+    @pytest.mark.parametrize("kind", ["standard", "sine"])
+    def test_mu_gradient_matches_differenced_defects(self, kind, word, m):
+        def build(a, b):
+            zeta = sine_perturbed_fields(0.01)[0] if kind == "sine" else Field2()
+            return HenonMap(a, b, m, zeta)
+
+        a, b = -1.8658, 2.4e-3 if m == 1 else 0.05
+        t = find_tangency(factorize_chain(build(a, b), word))
+
+        def mu(aa, bb):
+            return find_tangency(factorize_chain(build(aa, bb), word), seed=t.c).mu
+
+        h = 1e-6
+        da = (mu(a + h, b) - mu(a - h, b)) / (2.0 * h)
+        db = (mu(a, b + h) - mu(a, b - h)) / (2.0 * h)
+        assert _mu_gradient(t) == pytest.approx((da, db), rel=1e-8)
+
+    def test_family_must_carry_its_parameters(self):
+        # the zero map drops b, so its defects have no b-partials at all
+        with pytest.raises(DomainError, match="carries its own a and b"):
+            double_tangency(lambda a, b: build_map("zero", a, b),
+                            "c1", "c1,bm0,bm0", seed=(-1.86583, 2.376e-3))
+
+    def test_configuration_errors_are_not_wrapped(self):
+        with pytest.raises(DomainError, match="xi-normalized"):
+            double_tangency(lambda a, b: build_map("sine-perturbed", a, b),
+                            "c1", "c1,bm0,bm0", seed=(-1.86583, 2.376e-3))
+        with pytest.raises(WordError):
+            double_tangency(lambda a, b: HenonMap(a, b),
+                            "c1", "c1,zz", seed=(-1.86583, 2.376e-3))
+
+
+def _fd_jacobian(F, x, h):
+    """Central-difference Jacobian of a map of two variables, with steps
+    scaled by the iterate (the finite-difference mode ``newton2`` had)."""
+    rows = [[0.0, 0.0], [0.0, 0.0]]
+    for j in range(2):
+        hj = h * max(1.0, abs(x[j]))
+        xp = list(x)
+        xm = list(x)
+        xp[j] += hj
+        xm[j] -= hj
+        fp, fm = F(xp), F(xm)
+        rows[0][j] = (fp[0] - fm[0]) / (2.0 * hj)
+        rows[1][j] = (fp[1] - fm[1]) / (2.0 * hj)
+    return ((rows[0][0], rows[0][1]), (rows[1][0], rows[1][1]))
+
+
+def _reference_double_tangency(build, word1, word2, seed):
+    """The double tangency as solved on finite differences: Newton on the
+    differenced Jacobian (step 1e-7) and dmu_db from two more solves at
+    b +- 1e-7 max(1, |b|)."""
+
+    def both(x):
+        f = build(x[0], x[1])
+        return (find_tangency(factorize_chain(f, word1)).mu,
+                find_tangency(factorize_chain(f, word2)).mu)
+
+    a, b = newton2(both, seed, jac=lambda x: _fd_jacobian(both, x, 1e-7), rtol=1e-13)
+    mu1, mu2 = both([a, b])
+    hb = 1e-7 * max(1.0, abs(b))
+    gp = both([a, b + hb])
+    gm = both([a, b - hb])
+    dmu_db = ((gp[0] - gp[1]) - (gm[0] - gm[1])) / (2.0 * hb)
+    return SimpleNamespace(a=a, b=b, mu1=mu1, mu2=mu2, dmu_db=dmu_db)
+
 
 # ---------------------------------------------------------------------------
 # oracle: the Richardson finite differences of the fold defect that the
@@ -674,6 +764,12 @@ class TestConeCertificate:
 
     def test_growth_rate_contracts(self, cert):
         assert 0.2 < cert.kappa < 1.0
+
+    def test_negative_gap_index_is_domain_error(self):
+        with pytest.raises(DomainError, match="j must be non-negative, got -1"):
+            certify_cone_expansion(HenonMap(-1.95, 1e-3), j=-1, grid=(3, 3))
+        with pytest.raises(DomainError, match="j must be non-negative, got -2"):
+            twin_find(lambda a, b: HenonMap(a, b), j=-2)
 
     def test_disk_exclusion(self):
         wide = certify_cone_expansion(HenonMap(-1.95, 1e-3), r_disk=0.3)

@@ -54,7 +54,11 @@ def test_newton_square_roots(target):
 
 
 def test_newton2_linear_system():
-    sol = newton2(lambda v: (v[0] + v[1] - 3.0, v[0] - v[1] - 1.0), (0.0, 0.0))
+    sol = newton2(
+        lambda v: (v[0] + v[1] - 3.0, v[0] - v[1] - 1.0),
+        (0.0, 0.0),
+        jac=lambda v: ((1.0, 1.0), (1.0, -1.0)),
+    )
     assert abs(sol[0] - 2.0) < 1e-10
     assert abs(sol[1] - 1.0) < 1e-10
 
@@ -62,7 +66,9 @@ def test_newton2_linear_system():
 def test_newton2_intersection():
     # circle x^2+y^2=4 with line y=x: root at (sqrt 2, sqrt 2)
     sol = newton2(
-        lambda v: (v[0] ** 2 + v[1] ** 2 - 4.0, v[1] - v[0]), (1.0, 1.5)
+        lambda v: (v[0] ** 2 + v[1] ** 2 - 4.0, v[1] - v[0]),
+        (1.0, 1.5),
+        jac=lambda v: ((2.0 * v[0], 2.0 * v[1]), (-1.0, 1.0)),
     )
     assert abs(sol[0] - math.sqrt(2.0)) < 1e-10
     assert abs(sol[1] - math.sqrt(2.0)) < 1e-10
