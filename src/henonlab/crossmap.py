@@ -238,6 +238,7 @@ class CrossParamJet(CrossJet):
     d2B_xp: tuple[float, float]
     d2A_yp: tuple[float, float]  # (y0 a, y0 b^m)
     d2B_yp: tuple[float, float]
+    factor_dx: tuple[float, ...]  # per-factor d x_i / d x_{i+1}
 
 
 def eval_cross_derivatives(chain: CrossMapChain, x1: float, y0: float) -> CrossDerivs:
@@ -300,18 +301,14 @@ def eval_cross_param_jet(chain: CrossMapChain, x1: float, y0: float) -> CrossPar
     n = chain.order
     bm = f.bm
     zeta = f.zeta
-    hooked = zeta is not ZERO_FIELD
     xs, ys = base.x_path, base.y_path
     # per factor: c_i k_i, 1 - zeta_v, 2 + zeta_xx, zeta_xv, zeta_vv
     nodes = []
     for i in range(n):
         x = xs[i]
-        if hooked:
-            v = bm * ys[i]
-            nodes.append((cs[i] * ks[i], 1.0 - zeta.dv(x, v),
-                          2.0 + zeta.dxx(x, v), zeta.dxv(x, v), zeta.dvv(x, v)))
-        else:
-            nodes.append((cs[i] * ks[i], 1.0, 2.0, 0.0, 0.0))
+        v = bm * ys[i]
+        nodes.append((cs[i] * ks[i], 1.0 - zeta.dv(x, v),
+                      2.0 + zeta.dxx(x, v), zeta.dxv(x, v), zeta.dvv(x, v)))
     q_a, q_m = _solve_scaled(ds, ks, ps, [
         [-node[0] for node in nodes],
         [node[0] * node[1] * ys[i] for i, node in enumerate(nodes)],
@@ -325,9 +322,7 @@ def eval_cross_param_jet(chain: CrossMapChain, x1: float, y0: float) -> CrossPar
                 gi, qi = g[i], q[i]
                 vg = bm * g_prev
                 vq = bm * q_prev + dm * ys[i]
-                src = fxx * gi * qi
-                if hooked:
-                    src += fxv * (gi * vq + qi * vg) + fvv * vg * vq
+                src = fxx * gi * qi + fxv * (gi * vq + qi * vg) + fvv * vg * vq
                 col[i] = scale * (dm * coupling * g_prev - src)
                 g_prev, q_prev = gi, qi
             mixed.append(col)
@@ -338,6 +333,7 @@ def eval_cross_param_jet(chain: CrossMapChain, x1: float, y0: float) -> CrossPar
         (q_a[0], q_m[0]), (q_a[n - 1], q_m[n - 1]),
         (x1a[0], x1m[0]), (x1a[n - 1], x1m[n - 1]),
         (y0a[0], y0m[0]), (y0a[n - 1], y0m[n - 1]),
+        tuple(cs),
     )
 
 
@@ -632,13 +628,12 @@ def distortion_report(
         dbm_db = f.m * b ** (f.m - 1)
         for x1 in x1_values:
             for y0 in y0_values:
-                d = eval_cross_derivatives(ch, x1, y0)
                 jet = eval_cross_param_jet(ch, x1, y0)
                 count += 1
                 B0 = max(
                     B0,
-                    abs(d.A), abs(d.B),
-                    abs(d.dA[0]), abs(d.dA[1]), abs(d.dB[0]), abs(d.dB[1]),
+                    abs(jet.A), abs(jet.B),
+                    abs(jet.dA[0]), abs(jet.dA[1]), abs(jet.dB[0]), abs(jet.dB[1]),
                 )
                 ax, by = jet.dA[0], jet.dB[1]
                 B1 = max(B1, abs(jet.d2A[0] / ax), abs(jet.d2A[1] / ax))
@@ -652,9 +647,9 @@ def distortion_report(
                         )
                     B1 = max(B1, abs(jet.d2B[1] / by), abs(jet.d2B[2] / by))
                 prod = 1.0
-                for c in d.factor_dx:
+                for c in jet.factor_dx:
                     prod *= abs(c)
-                gap = max(gap, abs(abs(d.dA[0]) - prod) / abs(d.dA[0]))
+                gap = max(gap, abs(abs(ax) - prod) / abs(ax))
                 if b == 0.0:
                     Bm = None
                 elif Bm is not None:

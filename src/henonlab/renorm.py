@@ -31,7 +31,6 @@ from .errors import (
     HenonLabError,
     NoCrossingError,
     TangencyError,
-    WordError,
 )
 from .henon import (
     AttractorReport,
@@ -43,7 +42,7 @@ from .henon import (
     find_attractors,
     iterate,
 )
-from .maps1d import ladder, piece_1d, special_parameters
+from .maps1d import ladder, parse_word, piece_1d, special_parameters
 from .rootfind import bisect, newton2, newton_safeguarded
 
 __all__ = [
@@ -638,8 +637,14 @@ def double_tangency(
 
     ``build(a, b)`` must return a map that carries a and b themselves, with
     m, zeta and xi independent of (a, b); any other family is a
-    ``DomainError``, as are malformed words.  A failed solve is a
-    ``NoCrossingError`` carrying the evaluated (a, b, mu1, mu2) samples."""
+    ``DomainError``, as is a map that is not xi-normalized; a malformed word
+    is a ``WordError``.  These are checked at the seed.  Any other failure,
+    at the seed or at a Newton iterate, is a ``NoCrossingError`` carrying
+    the evaluated (a, b, mu1, mu2) samples."""
+    if not _built_map(build, *seed).normalized:
+        raise DomainError("double tangency requires a xi-normalized map")
+    parse_word(word1)
+    parse_word(word2)
     trace: list[tuple[float, float, float, float]] = []
     last: list = [None, None]
 
@@ -665,8 +670,6 @@ def double_tangency(
         a, b = newton2(both, seed, jac=jacobian, rtol=1e-13)
         mu1, mu2 = both([a, b])
         (_, db1), (_, db2) = jacobian([a, b])
-    except (DomainError, WordError):
-        raise
     except HenonLabError as exc:
         raise NoCrossingError(
             f"defects of {word1!r} and {word2!r} admit no common zero "

@@ -405,6 +405,13 @@ class TestDoubleTangency:
             )
         assert isinstance(info.value.samples, list)
 
+    def test_domain_error_at_an_iterate_is_a_failed_solve(self):
+        # the first Newton step from this seed lands at a > 1/4, where the
+        # ladder has no real fixed points
+        with pytest.raises(NoCrossingError, match="fixed points are complex") as info:
+            double_tangency(lambda a, b: HenonMap(a, b), "c1", "c2", seed=(-1.85, -0.1))
+        assert [s[:2] for s in info.value.samples] == [(-1.85, -0.1)]
+
     @pytest.mark.parametrize("kind,m,seed", [
         ("standard", 1, (-1.86583, 2.376e-3)),
         ("standard", 1, (-1.86583301618128, 2.37610577353131e-3)),
