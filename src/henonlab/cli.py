@@ -370,7 +370,6 @@ def _run_twin(typed: Mapping[str, object]) -> int:
         b_hat=float(typed["b-hat"]),
         a_range=typed["a-range"],
         target=float(typed["target"]),
-        samples=int(typed["samples"]),
     )
     print(f"word_minus = {result.word_minus}")
     print(f"word_plus = {result.word_plus}")
@@ -518,10 +517,10 @@ _register(Command(
     (
         Option("k", _parse_int, "1", "cascade index of the base word"),
         Option("j", _parse_int, "0", "gap index of the long word"),
-        Option("b-hat", _parse_float, "0.01", "second-parameter scale"),
+        Option("b-hat", _parse_float, "0.01",
+               "crossing seed scale: |b|^m = |b-hat|*eta, b signed like b-hat"),
         Option("target", _parse_float, "-0.5", "renormalized target value"),
-        Option("samples", _parse_int, "7", "curve sample count"),
-        Option("a-range", _parse_range, "auto", "root bracket as LO:HI"),
+        Option("a-range", _parse_range, "auto", "bracket of the short word's roots as LO:HI"),
     ) + _map_options(),
     _run_twin,
 ))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .crossmap import (
     CrossJet,
@@ -719,6 +719,13 @@ def _mu_gradient(t: TangencyData) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TwinResult:
+    """Outcome of ``twin_find``.
+
+    ``bracket`` is the window in b, signed like ``b_hat``, whose b^m runs
+    over [|b_hat| eta^(3/2), |b_hat| eta^(1/2)]; its geometric centre seeds
+    the crossing solve, which may leave it.  (b0, a_at_b0) is the double
+    tangency and (a, b) the returned point on the short word's root curve."""
+
     word_minus: str
     word_plus: str
     eta: float
@@ -737,11 +744,6 @@ class TwinResult:
         return tuple(sorted(c.period for c in self.report.cycles))
 
 
-def _twin_words(k: int, j: int, orientation: float) -> tuple[str, str]:
-    gap = f"bm{j}" if orientation >= 0.0 else f"bp{j}"
-    return f"c{k}", f"c{k},{gap},bm0"
-
-
 def twin_find(
     build: Callable[[float, float], HenonMap],
     k: int = 1,
@@ -749,91 +751,81 @@ def twin_find(
     b_hat: float = 1e-2,
     a_range: tuple[float, float] | None = None,
     target: float = -0.5,
-    samples: int = 7,
 ) -> TwinResult:
     """Locate a parameter point carrying two coexisting attracting cycles.
 
-    The short word's fold-defect root traces a curve a(b); the long word's
-    root crosses it at some b0 inside [|b_hat| eta^(3/2), |b_hat| eta^(1/2)]
-    (widened tenfold on retry). Moving along the short word's curve past b0
-    sweeps the long word's renormalized value through the attracting range;
-    the returned point puts it at ``target`` while the short word stays at
-    its window center. Both predicted cycles are then located directly.
-    Every root is one bracketed secant; traced roots start from the last."""
-    if samples < 2:
-        raise DomainError(f"samples must be at least 2, got {samples}")
+    The folds of the short word c{k} and the long word c{k},b?{j},bm0 are
+    tangent at once at the crossing (a_at_b0, b0): one ``double_tangency``
+    solve seeded at the short word's b = 0 root in ``a_range`` and at the
+    centre of ``TwinResult.bracket``. The long word's gap turns towards the
+    sign of b^m, m the built map's multiplicity. Moving along the short
+    word's root curve a(b) past b0 sweeps the long word's renormalized value
+    through the attracting range; the returned point puts it at ``target``
+    while the short word stays at its window center. Both predicted cycles
+    are then located directly. Each root of the curve is one bracketed
+    secant inside ``a_range``, started from the last.
+
+    A failed crossing solve raises ``double_tangency``'s
+    ``NoCrossingError``, with (a, b, mu1, mu2) samples; a target the long
+    word's value misses near b0 raises one with (b, abar_plus - target)
+    samples."""
     if b_hat == 0.0:
-        raise DomainError("b_hat must be nonzero: it sets the scale of the b scan")
+        raise DomainError("b_hat must be nonzero: it sets the scale of the crossing seed")
     if j < 0:
         raise DomainError(f"gap index j must be non-negative, got {j}")
-    word_minus, word_plus = _twin_words(k, j, b_hat)
     if a_range is None:
         _, a2 = special_parameters()
         a_range = (a2 + 5e-4, -1.82)
 
+    word_minus = f"c{k}"
     a_m = solve_mu_zero(lambda a: build(a, 0.0), word_minus, *a_range)
-    a_p = solve_mu_zero(lambda a: build(a, 0.0), word_plus, *a_range)
+    m = build(a_m, 0.0).m
+    sign = math.copysign(1.0, b_hat)
+    # the long word's gap turns towards the side of b^m
+    gap = f"bm{j}" if sign**m > 0.0 else f"bp{j}"
+    word_plus = f"{word_minus},{gap},bm0"
 
     hi1 = piece_1d(f"c{j + 1}", a_m).hi
     hi2 = piece_1d(f"c{j + 2}", a_m).hi
     eta = 0.5 * math.sqrt(hi1 - hi2)
 
-    sign = 1.0 if b_hat >= 0.0 else -1.0
+    def b_at(bm: float) -> float:
+        return sign * bm ** (1.0 / m)
+
     mag = abs(b_hat)
+    bracket = (b_at(mag * eta**1.5), b_at(mag * math.sqrt(eta)))
+    crossing = double_tangency(build, word_minus, word_plus, (a_m, b_at(mag * eta)))
+    b0, a_at_b0 = crossing.b, crossing.a
+
     a_min, a_max = min(a_range), max(a_range)
-    state = {"am": a_m, "ap": a_p, "b": 0.0}
+    state = {"a": a_at_b0, "b": b0}
 
-    def trace_roots(b: float) -> tuple[float, float]:
-        # The root curves move about 2.1 (c1) and 2.5 (c1,bm0,bm0) in a per
-        # unit b, so the window around the last root grows with the b step.
+    def root_at(b: float) -> float:
+        # The root curve moves about 2.1 (c1) in a per unit b, so the window
+        # around the last root grows with the b step.
         half = 4e-3 + 4.0 * abs(b - state["b"])
-        for key, word in (("am", word_minus), ("ap", word_plus)):
-            lo, hi = max(state[key] - half, a_min), min(state[key] + half, a_max)
-            state[key] = solve_mu_zero(lambda a: build(a, b), word, lo, hi, coarse=12)
+        lo, hi = max(state["a"] - half, a_min), min(state["a"] + half, a_max)
+        state["a"] = solve_mu_zero(lambda a: build(a, b), word_minus, lo, hi, coarse=12)
         state["b"] = b
-        return state["am"], state["ap"]
-
-    def gap(b: float) -> float:
-        am, ap = trace_roots(b)
-        return am - ap
-
-    def scan(lo: float, hi: float, n: int) -> tuple[float, float] | None:
-        ratio = (hi / lo) ** (1.0 / (n - 1))
-        bs = [sign * lo * ratio**i for i in range(n)]
-        vals = [(b, gap(b)) for b in bs]
-        scanned.extend(vals)
-        return _first_sign_change(vals)
-
-    scanned: list[tuple[float, float]] = []
-    lo, hi = mag * eta**1.5, mag * math.sqrt(eta)
-    found = scan(lo, hi, samples)
-    if found is None:
-        found = scan(lo / 10.0, hi * 10.0, 2 * samples)
-    if found is None:
-        raise NoCrossingError(
-            f"root curves of {word_minus!r} and {word_plus!r} do not cross "
-            f"for b in [{sign * lo / 10.0!r}, {sign * hi * 10.0!r}]",
-            scanned,
-        )
-    b0 = newton_safeguarded(gap, 0.5 * (found[0] + found[1]), bracket=found, rtol=1e-10)
-    a_at_b0 = trace_roots(b0)[0]
+        return state["a"]
 
     curve_samples = []
     for off in (-3e-5, -1e-5, 0.0, 1e-5, 3e-5):
         b = b0 * (1.0 + off)
-        am = trace_roots(b)[0]
-        curve_samples.append(renormalize(build(am, b), word_minus).abar)
+        curve_samples.append(renormalize(build(root_at(b), b), word_minus).abar)
 
     def off_target(b: float) -> float:
-        am = trace_roots(b)[0]
-        return renormalize(build(am, b), word_plus).abar - target
+        return renormalize(build(root_at(b), b), word_plus).abar - target
 
-    def locate(direction: float) -> tuple[float, float] | None:
-        offsets = (0.0, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4)
-        bs = (b0 * (1.0 + direction * u) for u in offsets)
-        return _first_sign_change((b, off_target(b)) for b in bs)
+    scanned: list[tuple[float, float]] = []
 
-    hit = locate(1.0) or locate(-1.0)
+    def locate(direction: float) -> Iterator[tuple[float, float]]:
+        for u in (0.0, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4):
+            b = b0 * (1.0 + direction * u)
+            scanned.append((b, off_target(b)))
+            yield scanned[-1]
+
+    hit = _first_sign_change(locate(1.0)) or _first_sign_change(locate(-1.0))
     if hit is None:
         raise NoCrossingError(
             f"renormalized value of {word_plus!r} never reaches {target!r} "
@@ -842,30 +834,23 @@ def twin_find(
         )
     # The target value moves by ~1e6 per unit b: run to rounding level.
     b_star = newton_safeguarded(off_target, 0.5 * (hit[0] + hit[1]), bracket=hit, rtol=1e-15)
-    a_star = trace_roots(b_star)[0]
+    a_star = root_at(b_star)
     chosen = build(a_star, b_star)
-    abar_minus = renormalize(chosen, word_minus).abar
-    abar_plus = renormalize(chosen, word_plus).abar
-
-    seeds = []
-    for word in (word_minus, word_plus):
-        chain = factorize_chain(chosen, word)
-        t = find_tangency(chain)
-        seeds.append((t.c, eval_cross(chain, t.c, t.c).B))
-    n_plus = factorize_chain(chosen, word_plus).order
-    report = find_attractors(chosen, seeds, max_period=max(32, n_plus + 6))
+    minus, plus = renormalize(chosen, word_minus), renormalize(chosen, word_plus)
+    seeds = [(r.tangency.c, r.tangency.H(0.0)) for r in (minus, plus)]
+    report = find_attractors(chosen, seeds, max_period=max(32, plus.chain.order + 6))
 
     return TwinResult(
         word_minus,
         word_plus,
         eta,
-        (sign * lo, sign * hi),
+        bracket,
         b0,
         a_at_b0,
         a_star,
         b_star,
-        abar_minus,
-        abar_plus,
+        minus.abar,
+        plus.abar,
         tuple(curve_samples),
         report,
     )

@@ -10,13 +10,15 @@ is called millions of times per tangency search.  The fold-tangency solves
 of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
 cross-map jets, and ``renorm.double_tangency`` passes the exact parameter
 Jacobian of its two fold defects, taken from the jets' parameter columns;
-``newton2`` has no finite-difference mode.  Each parameter root of
-``renorm.solve_mu_zero`` and ``renorm.twin_find`` is one bracketed secant
-solve, whose first secant partner is a bracket end.  ``newton2`` takes a
-step already within tolerance whole, so the tracked anchor solves of
-``atlas``, which start from the last solution, cost two evaluations when
-it still holds.  Plain ``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
-and the window edges of ``renorm.renorm_window``.
+``newton2`` has no finite-difference mode.  The crossing of
+``renorm.twin_find`` is one such ``double_tangency`` solve.  Each root of
+``renorm.solve_mu_zero``, and the target point of ``twin_find``, is one
+bracketed secant solve, whose first secant partner is a bracket end.
+``newton2`` takes a step already within tolerance whole, so the tracked
+anchor solves of ``atlas``, which start from the last solution, cost two
+evaluations when it still holds.  Plain ``bisect`` serves
+``maps1d.special_parameters``, ``crossmap.shoot_oracle`` and the window
+edges of ``renorm.renorm_window``.
 """
 
 from __future__ import annotations

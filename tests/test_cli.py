@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from henonlab.atlas import read_csv, sweep
 from henonlab.cli import COMMANDS, RunConfig, run
+from henonlab.crossmap import factorize_chain
+from henonlab.henon import HenonMap
 from henonlab.maps1d import special_parameters
 
 
@@ -83,15 +85,28 @@ class TestReports:
         assert float(report["abar_plus"]) == pytest.approx(-0.5, abs=1e-9)
 
     @pytest.mark.parametrize("args", [
-        ("--samples", "3"),
         ("--b-hat", "0.03"),
         ("--k", "2"),
         ("--k", "2", "--b-hat", "-0.01"),
+        ("--k", "2", "--b-hat", "0.03"),
+        ("--k", "2", "--b-hat", "-0.03"),
+        ("--b-hat", "0.3"),
+        ("--k", "2", "--j", "1", "--b-hat", "0.001"),
+        ("--m", "2", "--b-hat", "0.01"),
+        ("--m", "2", "--b-hat", "-0.01"),
     ])
     def test_coarse_twin_scans_keep_the_roots(self, capsys, args):
-        # each scan step moves the roots farther than the base window
+        # crossings away from the default configuration: one attracting
+        # cycle per word, of period order + 1
         rc, out, err = call(capsys, "twin", *args)
         assert rc == 0, err
+        report = dict(line.split(" = ", 1) for line in out.splitlines()
+                      if not line.startswith("cycle "))
+        m = int(dict(zip(args[::2], args[1::2])).get("--m", "1"))
+        f = HenonMap(float(report["a"]), float(report["b"]), m)
+        periods = sorted(factorize_chain(f, report[key]).order + 1
+                         for key in ("word_minus", "word_plus"))
+        assert report["periods"] == ", ".join(str(p) for p in periods)
         radii = [float(line.split("spectral radius = ")[1].split(",")[0])
                  for line in out.splitlines() if line.startswith("cycle period")]
         assert len(radii) == 2 and max(radii) < 1.0
@@ -199,8 +214,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [
         ("renorm", "--a", "-1.86", "--b", "0.001", "--m", "0"),
-        ("twin", "--samples", "1"),
-        ("twin", "--samples", "0"),
         ("special-params", "--digits", "-3"),
         ("swallow", "--grid", "3x3", "--workers", "1", "--radius", "0"),
         ("swallow", "--grid", "3x3", "--workers", "1", "--radius", "-1"),
@@ -230,6 +243,7 @@ class TestExitCodes:
         ("renorm-window", "--a-lo", "-1.86", "--a-hi", "-1.86"),
         ("certify", "--j", "-1"),
         ("twin", "--j", "-1"),
+        ("twin", "--map", "zero"),
     ], ids=lambda args: " ".join((args[0],) + args[-2:]))
     def test_bad_input_is_config_error(self, capsys, args):
         rc, out, err = call(capsys, *args)
@@ -424,7 +438,7 @@ _FAST_COMMANDS = {
     "swallow": (("--grid", "4x4", "--workers", "1", "--format", "csv"),
                 ("grid", "steps", "n", "radius", "a-range", "b-range")),
     # flags whose values fail, or end the search, before the twin solve
-    "twin": ((), ("samples", "m", "b-hat", "k", "j", "a-range")),
+    "twin": ((), ("m", "b-hat", "k", "j", "a-range")),
     "renorm-window": ((), ("a-lo", "a-hi", "b", "m", "word")),
 }
 
@@ -479,7 +493,8 @@ def _embed_invocation(draw):
 @st.composite
 def _twin_invocation(draw):
     """Full twin solves: targets inside and outside the attracting range,
-    both orientations of b, two cascade indices and short curve scans."""
+    both orientations of b, two cascade indices, two gap indices and two
+    multiplicities."""
     target = draw(st.one_of(
         st.floats(-3.0, 1.0, allow_nan=False).map(repr), _BAD_VALUES
     ))
@@ -487,7 +502,8 @@ def _twin_invocation(draw):
         "twin", f"--target={target}",
         f"--b-hat={draw(st.sampled_from([1e-3, -1e-3, 1e-2, -1e-2, 3e-2]))}",
         f"--k={draw(st.sampled_from([1, 2]))}",
-        f"--samples={draw(st.integers(2, 9))}",
+        f"--j={draw(st.sampled_from([0, 1]))}",
+        f"--m={draw(st.sampled_from([1, 2]))}",
     ]
 
 

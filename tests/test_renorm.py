@@ -655,6 +655,37 @@ class TestTwin:
             math.sqrt(3.0) - 1.0, abs=1e-3
         )
 
+    @pytest.mark.parametrize("k,b0_at_m1,periods", [
+        (1, 2.3761057735220e-3, (5, 11)),
+        (2, 6.261933285601e-4, (7, 13)),
+    ])
+    def test_even_m_orients_by_the_sign_of_b_power(self, k, b0_at_m1, periods):
+        # b^2 > 0 for either sign of b: the long word turns as for b > 0,
+        # and the crossing's b^2 is the m = 1 crossing's b
+        tw = twin_find(lambda a, b: HenonMap(a, b, 2), k=k, b_hat=-1e-2)
+        assert tw.word_plus == f"c{k},bm0,bm0"
+        assert tw.b0 < 0.0
+        assert tw.b0**2 == pytest.approx(b0_at_m1, rel=1e-10)
+        assert tw.periods == periods
+        assert all(c.spectral_radius < 1.0 for c in tw.report.cycles)
+
+    def test_unreached_target_keeps_its_samples(self):
+        with pytest.raises(NoCrossingError, match="never reaches 5.0") as info:
+            twin_find(lambda a, b: HenonMap(a, b), target=5.0)
+        samples = info.value.samples
+        # (b, abar_plus - target) at the 11 offsets on each side of b0
+        assert len(samples) == 22
+        assert all(len(s) == 2 and s[1] < 0.0 for s in samples)
+
+    def test_failed_crossing_keeps_its_samples(self):
+        # at the m = 3 seed for b_hat = -1e-3 the chain of c1,bp0,bm0 has
+        # no real branch
+        with pytest.raises(NoCrossingError, match="admit no common zero") as info:
+            twin_find(lambda a, b: HenonMap(a, b, 3), b_hat=-1e-3)
+        samples = info.value.samples
+        assert samples and all(len(s) == 4 for s in samples)
+        assert samples[0][1] < 0.0
+
 
 def _scan_bisect_polish(build, word, a_lo, a_hi, coarse=24):
     """Oracle for ``solve_mu_zero``: the coarse scan, bisection to 1e-11
@@ -677,9 +708,10 @@ def _scan_bisect_polish(build, word, a_lo, a_hi, coarse=24):
     raise ConvergenceError(f"defect of {word!r} has no root in [{a_lo!r}, {a_hi!r}]")
 
 
-@pytest.fixture(scope="module", params=[1e-2, -1e-2], ids=["b_hat+", "b_hat-"])
+@pytest.fixture(scope="module", params=[(1, 1e-2), (1, -1e-2), (2, 1e-2), (2, -1e-2)],
+                ids=["b_hat+", "b_hat-", "c2-b_hat+", "c2-b_hat-"])
 def recorded_twin(request):
-    """Default twin search at (k, j) = (1, 0), recording every
+    """Twin search at (k, j) = (1, 0) or (2, 0), recording every
     ``solve_mu_zero`` window and counting the maps built."""
     windows, builds = [], [0]
     solve = renorm.solve_mu_zero
@@ -694,7 +726,8 @@ def recorded_twin(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(renorm, "solve_mu_zero", recording)
-        twin_find(build, k=1, j=0, b_hat=request.param)
+        k, b_hat = request.param
+        twin_find(build, k=k, j=0, b_hat=b_hat)
     return windows, builds[0]
 
 
@@ -723,7 +756,8 @@ class TestParameterRootOracle:
 
     def test_twin_windows(self, recorded_twin):
         windows, _ = recorded_twin
-        assert len(windows) > 50
+        # 20 to 34 windows per search: the b = 0 root and the traced curve
+        assert len(windows) >= 20
         self.assert_matches_oracle(windows)
 
     def test_flat_and_renorm_windows(self, flat_roots):
