@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -29,7 +30,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, HenonLabError
+from .errors import ConvergenceError, DomainError, HenonLabError
 from .henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
 from .maps1d import DEFAULT_ESCAPE_RADIUS, parse_word
 from .renorm import multi_renormalize, renormalize
@@ -529,6 +530,17 @@ def _row_renorm_strip(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndar
 
 
 # --- embed-compare -----------------------------------------------------
+# Each pixel tracks the map x = (a, b) whose two-word renormalization puts
+# the rescaled parameters (abar_0, abar_1) at the pixel's target: a serial
+# walk down the left edge gives every row its starting state, then each row
+# walks left to right.  A walk carries a secant model of the Jacobian of
+# (abar_0, abar_1, c_0, c_1) over x, the c_i being the tangency anchors: its
+# abar rows give the Newton steps, its anchor rows seed each anchor solve
+# (Euler predictor, Newton corrector), and Broyden's rank-one update keeps
+# it current after every evaluation.  A difference Jacobian is taken only
+# at the seed and after a failed track.  Along a walk the first step of a
+# track goes to the quadratic extrapolation of the last three solutions,
+# so that a pixel mostly costs one renormalization.
 
 def _embed_config(params: Mapping) -> dict:
     words = tuple(params.get("words", _EMBED_WORDS))
@@ -559,109 +571,156 @@ def _embed_config(params: Mapping) -> dict:
 
 
 def _embed_eval(x, anchors, words, m):
-    md = multi_renormalize(
+    return multi_renormalize(
         HenonMap(x[0], x[1], m),
         words,
         anchor_seed=anchors,
         anchor_rtol=_EMBED_ANCHOR_RTOL,
     )
-    return md, md.c
 
 
-def _embed_jacobian(x, anchors, base, words, m):
-    """Finite-difference 2x2 Jacobian of the rescaled-parameter pair."""
+def _embed_values(md) -> tuple[float, ...]:
+    """The tracked quantities of a solve: (abar_0, abar_1, c_0, c_1)."""
+    return (md.abar[0], md.abar[1], md.c[0], md.c[1])
+
+
+def _embed_jacobian(x, md, words, m):
+    """Finite-difference Jacobian of ``_embed_values`` over (a, b) at x,
+    where ``md`` is the solve: one (d/da, d/db) row per value."""
     h = 1e-9
-    md_a, anchors = _embed_eval((x[0] + h, x[1]), anchors, words, m)
-    md_b, anchors = _embed_eval((x[0], x[1] + h), anchors, words, m)
-    return (
-        (md_a.abar[0] - base[0]) / h,
-        (md_b.abar[0] - base[0]) / h,
-        (md_a.abar[1] - base[1]) / h,
-        (md_b.abar[1] - base[1]) / h,
-    ), anchors
+    shifted_a = _embed_values(_embed_eval((x[0] + h, x[1]), md.c, words, m))
+    shifted_b = _embed_values(_embed_eval((x[0], x[1] + h), md.c, words, m))
+    return tuple(((va - v) / h, (vb - v) / h)
+                 for v, va, vb in zip(_embed_values(md), shifted_a, shifted_b))
 
 
-def _embed_solve(target, x, anchors, J, cfg, max_iter=12, md=None):
+def _embed_step(model, g: tuple[float, float]) -> tuple[float, float]:
+    """The Newton step of the model's abar rows against the residual g."""
+    (ja, jb), (jc, jd) = model[0], model[1]
+    det = ja * jd - jb * jc
+    if det == 0.0:
+        raise ConvergenceError("singular tracking model")
+    return (jb * g[1] - jd * g[0]) / det, (jc * g[0] - ja * g[1]) / det
+
+
+def _embed_solve(target, x, anchors, model, cfg, max_iter=12, md=None, guess=None):
     """Track the map whose rescaled parameters hit ``target``.
 
-    Damped Newton with a frozen Jacobian, refreshed only when the iteration
-    struggles; every evaluation reuses the previous tangency anchors.  ``md``
-    is the renormalization already solved at the starting ``x`` (with
-    ``anchors`` its anchors), such as the last solve of the previous pixel;
-    when given, it stands in for the first evaluation.
-    Returns (ok, x, anchors, J, md).
+    Damped Newton on a secant model: ``model`` is the Jacobian of
+    ``_embed_values`` over x = (a, b), laid out as ``_embed_jacobian``'s
+    difference version, which is taken only when ``model`` is None, and
+    Broyden-updated after every evaluation.  The abar rows give the Newton
+    steps, and the anchor rows predict the anchors each evaluation starts
+    from, so that the anchor solve mostly stops after its first step.  The
+    first step goes to ``guess`` when one is given.  Every step is capped
+    at _EMBED_STEP_CAP.  ``md`` is the renormalization already solved at
+    the starting ``x``, such as the last solve of the previous pixel; when
+    None, x is evaluated from ``anchors``.
+
+    Returns (x, model, md, fit), md the solve at x and fit the next Newton
+    iterate from x, or None when the track fails.
     """
     words, m, tol = cfg["words"], cfg["m"], cfg["tol"]
     try:
+        if md is None:
+            md = _embed_eval(x, anchors, words, m)
+        if model is None:
+            model = _embed_jacobian(x, md, words, m)
         for attempt in range(max_iter):
-            if attempt > 0 or md is None:
-                md, anchors = _embed_eval(x, anchors, words, m)
             g = (md.abar[0] - target[0], md.abar[1] - target[1])
+            step = _embed_step(model, g)
             if max(abs(g[0]), abs(g[1])) <= tol:
-                return True, x, anchors, J, md
-            if J is None or attempt in (5, 9):
-                J, anchors = _embed_jacobian(x, anchors, md.abar, words, m)
-            det = J[0] * J[3] - J[1] * J[2]
-            if det == 0.0:
-                return False, x, anchors, J, md
-            dx = (J[3] * g[0] - J[1] * g[1]) / det
-            dy = (J[0] * g[1] - J[2] * g[0]) / det
-            size = math.hypot(dx, dy)
+                return x, model, md, (x[0] + step[0], x[1] + step[1])
+            if attempt == max_iter - 1:
+                break
+            if attempt == 0 and guess is not None:
+                step = (guess[0] - x[0], guess[1] - x[1])
+            size = math.hypot(*step)
             if size > _EMBED_STEP_CAP:
-                scale = _EMBED_STEP_CAP / size
-                dx *= scale
-                dy *= scale
-            x = (x[0] - dx, x[1] - dy)
+                step = (step[0] * _EMBED_STEP_CAP / size, step[1] * _EMBED_STEP_CAP / size)
+            x_new = (x[0] + step[0], x[1] + step[1])
+            s = (x_new[0] - x[0], x_new[1] - x[1])
+            predicted = [v + da * s[0] + db * s[1]
+                         for v, (da, db) in zip(_embed_values(md), model)]
+            md = _embed_eval(x_new, (predicted[2], predicted[3]), words, m)
+            ss = s[0] * s[0] + s[1] * s[1]
+            if ss > 0.0:
+                # Broyden's rank-one update: the model now maps s to the change seen
+                misses = [v - p for v, p in zip(_embed_values(md), predicted)]
+                model = tuple((da + r * s[0] / ss, db + r * s[1] / ss)
+                              for (da, db), r in zip(model, misses))
+            x = x_new
     except HenonLabError:
-        return False, x, anchors, J, md
-    return False, x, anchors, J, md
+        pass
+    return None
+
+
+def _embed_walk(targets, x, anchors, model, cfg, max_iter=12):
+    """Track ``targets`` in order, each from the last solve that succeeded.
+
+    Yields (x, anchors, model, md) after each target: md is its solve, or
+    None where the track failed, and then the rest is the state the next
+    target starts from: the last solved point and its anchors, with neither
+    model nor solve, so that the point is evaluated afresh and the model
+    differenced again.  Once three targets in a row have solved, the next
+    track's first step goes to the quadratic extrapolation of their fits
+    (the last step plus the second difference).  Fits, each solve's next
+    Newton iterate, are used in place of the solved points, whose residuals
+    of up to ``tol`` would otherwise dominate the second difference.
+    """
+    md = None
+    fits = deque(maxlen=3)
+    for target in targets:
+        guess = None
+        if len(fits) == 3:
+            (a0, b0), (a1, b1), (a2, b2) = fits
+            guess = (3.0 * (a2 - a1) + a0, 3.0 * (b2 - b1) + b0)
+        out = _embed_solve(target, x, anchors, model, cfg, max_iter, md, guess)
+        if out is None:
+            model = md = None
+            fits.clear()
+        else:
+            x, model, md, fit = out
+            anchors = md.c
+            fits.append(fit)
+        yield x, anchors, model, md
 
 
 def _embed_row_states(a_targets, b_targets, cfg):
-    """Serial walk down the left edge: each row's starting solution.
+    """Serial walk down the left edge: each row's starting state.
 
-    Row tasks depend only on their stored state, so the subsequent row
-    sweeps parallelize without changing any pixel.
+    A state is (x, anchors, model) as ``_embed_walk`` yields it after the
+    row's first pixel, the secant model included, so a row continues the
+    walk's model (and differences it again where that pixel failed).  Row
+    tasks depend only on their stored state, so the subsequent row sweeps
+    parallelize without changing any pixel.
     """
-    x = cfg["seed"]
-    anchors = md = J = None
-    states = []
-    for i in range(b_targets.size):
-        target = (float(a_targets[0]), float(b_targets[i]))
-        ok, x_new, anchors_new, J, md_new = _embed_solve(
-            target, x, anchors, J, cfg, max_iter=40, md=md
-        )
-        if ok:
-            x, anchors, md = x_new, anchors_new, md_new
-        else:
-            md = None
-        states.append((x, anchors, J))
-    return states
+    targets = [(float(a_targets[0]), float(b)) for b in b_targets]
+    walk = _embed_walk(targets, cfg["seed"], None, None, cfg, max_iter=40)
+    return [(x, anchors, model) for x, anchors, model, _ in walk]
 
 
 def _block_embed_compare(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """Predicted against direct boundedness at every tracked pixel.
 
-    Each row walks left to right from its stored starting state, and a pixel
-    whose track fails stays error.  The prediction is the a-then-b composed
-    orbit of the target.  The direct check iterates the tracked map from the
-    chart origin: one composed step is a full passage through both words
-    plus the two fold steps, mirroring the period of the renormalized
-    composition, and the orbit escapes when its first chart coordinate first
-    exceeds the same radius the prediction uses.
+    Each row walks left to right from its stored starting state
+    (``_embed_walk``), evaluating that state's point once more since the
+    state holds no solve, and a pixel whose track fails stays error.  The
+    prediction is the a-then-b composed orbit of the target.  The direct
+    check iterates the tracked map from the chart origin: one composed step
+    is a full passage through both words plus the two fold steps, mirroring
+    the period of the renormalized composition, and the orbit escapes when
+    its first chart coordinate first exceeds the same radius the prediction
+    uses.
     """
     cfg = params["_embed_cfg"]
     n_composed, r_esc = cfg["steps"], cfg["radius"]
     tracked, orbits = [], []
-    for k, (x, anchors, J) in enumerate(params["_embed_states"]):
-        md = None
-        for j in range(a.size):
-            target = (float(a[j]), float(b[k]))
-            ok, x_new, anchors_new, J, md = _embed_solve(target, x, anchors, J, cfg, md=md)
-            if not ok:
-                J = md = None
+    for k, state in enumerate(params["_embed_states"]):
+        targets = [(float(a_j), float(b[k])) for a_j in a]
+        for j, (x, _, _, md) in enumerate(_embed_walk(targets, *state, cfg)):
+            if md is None:
                 continue
-            x, anchors = x_new, anchors_new
             tracked.append(k * a.size + j)
             orbits.append((*md.chart(0, 0.0, 0.0), x[0], x[1] ** cfg["m"], md.c[0], md.gamma[0]))
             # the same at every pixel: chain orders depend on the words alone

@@ -374,7 +374,7 @@ def _run_twin(typed: Mapping[str, object]) -> int:
     print(f"word_minus = {result.word_minus}")
     print(f"word_plus = {result.word_plus}")
     print(f"eta = {_fmt(result.eta)}")
-    print(f"crossing bracket = [{_fmt(result.bracket[0])}, {_fmt(result.bracket[1])}]")
+    print(f"seed window = [{_fmt(result.bracket[0])}, {_fmt(result.bracket[1])}]")
     print(f"b0 = {_fmt(result.b0)}")
     print(f"a = {_fmt(result.a)}")
     print(f"b = {_fmt(result.b)}")

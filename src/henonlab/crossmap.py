@@ -12,7 +12,7 @@ forward-shooting oracle for cross-validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import (
@@ -77,6 +77,10 @@ class CrossMapChain:
 
     henon: HenonMap
     piece: Piece1D
+    # the last tangent solve, [(x1, y0, second), result]; see _tangent_solve
+    _last_tangent: list = field(
+        default_factory=lambda: [None, None], init=False, repr=False, compare=False
+    )
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -354,6 +358,20 @@ def _solve_scaled(ds: list, ks: list, ps: list, columns: list) -> list:
 
 
 def _tangent_solve(chain: CrossMapChain, x1: float, y0: float, second: bool):
+    """``_tangent_columns``, remembered per chain for its last point.
+
+    A tangency solve ends on a jet at its anchor, and ``renorm`` then asks
+    for the parameter jet there; both come from this one solve.  The lists
+    it returns are read, never written.
+    """
+    key = (x1, y0, second)
+    last = chain._last_tangent
+    if last[0] != key:
+        last[:] = [key, _tangent_columns(chain, x1, y0, second)]
+    return last[1]
+
+
+def _tangent_columns(chain: CrossMapChain, x1: float, y0: float, second: bool):
     """Solve the chain, factor its tangent system once and solve it for the
     two first-order columns and, when ``second`` is set, the three
     second-order ones.

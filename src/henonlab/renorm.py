@@ -26,9 +26,11 @@ from .crossmap import (
 )
 from .errors import (
     BracketError,
+    BranchError,
     ConvergenceError,
     DomainError,
     HenonLabError,
+    LadderError,
     NoCrossingError,
     TangencyError,
 )
@@ -640,7 +642,8 @@ def double_tangency(
     ``DomainError``, as is a map that is not xi-normalized; a malformed word
     is a ``WordError``.  These are checked at the seed.  Any other failure,
     at the seed or at a Newton iterate, is a ``NoCrossingError`` carrying
-    the evaluated (a, b, mu1, mu2) samples."""
+    the evaluated (a, b, mu1, mu2) samples; where a word's chain does not
+    exist at the point, it names the point and the word."""
     if not _built_map(build, *seed).normalized:
         raise DomainError("double tangency requires a xi-normalized map")
     parse_word(word1)
@@ -648,12 +651,20 @@ def double_tangency(
     trace: list[tuple[float, float, float, float]] = []
     last: list = [None, None]
 
+    def tangency(f: HenonMap, word: str) -> TangencyData:
+        try:
+            return find_tangency(factorize_chain(f, word))
+        except (BranchError, DomainError, LadderError) as exc:
+            where = f"Newton iterate {(f.a, f.b)!r} from seed" if trace else "seed"
+            raise NoCrossingError(
+                f"{where} {seed!r} lies outside the branch domain of {word!r}: {exc}", trace
+            ) from exc
+
     def tangencies(x: Sequence[float]) -> tuple[TangencyData, TangencyData]:
         key = (x[0], x[1])
         if last[0] != key:
             f = _built_map(build, *key)
-            ts = (find_tangency(factorize_chain(f, word1)),
-                  find_tangency(factorize_chain(f, word2)))
+            ts = (tangency(f, word1), tangency(f, word2))
             trace.append((key[0], key[1], ts[0].mu, ts[1].mu))
             last[:] = [key, ts]
         return last[1]
@@ -670,6 +681,8 @@ def double_tangency(
         a, b = newton2(both, seed, jac=jacobian, rtol=1e-13)
         mu1, mu2 = both([a, b])
         (_, db1), (_, db2) = jacobian([a, b])
+    except NoCrossingError:
+        raise
     except HenonLabError as exc:
         raise NoCrossingError(
             f"defects of {word1!r} and {word2!r} admit no common zero "
@@ -721,10 +734,12 @@ def _mu_gradient(t: TangencyData) -> tuple[float, float]:
 class TwinResult:
     """Outcome of ``twin_find``.
 
-    ``bracket`` is the window in b, signed like ``b_hat``, whose b^m runs
-    over [|b_hat| eta^(3/2), |b_hat| eta^(1/2)]; its geometric centre seeds
-    the crossing solve, which may leave it.  (b0, a_at_b0) is the double
-    tangency and (a, b) the returned point on the short word's root curve."""
+    ``bracket`` is the seed window in b, signed like ``b_hat``, whose b^m
+    runs over [|b_hat| eta^(3/2), |b_hat| eta^(1/2)]; its geometric centre
+    seeds the crossing solve.  It need not contain the crossing: at m = 3,
+    b_hat = 1e-3 it is [0.0302, 0.0671] and b0 = 0.1334.  (b0, a_at_b0) is
+    the double tangency and (a, b) the returned point on the short word's
+    root curve."""
 
     word_minus: str
     word_plus: str

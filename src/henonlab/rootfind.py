@@ -15,10 +15,10 @@ Jacobian of its two fold defects, taken from the jets' parameter columns;
 ``renorm.solve_mu_zero``, and the target point of ``twin_find``, is one
 bracketed secant solve, whose first secant partner is a bracket end.
 ``newton2`` takes a step already within tolerance whole, so the tracked
-anchor solves of ``atlas``, which start from the last solution, cost two
-evaluations when it still holds.  Plain ``bisect`` serves
-``maps1d.special_parameters``, ``crossmap.shoot_oracle`` and the window
-edges of ``renorm.renorm_window``.
+anchor solves of ``atlas``, which start from the anchors its secant model
+predicts, cost two evaluations when the prediction holds.  Plain
+``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
+and the window edges of ``renorm.renorm_window``.
 """
 
 from __future__ import annotations

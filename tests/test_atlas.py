@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henonlab import atlas
+from henonlab import atlas, renorm
 from henonlab.atlas import (
     COLORMAPS,
     DEFAULT_COLORMAPS,
@@ -32,7 +32,7 @@ from henonlab.atlas import (
     render_ppm,
     sweep,
 )
-from henonlab.errors import DomainError
+from henonlab.errors import DomainError, HenonLabError
 from henonlab.henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
 from henonlab.maps1d import swallow_classify
 from henonlab.renorm import multi_renormalize, renormalize
@@ -246,42 +246,97 @@ def _embed_direct_bounded(md, x, m, n_composed, r_esc):
     return True
 
 
-def _embed_row_states(a_targets, b_targets, cfg):
-    """The left-edge walk that solves every row's starting pixel afresh."""
+def _frozen_embed_jacobian(x, anchors, base, words, m):
+    """Finite-difference 2x2 Jacobian of the rescaled-parameter pair, and the
+    anchors of its last evaluation."""
+    h = 1e-9
+    md_a = atlas._embed_eval((x[0] + h, x[1]), anchors, words, m)
+    md_b = atlas._embed_eval((x[0], x[1] + h), md_a.c, words, m)
+    return (
+        (md_a.abar[0] - base[0]) / h,
+        (md_b.abar[0] - base[0]) / h,
+        (md_a.abar[1] - base[1]) / h,
+        (md_b.abar[1] - base[1]) / h,
+    ), md_b.c
+
+
+def _frozen_embed_solve(target, x, anchors, J, cfg, max_iter=12):
+    """The tracking the secant model replaced: damped Newton with a frozen
+    difference Jacobian, taken where none is given and again at attempts 5
+    and 9, each evaluation starting from the anchors of the last one.
+    Returns (ok, x, anchors, J, md)."""
+    words, m, tol = cfg["words"], cfg["m"], cfg["tol"]
+    md = None
+    try:
+        for attempt in range(max_iter):
+            md = atlas._embed_eval(x, anchors, words, m)
+            anchors = md.c
+            g = (md.abar[0] - target[0], md.abar[1] - target[1])
+            if max(abs(g[0]), abs(g[1])) <= tol:
+                return True, x, anchors, J, md
+            if J is None or attempt in (5, 9):
+                J, anchors = _frozen_embed_jacobian(x, anchors, md.abar, words, m)
+            det = J[0] * J[3] - J[1] * J[2]
+            if det == 0.0:
+                return False, x, anchors, J, md
+            dx = (J[3] * g[0] - J[1] * g[1]) / det
+            dy = (J[0] * g[1] - J[2] * g[0]) / det
+            size = math.hypot(dx, dy)
+            if size > atlas._EMBED_STEP_CAP:
+                scale = atlas._EMBED_STEP_CAP / size
+                dx *= scale
+                dy *= scale
+            x = (x[0] - dx, x[1] - dy)
+    except HenonLabError:
+        pass
+    return False, x, anchors, J, md
+
+
+def _frozen_row_states(a_targets, b_targets, cfg):
+    """The frozen-Jacobian walk down the left edge, which keeps its Jacobian
+    through a failed track."""
     x, anchors, J = cfg["seed"], None, None
     states = []
     for i in range(b_targets.size):
         target = (float(a_targets[0]), float(b_targets[i]))
-        ok, x_new, anchors_new, J, _ = atlas._embed_solve(target, x, anchors, J, cfg,
-                                                          max_iter=40)
+        ok, x_new, anchors_new, J, _ = _frozen_embed_solve(target, x, anchors, J, cfg,
+                                                           max_iter=40)
         if ok:
             x, anchors = x_new, anchors_new
         states.append((x, anchors, J))
     return states
 
 
-def _row_embed_compare(a, b, cfg, state):
-    """One embed-compare row pixel by pixel: track, then the scalar swallow
-    classifier and the scalar direct orbit.  Every track starts with a fresh
-    renormalization at its starting point."""
-    x, anchors, J = state
-    tags = np.full(a.size, TAG_ERROR, dtype=np.uint8)
-    values = np.zeros(a.size)
+def _frozen_walk(targets, x, anchors, J, cfg):
+    """The frozen-Jacobian walk along a row, yielding like ``atlas._embed_walk``.
+    Every track starts with a fresh renormalization at its starting point, and
+    a failed track drops the Jacobian."""
+    for target in targets:
+        ok, x_new, anchors_new, J, md = _frozen_embed_solve(target, x, anchors, J, cfg)
+        if ok:
+            x, anchors = x_new, anchors_new
+        else:
+            J = md = None
+        yield x, anchors, J, md
+
+
+def _row_embed_compare(walk, cfg):
+    """One embed-compare row pixel by pixel: the tracks of ``walk``, then the
+    scalar swallow classifier and the scalar direct orbit of each target."""
+    tags, values = [], []
     n_composed, r_esc, m = cfg["steps"], cfg["radius"], cfg["m"]
-    for j in range(a.size):
-        target = (float(a[j]), float(b))
-        ok, x_new, anchors_new, J, md = atlas._embed_solve(target, x, anchors, J, cfg)
-        if not ok:
-            J = None
+    for target, (x, _, _, md) in walk:
+        if md is None:
+            tags.append(TAG_ERROR)
+            values.append(0.0)
             continue
-        x, anchors = x_new, anchors_new
         predicted = swallow_classify(target[0], target[1], n_composed, r_esc)
         predicted_bounded = predicted.steps_ab is None
         direct_bounded = _embed_direct_bounded(md, x, m, n_composed, r_esc)
         agree = predicted_bounded == direct_bounded
-        tags[j] = TAG_AGREE if agree else TAG_DISAGREE
-        values[j] = 1.0 if agree else 0.0
-    return tags, values
+        tags.append(TAG_AGREE if agree else TAG_DISAGREE)
+        values.append(1.0 if agree else 0.0)
+    return np.array(tags, dtype=np.uint8), np.array(values)
 
 
 _ERROR_RGB = (255, 0, 255)
@@ -856,16 +911,21 @@ EMBED_ORACLE_CASES = [
 
 
 class TestEmbedCompareOracle:
-    """The block kernel gives the bytes of the pixel-by-pixel row walk."""
+    """The block kernel gives the bytes of the pixel-by-pixel row walk, and
+    the tags of the frozen-Jacobian tracking it replaced."""
 
     @staticmethod
-    def oracle(width, height, window, params):
+    def oracle(width, height, window, params, frozen=False):
         a_range, b_range = (window, window) if window else atlas.DEFAULT_RANGES["embed-compare"]
         cfg = atlas._embed_config(params)
         a = atlas._a_centers(a_range, width)
         b = atlas._b_centers(b_range, height)
-        states = _embed_row_states(a, b, cfg)
-        rows = [_row_embed_compare(a, float(b[i]), cfg, states[i]) for i in range(height)]
+        row_states, walk = ((_frozen_row_states, _frozen_walk) if frozen
+                            else (atlas._embed_row_states, atlas._embed_walk))
+        rows = []
+        for b_i, state in zip(b, row_states(a, b, cfg)):
+            targets = [(float(a_j), float(b_i)) for a_j in a]
+            rows.append(_row_embed_compare(zip(targets, walk(targets, *state, cfg)), cfg))
         return np.stack([t for t, _ in rows]), np.stack([v for _, v in rows])
 
     @pytest.mark.parametrize("width, height, window, params", EMBED_ORACLE_CASES)
@@ -876,36 +936,52 @@ class TestEmbedCompareOracle:
                       params=params, workers=workers)
             TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values, expected)
 
+    @pytest.mark.parametrize("width, height, window, params", EMBED_ORACLE_CASES)
+    def test_frozen_jacobian_tracking_gives_the_same_tags(self, width, height, window, params):
+        expected = self.oracle(width, height, window, params, frozen=True)
+        r = sweep("embed-compare", width, height, a_range=window, b_range=window,
+                  params=params, workers=1)
+        TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values, expected)
+
     def test_tracks_reuse_the_last_renormalization(self, monkeypatch):
-        calls = []
+        calls = {"multi_renormalize": 0, "eval_cross_jet": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return multi_renormalize(*args, **kwargs)
+        def counted(module, name):
+            fn = getattr(module, name)
 
-        monkeypatch.setattr(atlas, "multi_renormalize", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(atlas, "multi_renormalize")
+        counted(renorm, "eval_cross_jet")
         r = sweep("embed-compare", 21, 21, workers=1)
         assert np.count_nonzero(r.tags == TAG_ERROR) == 0
-        # 1,343 when every pixel solved its starting point again
-        assert len(calls) <= 950
+        # 903 renormalizations and 4,486 jets with the frozen difference Jacobian
+        assert calls["multi_renormalize"] <= 510
+        assert calls["eval_cross_jet"] <= 2024
 
     def test_fresh_evaluation_after_a_failed_track(self, monkeypatch):
         a = atlas._a_centers(atlas.DEFAULT_RANGES["embed-compare"][0], 5)
         given = []
         solve = atlas._embed_solve
 
-        def fail_middle_column(target, x, anchors, J, cfg, max_iter=12, md=None):
-            ok, *rest = solve(target, x, anchors, J, cfg, max_iter=max_iter, md=md)
+        def fail_middle_column(target, x, anchors, model, cfg, max_iter=12, md=None, guess=None):
+            out = solve(target, x, anchors, model, cfg, max_iter, md, guess)
             if max_iter == 40:
-                return (ok, *rest)
-            given.append(md is not None)
-            return (ok and target[0] != a[2], *rest)
+                return out
+            given.append((md is not None, model is not None))
+            return None if target[0] == a[2] else out
 
         monkeypatch.setattr(atlas, "_embed_solve", fail_middle_column)
         r = sweep("embed-compare", 5, 2, workers=1)
         assert [list(row).count(TAG_ERROR) for row in r.tags] == [1, 1]
-        # each row's first pixel and the pixel after the failed one start afresh
-        assert given == [False, True, True, False, True] * 2
+        # each row's first pixel and the pixel after the failed one start afresh,
+        # and only the latter differences its model again
+        assert given == [(False, True), (True, True), (True, True), (False, False),
+                         (True, True)] * 2
 
     def test_cases_reach_every_exit(self):
         counts = {}

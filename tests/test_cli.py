@@ -111,6 +111,26 @@ class TestReports:
                  for line in out.splitlines() if line.startswith("cycle period")]
         assert len(radii) == 2 and max(radii) < 1.0
 
+    def test_twin_prints_the_seed_window(self, capsys):
+        # the window seeds the crossing solve; here the crossing lies beyond it
+        rc, out, err = call(capsys, "twin", "--m", "3", "--b-hat", "0.001")
+        assert rc == 0, err
+        report = dict(line.split(" = ", 1) for line in out.splitlines()
+                      if not line.startswith("cycle "))
+        assert "crossing bracket" not in report
+        lo, hi = (float(v) for v in report["seed window"].strip("[]").split(", "))
+        assert float(report["b0"]) > hi > lo > 0.0
+
+    def test_twin_iterate_outside_the_branch_domain(self, capsys):
+        # the seed carries both tangencies; the first Newton step leaves the
+        # long word's branch domain, though a crossing exists at b0 = -0.1359
+        rc, out, err = call(capsys, "twin", "--m", "3", "--b-hat", "-0.001")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: Newton iterate (")
+        assert "lies outside the branch domain of 'c1,bp0,bm0'" in err
+        assert "admit no common zero" not in err
+
     def test_reversed_twin_window(self, capsys):
         rc, out, err = call(capsys, "twin", "--a-range", "-1.82:-1.88")
         assert rc == 0, err

@@ -41,7 +41,7 @@ from henonlab.renorm import (
     solve_mu_zero,
     twin_find,
 )
-from henonlab import renorm
+from henonlab import crossmap, renorm
 from henonlab.rootfind import bisect, newton2, newton_safeguarded
 
 A1, A2 = special_parameters()
@@ -405,6 +405,13 @@ class TestDoubleTangency:
             )
         assert isinstance(info.value.samples, list)
 
+    def test_seed_outside_a_branch_domain_names_the_word(self):
+        # the long word's chain has no real branch at this seed
+        with pytest.raises(NoCrossingError, match=r"^seed \(-1\.9, 0\.3\) lies outside the "
+                           r"branch domain of 'c1,bm0,bm0': negative branch") as info:
+            double_tangency(lambda a, b: HenonMap(a, b), "c1", "c1,bm0,bm0", seed=(-1.9, 0.3))
+        assert info.value.samples == []
+
     def test_domain_error_at_an_iterate_is_a_failed_solve(self):
         # the first Newton step from this seed lands at a > 1/4, where the
         # ladder has no real fixed points
@@ -449,6 +456,28 @@ class TestDoubleTangency:
         da = (mu(a + h, b) - mu(a - h, b)) / (2.0 * h)
         db = (mu(a, b + h) - mu(a, b - h)) / (2.0 * h)
         assert _mu_gradient(t) == pytest.approx((da, db), rel=1e-8)
+
+    def test_gradient_reuses_the_tangency_solve(self, monkeypatch):
+        # find_tangency ends on a jet at (c, c), where _mu_gradient's parameter
+        # jet then starts: one chain solve per word and Jacobian fewer
+        def run(tangent_solve):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(args[1:])
+                return eval_cross(*args, **kwargs)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(crossmap, "eval_cross", counted)
+                mp.setattr(crossmap, "_tangent_solve", tangent_solve)
+                dt = double_tangency(lambda a, b: HenonMap(a, b), "c1", "c1,bm0,bm0",
+                                     seed=(-1.86583301618128, 2.37610577353131e-3))
+            return dt, len(calls)
+
+        reused, reused_calls = run(crossmap._tangent_solve)
+        fresh, fresh_calls = run(crossmap._tangent_columns)
+        assert reused == fresh
+        assert (reused_calls, fresh_calls) == (14, 18)
 
     def test_family_must_carry_its_parameters(self):
         # the zero map drops b, so its defects have no b-partials at all
@@ -678,9 +707,10 @@ class TestTwin:
         assert all(len(s) == 2 and s[1] < 0.0 for s in samples)
 
     def test_failed_crossing_keeps_its_samples(self):
-        # at the m = 3 seed for b_hat = -1e-3 the chain of c1,bp0,bm0 has
-        # no real branch
-        with pytest.raises(NoCrossingError, match="admit no common zero") as info:
+        # from the m = 3 seed for b_hat = -1e-3 the first Newton step leaves
+        # the branch domain of c1,bp0,bm0
+        with pytest.raises(NoCrossingError,
+                           match="^Newton iterate .* branch domain of 'c1,bp0,bm0'") as info:
             twin_find(lambda a, b: HenonMap(a, b, 3), b_hat=-1e-3)
         samples = info.value.samples
         assert samples and all(len(s) == 4 for s in samples)
