@@ -4,18 +4,19 @@ Six pixel kernels cover the composed-quadratic parameter plane (escape
 classification and derivative-growth exponents), the Henon-family plane
 (origin escape and tangent-growth exponents), per-pixel renormalization
 output, and the agreement test between renormalized one-dimensional
-predictions and direct two-dimensional orbits.  The five orbit kernels
-(both composed-quadratic kernels, the Henon kernels on maps without hooks,
-and the two orbit checks of embed-compare) iterate a whole block of rows
-per numpy step on one compacting loop; the others go pixel by pixel, one
-row per task.  On that loop the three escape kernels (swallow-escape,
-henon-escape and the embed-compare checks) also retire an orbit whose
-position repeats bit for bit, which is exact because each step is a pure
-function of the position; the exponent kernels run every step, since their
-payload sums a term per step.  A raster is a pure function of its
-configuration: payloads never depend on worker count, block size or
-evaluation order, so re-runs are byte-identical.  PPM colours come from
-per-tag palettes applied to the whole tag and value arrays.
+predictions and direct two-dimensional orbits.  Every kernel computes a
+block of rows, one block per worker.  The five orbit kernels (both
+composed-quadratic kernels, both Henon kernels and the two orbit checks of
+embed-compare) iterate the whole block per numpy step on one compacting
+loop; renorm-strip renormalizes its block pixel by pixel.  On that loop the
+three escape kernels (swallow-escape, henon-escape and the embed-compare
+checks) also retire an orbit whose position repeats bit for bit, which is
+exact because each step is a pure function of the position; the exponent
+kernels run every step, since their payload sums a term per step.  A raster
+is a pure function of its configuration: payloads never depend on worker
+count, block size or evaluation order, so re-runs are byte-identical.  PPM
+colours come from per-tag palettes applied to the whole tag and value
+arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HenonLabError
-from .henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
+from .henon import MAP_REGISTRY, ZERO_FIELD, HenonMap, build_map
 from .maps1d import DEFAULT_ESCAPE_RADIUS, parse_word
 from .renorm import multi_renormalize, renormalize
 
@@ -217,9 +218,9 @@ _COLORMAP_NOTES: dict[str, str] = {
 # ---------------------------------------------------------------------------
 # orbit kernels over row blocks
 # ---------------------------------------------------------------------------
-# The composed-quadratic kernels, the Henon kernels on maps without hooks and
-# the orbit checks of embed-compare (after its serial tracking along each
-# row) advance every pixel of a block of rows per numpy step.  The live set
+# The composed-quadratic kernels, the Henon kernels and the orbit checks of
+# embed-compare (after its serial tracking along each row) advance every
+# pixel of a block of rows per numpy step.  The live set
 # is an index array that loses each orbit at the step it leaves, so late
 # steps cost in proportion to the pixels still iterating.  Every operation is
 # elementwise and keeps the order of the scalar recurrences, so a pixel's
@@ -383,11 +384,13 @@ def _block_swallow_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
 # ---------------------------------------------------------------------------
 # Henon-plane kernels
 # ---------------------------------------------------------------------------
-# Maps without hooks run on the compacting orbit loop above; hooked maps go
-# pixel by pixel through ``henon.orbit_escape`` and ``henon.lyapunov``.
-
-#: Builders whose hooks vanish: x' = x^2 + a - c*y with c = b^m (0 on "zero").
-_PLAIN_MAPS = ("standard", "zero")
+# Every family runs on the compacting orbit loop above.  A family without
+# hooks steps with numpy arithmetic.  A hooked family mirrors
+# ``henon.apply_map``, ``henon.jacobian`` and the sup-norm test of
+# ``henon.orbit_escape`` and ``henon.lyapunov`` operation for operation, with
+# its field evaluators, ``math.hypot`` and ``math.log`` applied to Python
+# floats element by element: each pixel then gets the bytes of the scalar
+# routines, where np.hypot and np.log may differ from them in the last bit.
 
 
 def _map_config(params: Mapping) -> tuple[str, int, dict]:
@@ -401,43 +404,73 @@ def _map_config(params: Mapping) -> tuple[str, int, dict]:
     return name, m, extra
 
 
-def _row_coefficient(name: str, b: float, m: int) -> float | None:
+def _row_coefficient(name: str, b: float, m: int, extra: Mapping) -> float | None:
     """The coefficient b^m of a row's maps (0 on the zero map), or None when
     it overflows a float."""
-    if name == "zero":
-        return 0.0
     try:
-        return b ** m
-    except OverflowError:
+        return build_map(name, 0.0, b, m, **extra).bm
+    except DomainError:
         return None
 
 
-def _plain_pixels(
+def _henon_pixels(
     a: np.ndarray, b: np.ndarray, params: Mapping
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel (a, c) of a block on a map without hooks, and the mask of
-    pixels whose row coefficient overflows (run with c = 0, tagged error).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, HenonMap | None]:
+    """Per-pixel (a, c) of a block, the mask of pixels whose row coefficient
+    overflows (run with c = 0, tagged error), and the family's map at
+    a = b = 0 when it has hooks, else None.  The registered families' hooks
+    do not depend on (a, b), so that one map serves every pixel.
 
     c is worked out once per row as a Python float power and then
     broadcast, so every pixel sees the same bits as a scalar evaluation.
     """
-    name, m, _ = _map_config(params)
-    c = [_row_coefficient(name, float(row_b), m) for row_b in b]
+    name, m, extra = _map_config(params)
+    c = [_row_coefficient(name, float(row_b), m, extra) for row_b in b]
     overflow = np.repeat([v is None for v in c], a.size)
     c_px = np.repeat([0.0 if v is None else v for v in c], a.size)
-    return np.tile(a, b.size), c_px, overflow
+    f = build_map(name, 0.0, 0.0, m, **extra)
+    plain = f.zeta is ZERO_FIELD and f.xi is ZERO_FIELD
+    return np.tile(a, b.size), c_px, overflow, None if plain else f
+
+
+def _elementwise(fn: Callable[..., float], nin: int = 2) -> Callable[..., np.ndarray]:
+    """``fn`` applied to the Python floats of its array arguments, element by
+    element, as a float64 array."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: ufunc(*args).astype(np.float64)
+
+
+def _log(growth: float) -> float:
+    """math.log, with -inf at 0, where it raises; such orbits leave as dead."""
+    return math.log(growth) if growth != 0.0 else -math.inf
+
+
+def _sup_exceeds(x: np.ndarray, y: np.ndarray, r_esc: float) -> np.ndarray:
+    """max(|x|, |y|) > r_esc as Python's max orders it, NaNs included: |y| is
+    taken only where it is the larger."""
+    ax, ay = np.abs(x), np.abs(y)
+    return np.where(ay > ax, ay, ax) > r_esc
 
 
 def _block_henon_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
     n_max = int(params.get("steps", _DEFAULT_ESCAPE_STEPS))
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    a_px, bm, overflow = _plain_pixels(a, b, params)
+    a_px, bm, overflow, f = _henon_pixels(a, b, params)
 
-    # x itself passed the previous step's test (step 1 starts at 0), so the
-    # escape test needs only the new x
-    def advance(x, y, a_px, bm):
-        x_new = x * x + a_px - bm * y
-        return (x_new, x, a_px, bm), np.abs(x_new) > r_esc, None
+    if f is None:
+        # x itself passed the previous step's test (step 1 starts at 0), so
+        # the escape test needs only the new x
+        def advance(x, y, a_px, bm):
+            x_new = x * x + a_px - bm * y
+            return (x_new, x, a_px, bm), np.abs(x_new) > r_esc, None
+    else:
+        zeta, xi = _elementwise(f.zeta.value), _elementwise(f.xi.value)
+
+        def advance(x, y, a_px, bm):
+            v = bm * y
+            x_new = x * x + a_px - v + zeta(x, v)
+            y_new = x + xi(x, v)
+            return (x_new, y_new, a_px, bm), _sup_exceeds(x_new, y_new, r_esc), None
 
     zeros = np.zeros(a_px.size)
     left = _run_orbits(advance, (zeros, zeros, a_px, bm), n_max, position=2)[0]
@@ -452,16 +485,34 @@ def _block_henon_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np
     """Tangent-growth exponent of the orbit of the origin along (0, 1)."""
     n_steps = int(params.get("n", _DEFAULT_EXPONENT_STEPS))
     r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    a_px, bm, overflow = _plain_pixels(a, b, params)
+    a_px, bm, overflow, f = _henon_pixels(a, b, params)
 
-    def advance(x, y, vx, vy, total, a_px, bm):
-        wx = 2.0 * x * vx - bm * vy
-        growth = np.hypot(wx, vx)
-        dead = growth == 0.0
-        total = total + np.log(growth)
-        vx, vy = wx / growth, vx / growth
-        x_new = x * x + a_px - bm * y
-        return (x_new, x, vx, vy, total, a_px, bm), dead | (np.abs(x_new) > r_esc), dead
+    if f is None:
+        def advance(x, y, vx, vy, total, a_px, bm):
+            wx = 2.0 * x * vx - bm * vy
+            growth = np.hypot(wx, vx)
+            dead = growth == 0.0
+            total = total + np.log(growth)
+            vx, vy = wx / growth, vx / growth
+            x_new = x * x + a_px - bm * y
+            return (x_new, x, vx, vy, total, a_px, bm), dead | (np.abs(x_new) > r_esc), dead
+    else:
+        zeta, zeta_dx, zeta_dv = (_elementwise(g) for g in (f.zeta.value, f.zeta.dx, f.zeta.dv))
+        xi, xi_dx, xi_dv = (_elementwise(g) for g in (f.xi.value, f.xi.dx, f.xi.dv))
+        hypot, log = _elementwise(math.hypot), _elementwise(_log, 1)
+
+        def advance(x, y, vx, vy, total, a_px, bm):
+            v = bm * y
+            wx = (2.0 * x + zeta_dx(x, v)) * vx + bm * (zeta_dv(x, v) - 1.0) * vy
+            wy = (1.0 + xi_dx(x, v)) * vx + bm * xi_dv(x, v) * vy
+            growth = hypot(wx, wy)
+            dead = growth == 0.0
+            total = total + log(growth)
+            vx, vy = wx / growth, wy / growth
+            x_new = x * x + a_px - v + zeta(x, v)
+            y_new = x + xi(x, v)
+            return ((x_new, y_new, vx, vy, total, a_px, bm),
+                    dead | _sup_exceeds(x_new, y_new, r_esc), dead)
 
     zeros = np.zeros(a_px.size)
     left, dead, live, state = _run_orbits(
@@ -476,56 +527,31 @@ def _block_henon_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np
     return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
 
 
-def _row_henon_escape(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
-    n_max = int(params.get("steps", _DEFAULT_ESCAPE_STEPS))
-    r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    name, m, extra = _map_config(params)
-    tags = np.zeros(a.size, dtype=np.uint8)
-    values = np.zeros(a.size)
-    for j in range(a.size):
-        f = build_map(name, float(a[j]), b, m, **extra)
-        _, escaped, step = orbit_escape(f, (0.0, 0.0), n_max, r_esc)
-        if escaped:
-            tags[j] = TAG_ESCAPE
-            values[j] = step
-    return tags, values
-
-
-def _row_henon_lyap(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
-    n_steps = int(params.get("n", _DEFAULT_EXPONENT_STEPS))
-    r_esc = float(params.get("radius", DEFAULT_ESCAPE_RADIUS))
-    name, m, extra = _map_config(params)
-    tags = np.full(a.size, TAG_LYAP, dtype=np.uint8)
-    values = np.zeros(a.size)
-    for j in range(a.size):
-        f = build_map(name, float(a[j]), b, m, **extra)
-        out = lyapunov(f, (0.0, 0.0), (0.0, 1.0), n_steps, r_esc)
-        if out.tag == "value":
-            values[j] = out.value
-        elif out.tag == "escape":
-            tags[j], values[j] = TAG_ESCAPE, out.step
-        else:
-            tags[j] = TAG_ERROR
-    return tags, values
-
-
 # ---------------------------------------------------------------------------
 # renormalization kernels
 # ---------------------------------------------------------------------------
 
-def _row_renorm_strip(a: np.ndarray, b: float, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+def _check_word(word: str) -> None:
+    """Reject a word that does not parse or has no quadratic factor (every
+    token but e adds at least one to the order)."""
+    if set(parse_word(word)) == {"e"}:
+        raise DomainError(f"word {word!r} has no quadratic factors")
+
+
+def _block_renorm_strip(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """abar of the word's renormalization at every pixel.  A pixel whose map
+    or renormalization fails is error, every pixel of a row whose b^m
+    overflows among them: ``HenonMap`` rejects such a b."""
     word = str(params.get("word", "c1"))
     name, m, extra = _map_config(params)
-    width = a.size
-    tags = np.full(width, TAG_LYAP, dtype=np.uint8)
-    values = np.zeros(width)
-    for j in range(width):
+    tags = np.full((b.size, a.size), TAG_LYAP, dtype=np.uint8)
+    values = np.zeros((b.size, a.size))
+    for i, j in np.ndindex(tags.shape):
         try:
-            f = build_map(name, float(a[j]), b, m, **extra)
-            values[j] = renormalize(f, word).abar
+            f = build_map(name, float(a[j]), float(b[i]), m, **extra)
+            values[i, j] = renormalize(f, word).abar
         except HenonLabError:
-            tags[j] = TAG_ERROR
-            values[j] = 0.0
+            tags[i, j] = TAG_ERROR
     return tags, values
 
 
@@ -547,7 +573,7 @@ def _embed_config(params: Mapping) -> dict:
     if len(words) != 2:
         raise DomainError("embed-compare needs exactly two words")
     for word in words:
-        parse_word(str(word))
+        _check_word(str(word))
     m = int(params.get("m", 1))
     seed = params.get("seed")
     if seed is None:
@@ -744,18 +770,14 @@ def _block_embed_compare(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple
     return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
 
 
-_ORBIT_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, Mapping], tuple[np.ndarray, np.ndarray]]] = {
+#: Every raster kernel: (a, b_block, params) -> (tags, values) of the block.
+_BLOCK_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, Mapping], tuple[np.ndarray, np.ndarray]]] = {
     "swallow-escape": _block_swallow_escape,
     "swallow-lyap": _block_swallow_lyap,
     "henon-escape": _block_henon_escape,
     "henon-lyap": _block_henon_lyap,
+    "renorm-strip": _block_renorm_strip,
     "embed-compare": _block_embed_compare,
-}
-
-_PIXEL_KERNELS: dict[str, Callable[[np.ndarray, float, Mapping], tuple[np.ndarray, np.ndarray]]] = {
-    "henon-escape": _row_henon_escape,
-    "henon-lyap": _row_henon_lyap,
-    "renorm-strip": _row_renorm_strip,
 }
 
 
@@ -763,23 +785,11 @@ _PIXEL_KERNELS: dict[str, Callable[[np.ndarray, float, Mapping], tuple[np.ndarra
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def _runs_orbit_kernel(kernel: str, params: Mapping) -> bool:
-    """True when the kernel runs on the compacting orbit loop: the
-    composed-quadratic kernels, the Henon kernels on maps without hooks, and
-    embed-compare."""
-    if kernel.startswith("henon-"):
-        return str(params.get("map", "standard")) in _PLAIN_MAPS
-    return kernel in _ORBIT_KERNELS
-
-
 def _row_blocks(cfg: Mapping, workers: int) -> list[range]:
-    """Row ranges of the tasks: one block per worker for the orbit kernels
-    (embed-compare among them), at most _BLOCK_PIXELS pixels each, and one
-    row per task for the per-pixel kernels."""
+    """Row ranges of the tasks: one block per worker, of at most
+    _BLOCK_PIXELS pixels unless a single row holds more."""
     height = cfg["height"]
-    rows = 1
-    if cfg["orbit"]:
-        rows = max(1, min(-(-height // workers), _BLOCK_PIXELS // cfg["width"]))
+    rows = max(1, min(-(-height // workers), _BLOCK_PIXELS // cfg["width"]))
     return [range(lo, min(lo + rows, height)) for lo in range(0, height, rows)]
 
 
@@ -788,19 +798,9 @@ def _block_payload(cfg: Mapping, rows: range) -> tuple[int, np.ndarray, np.ndarr
     b = _b_centers(cfg["b_range"], cfg["height"])[rows.start:rows.stop]
     kernel = cfg["kernel"]
     params = dict(cfg["params"])
-    if cfg["orbit"]:
-        if kernel == "embed-compare":
-            params["_embed_states"] = cfg["embed_states"][rows.start:rows.stop]
-        tags, values = _ORBIT_KERNELS[kernel](a, b, params)
-        return rows.start, tags, values
-    name, m, _ = _map_config(params)
-    tags = np.empty((len(rows), a.size), dtype=np.uint8)
-    values = np.empty((len(rows), a.size), dtype=np.float64)
-    for k in range(len(rows)):
-        if _row_coefficient(name, float(b[k]), m) is None:
-            tags[k], values[k] = TAG_ERROR, 0.0
-            continue
-        tags[k], values[k] = _PIXEL_KERNELS[kernel](a, float(b[k]), params)
+    if kernel == "embed-compare":
+        params["_embed_states"] = cfg["embed_states"][rows.start:rows.stop]
+    tags, values = _BLOCK_KERNELS[kernel](a, b, params)
     return rows.start, tags, values
 
 
@@ -813,7 +813,7 @@ def sweep(
     params: Mapping | None = None,
     workers: int | None = None,
 ) -> Raster:
-    """Rasterize a kernel over a parameter rectangle in blocks of rows.
+    """Rasterize a kernel over a parameter rectangle, one kernel call per block of rows.
 
     Blocks are computed independently from immutable configuration, and no
     pixel depends on the block it falls in, so the result is identical for
@@ -840,7 +840,7 @@ def sweep(
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     if kernel == "renorm-strip":
-        parse_word(str(params.get("word", "c1")))
+        _check_word(str(params.get("word", "c1")))
     if kernel == "embed-compare":
         params["_embed_cfg"] = _embed_config(params)
 
@@ -851,7 +851,6 @@ def sweep(
         "a_range": a_range,
         "b_range": b_range,
         "params": params,
-        "orbit": _runs_orbit_kernel(kernel, params),
     }
     if kernel == "embed-compare":
         cfg["embed_states"] = _embed_row_states(

@@ -155,7 +155,8 @@ class TangencyData:
     c anchors the tangency; sigma and lam are the cross-map slopes there;
     mu is the defect (signed distance of the fold image from the strip),
     q half the fold curvature, d the Jacobian determinant at the fold
-    point. H and V trace the strip boundary graphs through the anchor.
+    point, B the exit height H(0) at the anchor, read off the anchor solve's
+    last jet. H and V trace the strip boundary graphs through the anchor.
     """
 
     chain: CrossMapChain
@@ -165,8 +166,11 @@ class TangencyData:
     mu: float
     q: float
     d: float
+    B: float
 
     def H(self, t: float) -> float:
+        if t == 0.0:
+            return self.B
         return eval_cross(self.chain, self.c + t, self.c).B
 
     def V(self, s: float) -> float:
@@ -205,7 +209,7 @@ def find_tangency(chain: CrossMapChain, seed: float = 0.0) -> TangencyData:
     q = 0.5 * fold.curv
     _check_chart(q, fold.mu, jet.dA[0], "")
     d = evaluate(chain.henon, (c, jet.B)).det
-    return TangencyData(chain, c, jet.dA[0], jet.dB[1], fold.mu, q, d)
+    return TangencyData(chain, c, jet.dA[0], jet.dB[1], fold.mu, q, d, jet.B)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +498,16 @@ class MultiRenormData:
     d: tuple[float, ...]
     abar: tuple[float, ...]
     bbar: tuple[float, ...]
+    #: exit heights at the anchors, B[i] = H(i, 0), from the anchor solve's jets
+    B: tuple[float, ...]
 
     @property
     def count(self) -> int:
         return len(self.words)
 
     def H(self, i: int, t: float) -> float:
+        if t == 0.0:
+            return self.B[i]
         prev = self.c[(i - 1) % self.count]
         return eval_cross(self.chains[i], self.c[i] + t, prev).B
 
@@ -558,7 +566,7 @@ def multi_renormalize(
     if count == 1:
         t = find_tangency(chains[0], seed=anchor_seed[0] if anchor_seed else 0.0)
         cs: tuple[float, ...] = (t.c,)
-        sigma, lam, mu, q, d = [t.sigma], [t.lam], [t.mu], [t.q], [t.d]
+        sigma, lam, mu, q, d, B = [t.sigma], [t.lam], [t.mu], [t.q], [t.d], [t.B]
     else:
         at = _cycle_folds(chains)
 
@@ -577,7 +585,8 @@ def multi_renormalize(
         lam = [jet.dB[1] for jet in jets]
         mu = [fold.mu for fold in folds]
         q = [0.5 * fold.curv for fold in folds]
-        d = [evaluate(f, (cs[i], jets[i].B)).det for i in range(count)]
+        B = [jet.B for jet in jets]
+        d = [evaluate(f, (cs[i], B[i])).det for i in range(count)]
         for i in range(count):
             _check_chart(q[i], mu[i], sigma[i], f" at cycle index {i}")
 
@@ -608,6 +617,7 @@ def multi_renormalize(
         tuple(d),
         tuple(abar),
         tuple(bbar),
+        tuple(B),
     )
 
 

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henonlab import atlas, renorm
+from henonlab import atlas, crossmap, renorm
 from henonlab.atlas import (
     COLORMAPS,
     DEFAULT_COLORMAPS,
+    DEFAULT_RANGES,
     KERNELS,
     TAG_AGREE,
     TAG_BODY,
@@ -586,7 +587,7 @@ class TestHenonKernels:
                     assert r.tags[i, j] == TAG_BOUNDED
                     assert r.values[i, j] == 0.0
 
-    def test_hooked_map_uses_scalar_path(self):
+    def test_hooked_map_matches_scalar(self):
         params = {"map": "sine-perturbed", "delta": 0.02, "n": 500}
         r = sweep("henon-lyap", 3, 2, a_range=(-1.0, 1.0), b_range=(0.05, 0.25),
                   params=params)
@@ -631,6 +632,10 @@ ORACLE_CASES = [
     pytest.param("henon-escape", *HENON_WINDOW, {"steps": 300, "map": "zero"}, id="henon-escape-zero"),
     pytest.param("henon-escape", *HENON_WINDOW, {"steps": 300, "map": "sine-perturbed", "delta": 0.02},
                  id="henon-escape-sine-perturbed"),
+    # some orbits here leave on |y| > r while |x| <= r, which a map without hooks cannot do
+    pytest.param("henon-escape", *HENON_WINDOW,
+                 {"steps": 300, "map": "sine-perturbed", "delta": 0.1, "radius": 1.0},
+                 id="henon-escape-sine-small-radius"),
     pytest.param("henon-lyap", *HENON_WINDOW, {"n": 300}, id="henon-lyap-m1"),
     pytest.param("henon-lyap", (-2.2, 0.6), (0.1, 1.3), {"n": 300, "m": 2}, id="henon-lyap-m2"),
     pytest.param("henon-lyap", (-2.2, 0.6), (0.1, 1.3), {"n": 300, "m": 3}, id="henon-lyap-m3"),
@@ -638,6 +643,12 @@ ORACLE_CASES = [
     pytest.param("henon-lyap", *HENON_WINDOW, {"n": 300, "map": "zero"}, id="henon-lyap-zero"),
     pytest.param("henon-lyap", *HENON_WINDOW, {"n": 300, "map": "sine-perturbed", "delta": 0.02},
                  id="henon-lyap-sine-perturbed"),
+    pytest.param("henon-lyap", *HENON_WINDOW,
+                 {"n": 300, "map": "sine-perturbed", "delta": 0.1, "radius": 1.0},
+                 id="henon-lyap-sine-small-radius"),
+    # row 3 of 7 sits at b = 0 exactly, where the tangent vector (0, 1) dies at step 1
+    pytest.param("henon-lyap", (-2.2, 0.6), (-1.0, 1.0), {"n": 300, "map": "sine-perturbed"},
+                 id="henon-lyap-sine-perturbed-b0"),
 ]
 
 
@@ -666,15 +677,12 @@ class TestOrbitKernelOracle:
                       params=params, workers=workers)
             self.assert_same_bytes(r.tags, r.values, expected)
 
-    @pytest.mark.parametrize("kernel, a_range, b_range, params", [
-        case for case in ORACLE_CASES if "sine-perturbed" not in case.id
-    ])
+    @pytest.mark.parametrize("kernel, a_range, b_range, params", ORACLE_CASES)
     @pytest.mark.parametrize("block", [1, 3, HEIGHT])
     def test_block_heights_match_row_oracle(self, kernel, a_range, b_range, params, block):
-        assert atlas._runs_orbit_kernel(kernel, params)
         a = atlas._a_centers(a_range, self.WIDTH)
         b = atlas._b_centers(b_range, self.HEIGHT)
-        parts = [atlas._ORBIT_KERNELS[kernel](a, b[lo:lo + block], params)
+        parts = [atlas._BLOCK_KERNELS[kernel](a, b[lo:lo + block], params)
                  for lo in range(0, self.HEIGHT, block)]
         tags = np.concatenate([t for t, _ in parts])
         values = np.concatenate([v for _, v in parts])
@@ -685,15 +693,18 @@ class TestOrbitKernelOracle:
         for case in ORACLE_CASES:
             kernel, a_range, b_range, params = case.values
             tags, values = self.oracle(kernel, a_range, b_range, params)
-            seen[case.id] = (set(np.unique(tags)), values)
+            seen[case.id] = (set(np.unique(tags)), values, tags)
         assert seen["henon-lyap-zero"][0] == {TAG_ERROR}
+        b0_tags = seen["henon-lyap-sine-perturbed-b0"][2]
+        assert atlas._b_centers((-1.0, 1.0), self.HEIGHT)[3] == 0.0
+        assert np.all(b0_tags[3] == TAG_ERROR)
+        assert not np.any(np.delete(b0_tags, 3, axis=0) == TAG_ERROR)
         for case_id in ("henon-escape-step-one", "henon-lyap-step-one",
                         "swallow-escape-step-one", "swallow-lyap-step-one"):
             assert np.any(seen[case_id][1] == 1.0)
         for case_id in ("henon-lyap-sine-perturbed", "swallow-lyap"):
             assert {TAG_LYAP, TAG_ESCAPE} <= seen[case_id][0]
         assert {TAG_BODY, TAG_WING, TAG_ESCAPE} <= seen["swallow-escape"][0]
-        assert not atlas._runs_orbit_kernel("henon-lyap", {"map": "sine-perturbed"})
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +764,8 @@ RETIRE_CASES = [
                  id="henon-parabolic"),
     pytest.param("henon-escape", (-15.0, 2.0), (-0.6, 0.6), {"steps": 2000, "radius": math.inf},
                  id="henon-nan"),
+    pytest.param("henon-escape", (-1.3, -1.0), (0.2, 0.4),
+                 {"steps": 2000, "map": "sine-perturbed", "delta": 0.02}, id="henon-hooked"),
     pytest.param("embed-compare", None, None, {"steps": 2000}, id="embed"),
     pytest.param("embed-compare", None, None, {"steps": 2000, "radius": math.inf},
                  id="embed-overflow"),
@@ -944,7 +957,7 @@ class TestEmbedCompareOracle:
         TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values, expected)
 
     def test_tracks_reuse_the_last_renormalization(self, monkeypatch):
-        calls = {"multi_renormalize": 0, "eval_cross_jet": 0}
+        calls = {"multi_renormalize": 0, "eval_cross_jet": 0, "eval_cross": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -957,11 +970,16 @@ class TestEmbedCompareOracle:
 
         counted(atlas, "multi_renormalize")
         counted(renorm, "eval_cross_jet")
+        counted(crossmap, "eval_cross")
+        counted(renorm, "eval_cross")
         r = sweep("embed-compare", 21, 21, workers=1)
         assert np.count_nonzero(r.tags == TAG_ERROR) == 0
         # 903 renormalizations and 4,486 jets with the frozen difference Jacobian
         assert calls["multi_renormalize"] <= 510
         assert calls["eval_cross_jet"] <= 2024
+        # one chain solve per jet: the chart origin's exit height comes from
+        # the anchor solve's last jet (2,465 when each pixel solved it again)
+        assert calls["eval_cross"] <= 2024
 
     def test_fresh_evaluation_after_a_failed_track(self, monkeypatch):
         a = atlas._a_centers(atlas.DEFAULT_RANGES["embed-compare"][0], 5)
@@ -1121,6 +1139,11 @@ class TestEmission:
         for kernel in KERNELS:
             assert DEFAULT_COLORMAPS[kernel] in COLORMAPS
         assert len(TAG_NAMES) == 8
+
+    def test_kernel_tables_name_the_same_kernels(self):
+        assert len(set(KERNELS)) == len(KERNELS) == 6
+        for table in (DEFAULT_RANGES, DEFAULT_COLORMAPS, atlas._BLOCK_KERNELS):
+            assert tuple(table) == KERNELS
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -255,6 +255,8 @@ class TestExitCodes:
         ("embed-swallow", "--grid", "3x3", "--words", "c1;zz"),
         ("embed-swallow", "--grid", "3x3", "--m", "2"),
         ("henon-atlas", "--kernel", "renorm-strip", "--word", "zz"),
+        ("henon-atlas", "--kernel", "renorm-strip", "--word", "e"),
+        ("embed-swallow", "--grid", "3x3", "--words", "c1;e"),
         ("renorm", "--a", "-1.86", "--b", "2", "--m", "2000"),
         ("twin", "--b-hat", "0"),
         ("twin", "--b-hat", "-0"),
