@@ -96,7 +96,8 @@ def factorize_chain(f: HenonMap, word: str | Piece1D) -> CrossMapChain:
         raise DomainError("cross-map factorization requires a xi-normalized map")
     piece = piece_1d(word, f.a) if isinstance(word, str) else word
     if piece.order < 1:
-        raise DomainError(f"word {piece.word!r} has no quadratic factors")
+        name = ",".join(piece.word)
+        raise DomainError(f"word {name!r} has no quadratic factors")
     return CrossMapChain(f, piece)
 
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ContractionError, ConvergenceError, DomainError
 from .maps1d import LyapValue
 from .rootfind import newton2, newton_safeguarded
@@ -292,6 +290,24 @@ def _cycle_jacobian(f: HenonMap, z: Sequence[float], period: int):
     return J, w
 
 
+def _multipliers(tr: float, det: float) -> tuple[complex, complex]:
+    """Roots of x^2 - tr x + det, the larger one first.
+
+    ``det`` is the product of the step determinants along the cycle.  The
+    determinant of the period product equals it in exact arithmetic, but
+    in floating point it is mostly cancellation between entries of the
+    product; with the step product a complex pair has modulus sqrt(det) to
+    rounding.  The larger real root is tr/2 + sign(tr) sqrt(tr^2/4 - det)
+    and the other det over it, so neither loses digits to cancellation."""
+    half = 0.5 * tr
+    disc = half * half - det
+    if disc < 0.0:
+        root = complex(half, math.sqrt(-disc))
+        return root, root.conjugate()
+    big = half + math.copysign(math.sqrt(disc), half)
+    return complex(big), complex(det / big if big != 0.0 else 0.0)
+
+
 def _same_cycle(points_a, points_b, tol: float) -> bool:
     if len(points_a) != len(points_b):
         return False
@@ -319,9 +335,11 @@ def find_attractors(
 
     Non-escaping seeds run a transient, then the minimal period <= max_period
     with recurrence within tol is located, the cycle is refined on
-    f^period - id, and Floquet multipliers are computed from the Jacobian
-    product. Cycles with spectral radius >= 1 are discarded; duplicates are
-    identified up to cyclic shifts.
+    f^period - id, and the Floquet multipliers are the roots of the
+    characteristic polynomial of the Jacobian product, with its trace and
+    the product of the step determinants (``_multipliers``).  Cycles with
+    spectral radius >= 1 are discarded; duplicates are identified up to
+    cyclic shifts.
     """
     if max_period < 1 or n_transient < 0:
         raise DomainError(
@@ -367,17 +385,17 @@ def find_attractors(
             skipped.append((seed[0], seed[1]))
             continue
 
-        J, _ = _cycle_jacobian(f, zr, period)
-        eigs = np.linalg.eigvals(np.array(J, dtype=float))
-        mults = (complex(eigs[0]), complex(eigs[1]))
-        if max(abs(mults[0]), abs(mults[1])) >= 1.0:
-            continue
-
         points = []
         w = zr
         for _ in range(period):
             points.append(w)
             w = apply_map(f, w)
+        J, _ = _cycle_jacobian(f, zr, period)
+        det = math.prod(evaluate(f, p).det for p in points)
+        mults = _multipliers(J[0][0] + J[1][1], det)
+        if not max(abs(mults[0]), abs(mults[1])) < 1.0:  # NaN is no attractor either
+            continue
+
         # keep the minimal period: reject if a proper divisor already closes
         minimal = True
         for q in range(1, period):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .crossmap import (
     CrossJet,
@@ -632,6 +632,8 @@ class DoubleTangency:
     mu1: float
     mu2: float
     dmu_db: float
+    #: every (a, b, mu1, mu2) the solve evaluated, the solution last
+    samples: tuple[tuple[float, float, float, float], ...]
 
 
 def double_tangency(
@@ -639,21 +641,31 @@ def double_tangency(
     word1: str,
     word2: str,
     seed: tuple[float, float],
+    target: float = 0.0,
 ) -> DoubleTangency:
-    """Parameter point where the folds of two words are tangent at once.
+    """Parameter point where the fold of word1 is tangent and word2's
+    renormalized value is ``target``; at target 0 both folds are tangent.
 
-    Runs a two-dimensional Newton iteration on both fold defects from the
-    given (a, b) seed, with the exact Jacobian of ``_mu_gradient``.
-    ``dmu_db`` records the transversality of the defect difference across
-    the crossing, read off the same Jacobian at the solution.
+    Runs a two-dimensional Newton iteration from the given (a, b) seed on
+    the residuals mu1 and mu2 - target sigma2^2 / q2.  Since abar = q mu /
+    sigma^2, the zeros of the second are exactly the points where word2's
+    abar equals ``target``, and at target 0 it is mu2 itself.  The Jacobian
+    is the exact one of the two defects, from ``_mu_gradient``; it leaves
+    out the partials of sigma2^2 / q2, so away from target 0 the solve is a
+    quasi-Newton iteration whose contraction factor is the relative change
+    of sigma2^2 / q2 against that of mu2 (near the twin crossing about
+    1e-5 |target|, so each step gains five digits at |target| <= 1).
+    ``dmu_db`` records the transversality of the defect difference at the
+    solution, read off the same Jacobian.
 
     ``build(a, b)`` must return a map that carries a and b themselves, with
     m, zeta and xi independent of (a, b); any other family is a
     ``DomainError``, as is a map that is not xi-normalized; a malformed word
     is a ``WordError``.  These are checked at the seed.  Any other failure,
     at the seed or at a Newton iterate, is a ``NoCrossingError`` carrying
-    the evaluated (a, b, mu1, mu2) samples; where a word's chain does not
-    exist at the point, it names the point and the word."""
+    the evaluated (a, b, mu1, mu2) samples, the defects and not the
+    residuals, as ``DoubleTangency.samples`` does on success; where a word's
+    chain does not exist at the point, it names the point and the word."""
     if not _built_map(build, *seed).normalized:
         raise DomainError("double tangency requires a xi-normalized map")
     parse_word(word1)
@@ -679,27 +691,27 @@ def double_tangency(
             last[:] = [key, ts]
         return last[1]
 
-    def both(x: Sequence[float]) -> tuple[float, float]:
+    def residual(x: Sequence[float]) -> tuple[float, float]:
         t1, t2 = tangencies(x)
-        return (t1.mu, t2.mu)
+        return (t1.mu, t2.mu - target * t2.sigma * t2.sigma / t2.q)
 
     def jacobian(x: Sequence[float]):
         t1, t2 = tangencies(x)
         return _mu_gradient(t1), _mu_gradient(t2)
 
     try:
-        a, b = newton2(both, seed, jac=jacobian, rtol=1e-13)
-        mu1, mu2 = both([a, b])
+        a, b = newton2(residual, seed, jac=jacobian, rtol=1e-13)
+        t1, t2 = tangencies([a, b])
         (_, db1), (_, db2) = jacobian([a, b])
     except NoCrossingError:
         raise
     except HenonLabError as exc:
+        goal = "common zero" if target == 0.0 else f"zero at abar {target!r}"
         raise NoCrossingError(
-            f"defects of {word1!r} and {word2!r} admit no common zero "
-            f"near {seed!r}: {exc}",
+            f"defects of {word1!r} and {word2!r} admit no {goal} near {seed!r}: {exc}",
             trace,
         ) from exc
-    return DoubleTangency(a, b, mu1, mu2, db1 - db2)
+    return DoubleTangency(a, b, t1.mu, t2.mu, db1 - db2, tuple(trace))
 
 
 def _mu_gradient(t: TangencyData) -> tuple[float, float]:
@@ -749,7 +761,9 @@ class TwinResult:
     seeds the crossing solve.  It need not contain the crossing: at m = 3,
     b_hat = 1e-3 it is [0.0302, 0.0671] and b0 = 0.1334.  (b0, a_at_b0) is
     the double tangency and (a, b) the returned point on the short word's
-    root curve."""
+    root curve.  ``curve_abar_minus`` holds the short word's abar at the two
+    points of the root curve that the search solves, the crossing and (a, b);
+    ``abar_minus`` is the second."""
 
     word_minus: str
     word_plus: str
@@ -784,16 +798,15 @@ def twin_find(
     solve seeded at the short word's b = 0 root in ``a_range`` and at the
     centre of ``TwinResult.bracket``. The long word's gap turns towards the
     sign of b^m, m the built map's multiplicity. Moving along the short
-    word's root curve a(b) past b0 sweeps the long word's renormalized value
-    through the attracting range; the returned point puts it at ``target``
-    while the short word stays at its window center. Both predicted cycles
-    are then located directly. Each root of the curve is one bracketed
-    secant inside ``a_range``, started from the last.
+    word's root curve a(b) away from b0 sweeps the long word's renormalized
+    value through the attracting range; the returned point puts it at
+    ``target`` while the short word stays at its window center.  That point
+    is a second ``double_tangency`` solve, from the crossing, with
+    ``target``.  Both predicted cycles are then located directly.
 
-    A failed crossing solve raises ``double_tangency``'s
-    ``NoCrossingError``, with (a, b, mu1, mu2) samples; a target the long
-    word's value misses near b0 raises one with (b, abar_plus - target)
-    samples."""
+    A failed crossing or target solve raises ``double_tangency``'s
+    ``NoCrossingError``, with (a, b, mu1, mu2) samples; so does a target
+    point outside ``a_range``, with the target solve's samples."""
     if b_hat == 0.0:
         raise DomainError("b_hat must be nonzero: it sets the scale of the crossing seed")
     if j < 0:
@@ -822,44 +835,15 @@ def twin_find(
     crossing = double_tangency(build, word_minus, word_plus, (a_m, b_at(mag * eta)))
     b0, a_at_b0 = crossing.b, crossing.a
 
-    a_min, a_max = min(a_range), max(a_range)
-    state = {"a": a_at_b0, "b": b0}
-
-    def root_at(b: float) -> float:
-        # The root curve moves about 2.1 (c1) in a per unit b, so the window
-        # around the last root grows with the b step.
-        half = 4e-3 + 4.0 * abs(b - state["b"])
-        lo, hi = max(state["a"] - half, a_min), min(state["a"] + half, a_max)
-        state["a"] = solve_mu_zero(lambda a: build(a, b), word_minus, lo, hi, coarse=12)
-        state["b"] = b
-        return state["a"]
-
-    curve_samples = []
-    for off in (-3e-5, -1e-5, 0.0, 1e-5, 3e-5):
-        b = b0 * (1.0 + off)
-        curve_samples.append(renormalize(build(root_at(b), b), word_minus).abar)
-
-    def off_target(b: float) -> float:
-        return renormalize(build(root_at(b), b), word_plus).abar - target
-
-    scanned: list[tuple[float, float]] = []
-
-    def locate(direction: float) -> Iterator[tuple[float, float]]:
-        for u in (0.0, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4):
-            b = b0 * (1.0 + direction * u)
-            scanned.append((b, off_target(b)))
-            yield scanned[-1]
-
-    hit = _first_sign_change(locate(1.0)) or _first_sign_change(locate(-1.0))
-    if hit is None:
+    # the target point, from the crossing along the short word's root curve
+    point = double_tangency(build, word_minus, word_plus, (a_at_b0, b0), target=target)
+    a_star, b_star = point.a, point.b
+    if not min(a_range) <= a_star <= max(a_range):
         raise NoCrossingError(
-            f"renormalized value of {word_plus!r} never reaches {target!r} "
-            f"near b0={b0!r}",
-            scanned,
+            f"renormalized value of {word_plus!r} reaches {target!r} at a={a_star!r}, "
+            f"outside the window [{min(a_range)!r}, {max(a_range)!r}]",
+            list(point.samples),
         )
-    # The target value moves by ~1e6 per unit b: run to rounding level.
-    b_star = newton_safeguarded(off_target, 0.5 * (hit[0] + hit[1]), bracket=hit, rtol=1e-15)
-    a_star = root_at(b_star)
     chosen = build(a_star, b_star)
     minus, plus = renormalize(chosen, word_minus), renormalize(chosen, word_plus)
     seeds = [(r.tangency.c, r.tangency.H(0.0)) for r in (minus, plus)]
@@ -876,7 +860,7 @@ def twin_find(
         b_star,
         minus.abar,
         plus.abar,
-        tuple(curve_samples),
+        (renormalize(build(a_at_b0, b0), word_minus).abar, minus.abar),
         report,
     )
 

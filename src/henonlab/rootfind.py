@@ -11,9 +11,10 @@ of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
 cross-map jets, and ``renorm.double_tangency`` passes the exact parameter
 Jacobian of its two fold defects, taken from the jets' parameter columns;
 ``newton2`` has no finite-difference mode.  The crossing of
-``renorm.twin_find`` is one such ``double_tangency`` solve.  Each root of
-``renorm.solve_mu_zero``, and the target point of ``twin_find``, is one
-bracketed secant solve, whose first secant partner is a bracket end.
+``renorm.twin_find`` is one such ``double_tangency`` solve, and its target
+point a second one from the crossing, with the long word's renormalized
+value in place of its defect.  Each root of ``renorm.solve_mu_zero`` is
+one bracketed secant solve, whose first secant partner is a bracket end.
 ``newton2`` takes a step already within tolerance whole, so the tracked
 anchor solves of ``atlas``, which start from the anchors its secant model
 predicts, cost two evaluations when the prediction holds.  Plain

@@ -1,7 +1,10 @@
-"""Every name a module exports through ``__all__`` must exist."""
+"""Every name a module exports through ``__all__`` must exist, and the
+scalar modules load without numpy."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +33,14 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported)
     missing = [item for item in exported if not hasattr(module, item)]
     assert missing == []
+
+
+def test_renorm_imports_no_numpy():
+    # the twin path runs on scalars: numpy is only for the rasters of atlas
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, henonlab.renorm; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -279,6 +279,16 @@ class TestExitCodes:
         assert out == ""
         assert "steps must be at least 1" in err
 
+    @pytest.mark.parametrize("args", [
+        ("crossmap", "--word", "e,e", "--a", "-1.86", "--b", "0"),
+        ("renorm", "--word", "e,e", "--a", "-1.86", "--b", "0.001"),
+        ("henon-atlas", "--kernel", "renorm-strip", "--word", "e,e", "--grid", "2x2",
+         "--out", "-"),
+    ], ids=["crossmap", "renorm", "renorm-strip"])
+    def test_order_zero_word_is_named_as_written(self, capsys, args):
+        rc, out, err = call(capsys, *args)
+        assert (rc, out, err) == (2, "", "error: word 'e,e' has no quadratic factors\n")
+
 
 class TestHelp:
     def test_top_help_lists_all_commands(self, capsys):

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from henonlab.errors import ContractionError, DomainError
 from henonlab.henon import (
+    _cycle_jacobian,
     Field2,
     HenonMap,
     ZERO_FIELD,
@@ -268,6 +270,71 @@ class TestAttractors:
         report = find_attractors(f, seeds=[(0.1, 0.1)], max_period=16)
         assert report.cycles == ()
         assert report.skipped == ((0.1, 0.1),)
+
+
+# the default twin point of ``twin --target -0.5`` and its printed cycle points
+_TWIN_POINT = (-1.86583322066959, 0.0023762018982587)
+_TWIN_SEEDS = [(-0.000753397542617453, -1.36629633160121),
+               (-1.76848925816065, -0.307206140548511)]
+
+_MULTIPLIER_CASES = {
+    "spiral": (HenonMap(0.0, 0.1), [(0.3, 0.3)]),
+    "attractors-report": (HenonMap(-0.5, 0.1), [(0.0, 0.0)]),
+    "focus": (HenonMap(-1.0, 0.3), [(0.1, 0.1)]),
+    "two-cycle": (HenonMap(-1.0, -0.1), [(0.1, 0.1)]),
+    "two-cycle-focus": (HenonMap(-1.2, 0.1), [(0.1, 0.1)]),
+    "sine-perturbed": (build_map("sine-perturbed", -0.9, -0.2, delta=0.05), [(0.1, 0.1)]),
+    "twin": (HenonMap(*_TWIN_POINT), _TWIN_SEEDS),
+    "twin-m2": (HenonMap(_TWIN_POINT[0], -math.sqrt(_TWIN_POINT[1]), 2), _TWIN_SEEDS),
+}
+
+
+def _step_determinant_product(f, cycle) -> float:
+    return math.prod(evaluate(f, p).det for p in cycle.points)
+
+
+def _eigvals_multipliers(f, cycle) -> list[complex]:
+    """The multipliers as ``numpy.linalg.eigvals`` of the period product,
+    which ``find_attractors`` took before; exact only where the product's
+    determinant does not cancel."""
+    J, _ = _cycle_jacobian(f, cycle.points[0], cycle.period)
+    return sorted((complex(v) for v in np.linalg.eigvals(np.array(J))), key=abs)
+
+
+class TestMultipliers:
+    @pytest.mark.parametrize("name", sorted(_MULTIPLIER_CASES))
+    def test_pairs_multiply_to_the_step_determinants(self, name):
+        f, seeds = _MULTIPLIER_CASES[name]
+        cycles = find_attractors(f, seeds).cycles
+        assert cycles
+        for cycle in cycles:
+            det = _step_determinant_product(f, cycle)
+            big, small = cycle.multipliers
+            assert abs(big) >= abs(small)
+            if big.imag != 0.0:
+                # a complex pair has modulus sqrt(det) however J cancels
+                assert big == small.conjugate()
+                for mult in (big, small):
+                    assert abs(abs(mult) - math.sqrt(abs(det))) <= 1e-14 * math.sqrt(abs(det))
+            else:
+                assert abs(big * small - det) <= 1e-14 * abs(det)
+
+    def test_twin_spiral_is_b_to_the_five_halves(self):
+        f, seeds = _MULTIPLIER_CASES["twin"]
+        (short, _) = sorted(find_attractors(f, seeds).cycles, key=lambda c: c.period)
+        assert short.period == 5 and short.multipliers[0].imag != 0.0
+        radius = _TWIN_POINT[1] ** 2.5
+        assert abs(short.spectral_radius - radius) <= 1e-14 * radius
+
+    @pytest.mark.parametrize("name", ["spiral", "attractors-report", "focus", "two-cycle",
+                                      "two-cycle-focus", "sine-perturbed"])
+    def test_eigvals_oracle_on_well_conditioned_cycles(self, name):
+        f, seeds = _MULTIPLIER_CASES[name]
+        for cycle in find_attractors(f, seeds).cycles:
+            expected = _eigvals_multipliers(f, cycle)
+            got = sorted(cycle.multipliers, key=abs)
+            for g, e in zip(got, expected):
+                assert abs(g - e) <= 1e-12 * max(1.0, abs(e))
 
 
 # ---------------------------------------------------------------------------

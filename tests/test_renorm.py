@@ -479,6 +479,24 @@ class TestDoubleTangency:
         assert reused == fresh
         assert (reused_calls, fresh_calls) == (14, 18)
 
+    @pytest.mark.parametrize("kind,target", [
+        ("standard", -0.5), ("standard", 0.2), ("sine", -0.5),
+    ])
+    def test_target_solve_puts_the_second_word_at_target(self, kind, target):
+        def build(a, b):
+            zeta = sine_perturbed_fields(0.01)[0] if kind == "sine" else Field2()
+            return HenonMap(a, b, 1, zeta)
+
+        crossing = double_tangency(build, "c1", "c1,bm0,bm0", (-1.86583, 2.376e-3))
+        point = double_tangency(build, "c1", "c1,bm0,bm0", (crossing.a, crossing.b),
+                                target=target)
+        assert abs(point.mu1) <= 1e-12
+        # abar moves by about 1e6 per unit a: a few ulps of a are 1e-9 of abar
+        assert renormalize(build(point.a, point.b), "c1,bm0,bm0").abar == pytest.approx(
+            target, abs=1e-9)
+        assert point.samples[0][:2] == (crossing.a, crossing.b)
+        assert point.samples[-1] == (point.a, point.b, point.mu1, point.mu2)
+
     def test_family_must_carry_its_parameters(self):
         # the zero map drops b, so its defects have no b-partials at all
         with pytest.raises(DomainError, match="carries its own a and b"):
@@ -650,6 +668,47 @@ class TestAnalyticFoldOracle:
             renormalize(HenonMap(-1e300, 1e-3), "c1")
 
 
+def _scan_twin_target(build, word_minus, word_plus, a_at_b0, b0, target, a_range):
+    """Oracle for the target point of ``twin_find``: the walk along the
+    short word's root curve that the target solve of ``double_tangency``
+    replaced.  Each root a(b) is a ``solve_mu_zero`` window around the last
+    root, clipped to ``a_range``; 11 offsets on each side of b0 bracket the
+    long word's value at ``target``, and a bracketed secant on b runs to
+    rounding level.  Returns (a, b)."""
+    a_min, a_max = min(a_range), max(a_range)
+    last = {"a": a_at_b0, "b": b0}
+
+    def root_at(b: float) -> float:
+        # the root curve moves about 2.1 (c1) in a per unit b
+        half = 4e-3 + 4.0 * abs(b - last["b"])
+        lo, hi = max(last["a"] - half, a_min), min(last["a"] + half, a_max)
+        last["a"] = solve_mu_zero(lambda a: build(a, b), word_minus, lo, hi, coarse=12)
+        last["b"] = b
+        return last["a"]
+
+    def off_target(b: float) -> float:
+        return renormalize(build(root_at(b), b), word_plus).abar - target
+
+    def scan(direction: float):
+        for u in (0.0, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4):
+            b = b0 * (1.0 + direction * u)
+            yield b, off_target(b)
+
+    hit = renorm._first_sign_change(scan(1.0)) or renorm._first_sign_change(scan(-1.0))
+    if hit is None:
+        raise NoCrossingError(f"{word_plus!r} never reaches {target!r} near b0={b0!r}", [])
+    b_star = newton_safeguarded(off_target, 0.5 * (hit[0] + hit[1]), bracket=hit, rtol=1e-15)
+    return root_at(b_star), b_star
+
+
+# (k, j, b_hat, m): the default search and the nine configurations of
+# test_cli's coarse twin scans
+_TWIN_CONFIGS = [
+    (1, 0, 1e-2, 1), (1, 0, 3e-2, 1), (2, 0, 1e-2, 1), (2, 0, -1e-2, 1), (2, 0, 3e-2, 1),
+    (2, 0, -3e-2, 1), (1, 0, 0.3, 1), (2, 1, 1e-3, 1), (1, 0, 1e-2, 2), (1, 0, -1e-2, 2),
+]
+
+
 @pytest.fixture(scope="module")
 def twin():
     return twin_find(lambda a, b: HenonMap(a, b), k=1, j=0, b_hat=1e-2)
@@ -668,7 +727,21 @@ class TestTwin:
 
     def test_center_curve_stays_flat(self, twin):
         assert abs(twin.abar_minus) <= 1e-6
-        assert max(abs(v) for v in twin.curve_abar_minus) <= 0.1
+        # the crossing and the target point
+        assert len(twin.curve_abar_minus) == 2
+        assert twin.curve_abar_minus[1] == twin.abar_minus
+        assert max(abs(v) for v in twin.curve_abar_minus) <= 1e-9
+
+    @pytest.mark.parametrize("k,j,b_hat,m", _TWIN_CONFIGS)
+    def test_target_point_matches_the_curve_scan(self, k, j, b_hat, m):
+        def build(a, b):
+            return HenonMap(a, b, m)
+
+        tw = twin_find(build, k=k, j=j, b_hat=b_hat)
+        a, b = _scan_twin_target(build, tw.word_minus, tw.word_plus, tw.a_at_b0, tw.b0,
+                                 -0.5, (A2 + 5e-4, -1.82))
+        assert abs(tw.a - a) <= 1e-12 * abs(a)
+        assert abs(tw.b - b) <= 1e-12 * abs(b)
 
     def test_companion_value_hits_target(self, twin):
         assert twin.abar_plus == pytest.approx(-0.5, abs=1e-6)
@@ -698,13 +771,46 @@ class TestTwin:
         assert tw.periods == periods
         assert all(c.spectral_radius < 1.0 for c in tw.report.cycles)
 
-    def test_unreached_target_keeps_its_samples(self):
-        with pytest.raises(NoCrossingError, match="never reaches 5.0") as info:
-            twin_find(lambda a, b: HenonMap(a, b), target=5.0)
+    def test_unreached_target_keeps_its_samples(self, twin):
+        # from the crossing, the first Newton step towards abar = 1e10 leaves
+        # the short word's branch domain
+        with pytest.raises(NoCrossingError,
+                           match=r"^Newton iterate .* branch domain of 'c1'") as info:
+            twin_find(lambda a, b: HenonMap(a, b), target=1e10)
         samples = info.value.samples
-        # (b, abar_plus - target) at the 11 offsets on each side of b0
-        assert len(samples) == 22
-        assert all(len(s) == 2 and s[1] < 0.0 for s in samples)
+        # (a, b, mu1, mu2), starting at the crossing
+        assert samples and all(len(s) == 4 for s in samples)
+        assert samples[0][:2] == (twin.a_at_b0, twin.b0)
+
+    def test_target_outside_the_window_keeps_its_samples(self, twin):
+        # abar = -1e6 is reached at a = -1.957, below a2 and the default window
+        with pytest.raises(NoCrossingError, match=r"reaches -1000000\.0 at a=-1\.957\d*, "
+                           r"outside the window \[") as info:
+            twin_find(lambda a, b: HenonMap(a, b), target=-1e6)
+        samples = info.value.samples
+        assert samples and all(len(s) == 4 for s in samples)
+        assert samples[0][:2] == (twin.a_at_b0, twin.b0)
+        assert samples[-1][0] < A2
+
+    @pytest.mark.parametrize("target", [5.0, 100.0])
+    def test_targets_beyond_the_old_scan(self, target):
+        # 11 offsets up to 3e-4 b0 on either side of b0 never reached these
+        tw = twin_find(lambda a, b: HenonMap(a, b), target=target)
+        assert tw.abar_plus == pytest.approx(target, rel=1e-9)
+        assert abs(tw.abar_minus) <= 1e-9
+
+    def test_default_search_makes_at_most_100_chain_solves(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eval_cross(*args, **kwargs)
+
+        monkeypatch.setattr(crossmap, "eval_cross", counted)
+        monkeypatch.setattr(renorm, "eval_cross", counted)
+        twin_find(lambda a, b: HenonMap(a, b))
+        # 85; 460 when the target point walked the short word's root curve
+        assert calls[0] <= 100
 
     def test_failed_crossing_keeps_its_samples(self):
         # from the m = 3 seed for b_hat = -1e-3 the first Newton step leaves
@@ -786,16 +892,18 @@ class TestParameterRootOracle:
 
     def test_twin_windows(self, recorded_twin):
         windows, _ = recorded_twin
-        # 20 to 34 windows per search: the b = 0 root and the traced curve
-        assert len(windows) >= 20
+        # one window per search: the short word's b = 0 root
+        assert len(windows) == 1
         self.assert_matches_oracle(windows)
 
     def test_flat_and_renorm_windows(self, flat_roots):
         self.assert_matches_oracle(_renorm_windows(flat_roots))
 
-    def test_at_most_eight_maps_per_root(self, recorded_twin):
-        windows, builds = recorded_twin
-        assert builds <= 8 * len(windows)
+    def test_at_most_thirty_maps_per_twin_search(self, recorded_twin):
+        # 19 to 22: the b = 0 root, two double-tangency solves and the
+        # renormalizations at the crossing and the target point
+        _, builds = recorded_twin
+        assert builds <= 30
 
     @staticmethod
     def solve_with_defect(monkeypatch, defect):
