@@ -8,7 +8,7 @@ automatic differentiation anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import ContractionError, ConvergenceError, DomainError
@@ -72,18 +72,17 @@ class HenonMap:
     m: int = 1
     zeta: Field2 = ZERO_FIELD
     xi: Field2 = ZERO_FIELD
+    #: b^m, worked out once; not part of equality, hash or repr
+    bm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise DomainError(f"multiplicity m must be at least 1, got {self.m}")
         try:
-            self.b ** self.m
+            bm = self.b ** self.m
         except OverflowError:
             raise DomainError(f"b^m overflows at b = {self.b!r}, m = {self.m}") from None
-
-    @property
-    def bm(self) -> float:
-        return self.b ** self.m
+        object.__setattr__(self, "bm", bm)
 
     @property
     def normalized(self) -> bool:
@@ -281,13 +280,21 @@ def _mat_mul(A, B):
     )
 
 
-def _cycle_jacobian(f: HenonMap, z: Sequence[float], period: int):
+def _cycle_pass(f: HenonMap, z: Sequence[float], period: int):
+    """One pass along the orbit of z: the period product of the Jacobians,
+    the period-th image, the orbit's first ``period`` points and the product
+    of the step determinants."""
     J = ((1.0, 0.0), (0.0, 1.0))
     w = (z[0], z[1])
+    points = []
+    det = 1.0
     for _ in range(period):
-        J = _mat_mul(jacobian(f, w), J)
+        points.append(w)
+        step = jacobian(f, w)
+        det *= step[0][0] * step[1][1] - step[0][1] * step[1][0]
+        J = _mat_mul(step, J)
         w = apply_map(f, w)
-    return J, w
+    return J, w, tuple(points), det
 
 
 def _multipliers(tr: float, det: float) -> tuple[complex, complex]:
@@ -322,6 +329,47 @@ def _same_cycle(points_a, points_b, tol: float) -> bool:
     return False
 
 
+def _transient(f: HenonMap, x: float, y: float, n: int, r_esc: float):
+    """(x, y) after n map steps, or None once max(|x|, |y|) > r_esc.
+
+    The steps make ``apply_map``'s operations in its order, on locals.  A
+    map without hooks takes its first step so too, and after it calls no
+    hook and tests the new x only: the new y is the old x, which passed the
+    test already (``atlas._block_henon_escape``), so the test agrees with
+    max(|x|, |y|) > r_esc, NaNs included.  Those steps also leave out the
+    zero field's + 0.0, which only turns -0.0 into 0.0: x * x + a - bm * y
+    is never -0.0, as x * x is not, and y is such an x."""
+    a, bm = f.a, f.bm
+    zeta, xi = f.zeta.value, f.xi.value
+    full_steps = min(n, 1) if f.zeta is ZERO_FIELD and f.xi is ZERO_FIELD else n
+    for _ in range(full_steps):
+        v = bm * y
+        x, y = x * x + a - v + zeta(x, v), x + xi(x, v)
+        if max(abs(x), abs(y)) > r_esc:
+            return None
+    for _ in range(n - full_steps):
+        x, y = x * x + a - bm * y, x
+        if abs(x) > r_esc:
+            return None
+    return x, y
+
+
+def _first_return(f: HenonMap, x0: float, y0: float, max_period: int, tol: float):
+    """The least p <= max_period with max(|f^p(z0) - z0|) < tol, else None.
+
+    The steps make ``apply_map``'s operations in its order, on locals; at
+    most max_period of them, so the zero field is called like any hook."""
+    a, bm = f.a, f.bm
+    zeta, xi = f.zeta.value, f.xi.value
+    x, y = x0, y0
+    for p in range(1, max_period + 1):
+        v = bm * y
+        x, y = x * x + a - v + zeta(x, v), x + xi(x, v)
+        if max(abs(x - x0), abs(y - y0)) < tol:
+            return p
+    return None
+
+
 def find_attractors(
     f: HenonMap,
     seeds: Sequence[Sequence[float]],
@@ -333,11 +381,17 @@ def find_attractors(
 ) -> AttractorReport:
     """Detect attracting cycles by recurrence, then refine by Newton.
 
-    Non-escaping seeds run a transient, then the minimal period <= max_period
-    with recurrence within tol is located, the cycle is refined on
-    f^period - id, and the Floquet multipliers are the roots of the
-    characteristic polynomial of the Jacobian product, with its trace and
-    the product of the step determinants (``_multipliers``).  Cycles with
+    Each seed runs a transient of exactly ``n_transient`` map steps and is
+    dropped once the sup-norm exceeds r_esc; then the minimal period
+    <= max_period with recurrence within tol is located.  Both loops run
+    ``apply_map``'s arithmetic on local floats (``_transient``,
+    ``_first_return``), so they give its bits.  The cycle is refined by
+    Newton on f^period - id.  Each Newton point gets one pass along its
+    orbit (``_cycle_pass``), which serves the residual and the Jacobian
+    there; the pass at the refined point also gives the cycle's points and
+    the product of the step determinants.  The Floquet multipliers are the
+    roots of the characteristic polynomial of the Jacobian product, with
+    its trace and that determinant product (``_multipliers``).  Cycles with
     spectral radius >= 1 are discarded; duplicates are identified up to
     cyclic shifts.
     """
@@ -350,33 +404,31 @@ def find_attractors(
     cycles: list[Cycle] = []
     skipped: list[tuple[float, float]] = []
     for seed in seeds:
-        z = (float(seed[0]), float(seed[1]))
-        escaped = False
-        for _ in range(n_transient):
-            z = apply_map(f, z)
-            if max(abs(z[0]), abs(z[1])) > r_esc:
-                escaped = True
-                break
-        if escaped:
+        z = _transient(f, float(seed[0]), float(seed[1]), n_transient, r_esc)
+        if z is None:
             continue
-
-        period = None
-        w = z
-        for p in range(1, max_period + 1):
-            w = apply_map(f, w)
-            if max(abs(w[0] - z[0]), abs(w[1] - z[1])) < tol:
-                period = p
-                break
+        period = _first_return(f, z[0], z[1], max_period, tol)
         if period is None:
             skipped.append((seed[0], seed[1]))
             continue
 
-        def G(v, p=period):
-            _, w2 = _cycle_jacobian(f, v, p)
-            return (w2[0] - v[0], w2[1] - v[1])
+        # newton2 asks for the Jacobian only at the point of its last
+        # residual and returns that point, so remembering the last pass
+        # gives each point one pass
+        memo = [None, None]
 
-        def JG(v, p=period):
-            J, _ = _cycle_jacobian(f, v, p)
+        def cycle_pass(v, p=period, memo=memo):
+            key = (v[0], v[1])
+            if memo[0] != key:
+                memo[:] = key, _cycle_pass(f, key, p)
+            return memo[1]
+
+        def G(v):
+            w = cycle_pass(v)[1]
+            return (w[0] - v[0], w[1] - v[1])
+
+        def JG(v):
+            J = cycle_pass(v)[0]
             return ((J[0][0] - 1.0, J[0][1]), (J[1][0], J[1][1] - 1.0))
 
         try:
@@ -385,13 +437,7 @@ def find_attractors(
             skipped.append((seed[0], seed[1]))
             continue
 
-        points = []
-        w = zr
-        for _ in range(period):
-            points.append(w)
-            w = apply_map(f, w)
-        J, _ = _cycle_jacobian(f, zr, period)
-        det = math.prod(evaluate(f, p).det for p in points)
+        J, _, points, det = cycle_pass(zr)
         mults = _multipliers(J[0][0] + J[1][1], det)
         if not max(abs(mults[0]), abs(mults[1])) < 1.0:  # NaN is no attractor either
             continue
@@ -406,7 +452,7 @@ def find_attractors(
         if not minimal:
             continue
 
-        cycle = Cycle(tuple(points), period, mults)
+        cycle = Cycle(points, period, mults)
         if not any(_same_cycle(cycle.points, c.points, dedup_tol) for c in cycles):
             cycles.append(cycle)
     return AttractorReport(tuple(cycles), tuple(skipped))

@@ -1,10 +1,13 @@
-"""Every name a module exports through ``__all__`` must exist, and the
-scalar modules load without numpy."""
+"""Every name a module exports through ``__all__`` must exist, the scalar
+modules load without numpy, and every function perfbench's tracer rebinds
+exists."""
 
 import importlib
+import importlib.util
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +47,18 @@ def test_renorm_imports_no_numpy():
         timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_tracer_targets_resolve():
+    # perfbench's tracer rebinds these functions by name; a renamed or moved
+    # function fails here rather than inside the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = [
+        f"{module}.{name}" for module, name, _ in tracer.TARGETS
+        if not callable(getattr(importlib.import_module(f"henonlab.{module}"), name, None))
+    ]
+    assert missing == []

@@ -1,15 +1,22 @@
 """Tests for the 2-D map type: evaluation, normalization, orbits, attractors."""
 
 import math
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henonlab.errors import ContractionError, DomainError
+from henonlab import henon, renorm
+from henonlab.errors import ContractionError, ConvergenceError, DomainError
 from henonlab.henon import (
-    _cycle_jacobian,
+    _cycle_pass,
+    _multipliers,
+    _same_cycle,
+    AttractorReport,
+    Cycle,
     Field2,
     HenonMap,
     ZERO_FIELD,
@@ -18,12 +25,14 @@ from henonlab.henon import (
     evaluate,
     find_attractors,
     iterate,
+    jacobian,
     lyapunov,
     normalize_xi,
     orbit_escape,
     rho_offset,
     sine_perturbed_fields,
 )
+from henonlab.rootfind import newton2
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +84,25 @@ class TestEvaluate:
         res = evaluate(HenonMap(a, b), (x, y))
         assert res.det == pytest.approx(b, abs=1e-12)
         assert res.image[1] == x
+
+
+class TestStoredPower:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("b", [0.3, -0.3, -1.7, 0.0])
+    def test_bm_is_the_power(self, b, m):
+        assert HenonMap(-1.0, b, m).bm == b ** m
+
+    def test_bm_is_no_field_of_equality(self):
+        f = HenonMap(-1.0, -0.3, 3)
+        assert f == HenonMap(-1.0, -0.3, 3)
+        assert hash(f) == hash(HenonMap(-1.0, -0.3, 3))
+        assert repr(f) == f"HenonMap(a=-1.0, b=-0.3, m=3, zeta={f.zeta!r}, xi={f.xi!r})"
+
+    def test_pickle_round_trip(self):
+        f = HenonMap(-1.0, -0.3, 3)
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert g.bm == f.bm and g.zeta is ZERO_FIELD and g.xi is ZERO_FIELD
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +325,7 @@ def _eigvals_multipliers(f, cycle) -> list[complex]:
     """The multipliers as ``numpy.linalg.eigvals`` of the period product,
     which ``find_attractors`` took before; exact only where the product's
     determinant does not cancel."""
-    J, _ = _cycle_jacobian(f, cycle.points[0], cycle.period)
+    J = _cycle_pass(f, cycle.points[0], cycle.period)[0]
     return sorted((complex(v) for v in np.linalg.eigvals(np.array(J))), key=abs)
 
 
@@ -335,6 +363,228 @@ class TestMultipliers:
             got = sorted(cycle.multipliers, key=abs)
             for g, e in zip(got, expected):
                 assert abs(g - e) <= 1e-12 * max(1.0, abs(e))
+
+
+# ---------------------------------------------------------------------------
+# the apply_map version of find_attractors, as the oracle of its local loops
+# ---------------------------------------------------------------------------
+
+def _cycle_jacobian_oracle(f, z, period):
+    J = ((1.0, 0.0), (0.0, 1.0))
+    w = (z[0], z[1])
+    for _ in range(period):
+        J = henon._mat_mul(jacobian(f, w), J)
+        w = apply_map(f, w)
+    return J, w
+
+
+def _find_attractors_oracle(f, seeds, max_period=64, n_transient=5000, tol=1e-9,
+                            r_esc=10.0, dedup_tol=1e-6):
+    """``find_attractors`` as it was before its loops ran on local floats:
+    every step an ``apply_map`` call, a period product for each residual
+    and each Jacobian, and the step determinants from ``evaluate``."""
+    cycles = []
+    skipped = []
+    for seed in seeds:
+        z = (float(seed[0]), float(seed[1]))
+        escaped = False
+        for _ in range(n_transient):
+            z = apply_map(f, z)
+            if max(abs(z[0]), abs(z[1])) > r_esc:
+                escaped = True
+                break
+        if escaped:
+            continue
+
+        period = None
+        w = z
+        for p in range(1, max_period + 1):
+            w = apply_map(f, w)
+            if max(abs(w[0] - z[0]), abs(w[1] - z[1])) < tol:
+                period = p
+                break
+        if period is None:
+            skipped.append((seed[0], seed[1]))
+            continue
+
+        def G(v, p=period):
+            _, w2 = _cycle_jacobian_oracle(f, v, p)
+            return (w2[0] - v[0], w2[1] - v[1])
+
+        def JG(v, p=period):
+            J, _ = _cycle_jacobian_oracle(f, v, p)
+            return ((J[0][0] - 1.0, J[0][1]), (J[1][0], J[1][1] - 1.0))
+
+        try:
+            zr = newton2(G, z, jac=JG, rtol=1e-13)
+        except ConvergenceError:
+            skipped.append((seed[0], seed[1]))
+            continue
+
+        points = []
+        w = zr
+        for _ in range(period):
+            points.append(w)
+            w = apply_map(f, w)
+        J, _ = _cycle_jacobian_oracle(f, zr, period)
+        det = math.prod(evaluate(f, p).det for p in points)
+        mults = _multipliers(J[0][0] + J[1][1], det)
+        if not max(abs(mults[0]), abs(mults[1])) < 1.0:
+            continue
+
+        minimal = True
+        for q in range(1, period):
+            if period % q == 0:
+                if max(abs(points[q][0] - points[0][0]), abs(points[q][1] - points[0][1])) < dedup_tol:
+                    minimal = False
+                    break
+        if not minimal:
+            continue
+
+        cycle = Cycle(tuple(points), period, mults)
+        if not any(_same_cycle(cycle.points, c.points, dedup_tol) for c in cycles):
+            cycles.append(cycle)
+    return AttractorReport(tuple(cycles), tuple(skipped))
+
+
+def _assert_same_report(f, seeds, **kwargs):
+    got = find_attractors(f, seeds, **kwargs)
+    want = _find_attractors_oracle(f, seeds, **kwargs)
+    # repr tells -0.0 from 0.0, which == does not
+    assert got == want and repr(got) == repr(want)
+    return got
+
+
+# (k, j, b_hat, m) of twin_find: twin's defaults, the nine configurations of
+# test_cli's test_coarse_twin_scans_keep_the_roots, and the second entry of
+# test_acceptance's test_twin_attractors grid (the other two are above)
+_TWIN_CONFIGS = [
+    (1, 0, 1e-2, 1),
+    (1, 0, 3e-2, 1), (2, 0, 1e-2, 1), (2, 0, -1e-2, 1), (2, 0, 3e-2, 1), (2, 0, -3e-2, 1),
+    (1, 0, 0.3, 1), (2, 1, 1e-3, 1), (1, 0, 1e-2, 2), (1, 0, -1e-2, 2),
+    (1, 0, -1e-2, 1),
+]
+
+
+@pytest.fixture(scope="module")
+def twin_checks():
+    """The (map, seeds, options) of the attractor check of ``twin_find`` at
+    each configuration."""
+    checks = {}
+    real = renorm.find_attractors
+    for config in _TWIN_CONFIGS:
+        k, j, b_hat, m = config
+
+        def capture(f, seeds, config=config, **kwargs):
+            checks[config] = (f, seeds, kwargs)
+            return real(f, seeds, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(renorm, "find_attractors", capture)
+            renorm.twin_find(lambda a, b, m=m: HenonMap(a, b, m), k=k, j=j, b_hat=b_hat)
+    return checks
+
+
+_NAN = float("nan")
+
+# (map, seeds, options) beside the twin checks
+_ORACLE_CASES = {
+    **{name: (f, seeds, {}) for name, (f, seeds) in _MULTIPLIER_CASES.items()},
+    "attractors-standard": (HenonMap(-0.5, 0.1), [(0.0, 0.0)], {}),
+    "attractors-sine": (build_map("sine-perturbed", -0.5, 0.1), [(0.0, 0.0)], {}),
+    "attractors-sine-seeds": (build_map("sine-perturbed", -1.2, 0.1),
+                              [(0.1, 0.1), (0.3, -0.2), (3.0, 3.0)], {"max_period": 16}),
+    "escaping": (HenonMap(1.0, 0.0), [(0.0, 0.0)], {}),
+    "no-recurrence": (HenonMap(-1.4, -0.3), [(0.1, 0.1)], {"max_period": 16}),
+    "no-transient": (HenonMap(-0.5, 0.1), [(0.3, 0.3), (-0.345823643358446,) * 2],
+                     {"n_transient": 0}),
+    "no-transient-twin": (HenonMap(*_TWIN_POINT), _TWIN_SEEDS,
+                          {"n_transient": 0, "max_period": 32}),
+    "no-transient-sine": (build_map("sine-perturbed", -0.9, -0.2, delta=0.05),
+                          [(0.1, 0.1), (0.24070556992168, -1.05795145404045)],
+                          {"n_transient": 0}),
+    # the first step leaves by y alone: the seed's x is outside the radius
+    "first-step-by-y": (HenonMap(-121.0, 0.3), [(11.0, 0.0)], {"n_transient": 1}),
+    # the zero field's 0.0 turns the seed's -0.0 into the cycle point's 0.0
+    "negative-zero": (HenonMap(-1.0, 0.0), [(-0.0, 0.5)], {"n_transient": 1}),
+    "negative-zero-no-transient": (HenonMap(-1.0, 0.0), [(-0.0, -1.0)], {"n_transient": 0}),
+    "dedupe": (HenonMap(-1.0, 0.0), [(0.05 * i, 0.05 * j) for i in range(3) for j in range(3)],
+               {}),
+    "m3-negative-b": (HenonMap(-1.0, -0.5, 3), [(0.1, 0.1), (-1.0, 0.5)], {}),
+    "nan-seeds": (HenonMap(-1.0, 0.3), [(_NAN, 0.1), (0.1, _NAN)], {}),
+    # max(|x|, |y|) is NaN, no escape, when x is NaN and y is large ...
+    "nan-zeta": (HenonMap(-1.0, 0.3, 1, Field2(value=lambda x, v: _NAN)),
+                 [(50.0, 0.0), (0.1, 0.1)], {"n_transient": 3}),
+    # ... and |x| when y is NaN
+    "nan-xi": (HenonMap(-1.0, 0.3, 1, ZERO_FIELD, Field2(value=lambda x, v: _NAN)),
+               [(0.1, 0.1), (5.0, 0.0)], {"n_transient": 3}),
+    "nan-delta": (build_map("sine-perturbed", -1.0, 0.3, delta=_NAN), [(0.1, 0.1)], {}),
+}
+
+
+class TestFindAttractorsOracle:
+    @pytest.mark.parametrize("config", _TWIN_CONFIGS)
+    def test_twin_checks(self, twin_checks, config):
+        f, seeds, kwargs = twin_checks[config]
+        report = _assert_same_report(f, seeds, **kwargs)
+        assert len(report.cycles) == 2
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_cases(self, name):
+        f, seeds, kwargs = _ORACLE_CASES[name]
+        _assert_same_report(f, seeds, **kwargs)
+
+    @pytest.mark.parametrize("n_transient", [0, 1, 2, 40])
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_grid_of_short_transients(self, n_transient, hooked):
+        # seeds inside and outside the escape radius, parameters on both
+        # sides of the escape boundary
+        seeds = [(-3.0, 2.0), (0.1, 0.1), (11.0, 0.0), (1.5, -12.0), (-0.4, 9.9)]
+        for a in (-2.2, -1.4, -1.0, -0.5, 0.3):
+            for b in (-0.3, 0.0, 0.2):
+                f = build_map("sine-perturbed" if hooked else "standard", a, b, delta=0.05)
+                _assert_same_report(f, seeds, max_period=8, n_transient=n_transient)
+
+    def test_default_twin_counts(self, monkeypatch):
+        """The transient and the recurrence scan call no per-step helper,
+        and the refinement makes one period-product pass per distinct point
+        of newton2."""
+        calls = Counter()
+        solves = []
+        real_pass, real_newton2 = henon._cycle_pass, henon.newton2
+
+        for name in ("apply_map", "jacobian", "evaluate"):
+            def counted(*args, real=getattr(henon, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(henon, name, counted)
+
+        def cycle_pass(f, z, period):
+            calls["passes"] += 1
+            calls["pass steps"] += period
+            return real_pass(f, z, period)
+
+        def newton(F, x0, jac, **kwargs):
+            points = set()
+            solves.append(points)
+
+            def seen(fn):
+                def call(x):
+                    points.add((x[0], x[1]))
+                    return fn(x)
+                return call
+
+            return real_newton2(seen(F), x0, jac=seen(jac), **kwargs)
+
+        monkeypatch.setattr(henon, "_cycle_pass", cycle_pass)
+        monkeypatch.setattr(henon, "newton2", newton)
+        f, seeds = HenonMap(*_TWIN_POINT), _TWIN_SEEDS
+        report = find_attractors(f, seeds, max_period=32)
+        assert [c.period for c in report.cycles] == [5, 11]
+        assert calls["apply_map"] == calls["jacobian"] == calls["pass steps"]
+        assert calls["evaluate"] == 0
+        assert len(solves) == 2
+        assert calls["passes"] == sum(len(points) for points in solves)
 
 
 # ---------------------------------------------------------------------------
