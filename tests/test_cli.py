@@ -445,6 +445,22 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "a1 = -1.5436" in proc.stdout
 
+    def test_embed_swallow_ppm_does_not_depend_on_workers(self, tmp_path):
+        images = []
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"embed-{workers}.ppm"
+            proc = subprocess.run(
+                [sys.executable, "-m", "henonlab", "embed-swallow", "--grid", "5x5",
+                 "--workers", workers, "--out", str(out_path)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            images.append(out_path.read_bytes())
+        assert images[0].startswith(b"P6\n5 5\n255\n")
+        assert images[0] == images[1]
+
 
 # Flag values that are negative, zero, non-finite or not numbers at all.
 _BAD_VALUES = st.one_of(

@@ -343,6 +343,16 @@ class TestMultiWord:
         with pytest.raises(DomainError):
             multi_renormalize(HenonMap(-1.86, 1e-3), words)
 
+    @pytest.mark.parametrize("words, anchor_seed", [
+        (("c1", "c1"), (0.0,)),
+        (("c1", "c1"), (0.0, 0.0, 0.0)),
+        (("c1",), (0.0, 0.0)),
+        (("c1",), ()),
+    ], ids=["one-for-two", "three-for-two", "two-for-one", "none-for-one"])
+    def test_anchor_seed_needs_one_anchor_per_word(self, words, anchor_seed):
+        with pytest.raises(DomainError, match="one anchor per word"):
+            multi_renormalize(HenonMap(-1.86, 1e-3), words, anchor_seed=anchor_seed)
+
     def test_scale_identity(self, equal_pair):
         md, _ = equal_pair
         for i in range(md.count):
@@ -606,6 +616,11 @@ def _check_newton_derivatives(f: HenonMap, words, abs_tol: float) -> None:
         fd = _fd_jacobian(lambda y: tuple(fold.slope for fold in at(y)[1]), x, 1e-7)
         for row, fd_row in zip(jac, fd):
             assert row == pytest.approx(fd_row, abs=abs_tol)
+        # each defect's partial in the other anchor, which carries the
+        # defects of a converged seed to the anchors
+        fd = _fd_jacobian(lambda y: tuple(fold.mu for fold in at(y)[1]), x, 1e-5)
+        assert f0.dmu_other == pytest.approx(fd[0][1], abs=abs_tol)
+        assert f1.dmu_other == pytest.approx(fd[1][0], abs=abs_tol)
 
 
 class TestAnalyticFoldOracle:
