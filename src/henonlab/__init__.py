@@ -2,16 +2,21 @@
 
 Modules
 -------
+errors    the HenonLabError hierarchy that bad input and failed solves raise
+rootfind  safeguarded scalar and 2x2 Newton solves, bisection
 maps1d    quadratic-family core: ladder, special parameters, 1-D pieces,
           composed-quadratic swallow geometry
-henon     Henon-like maps with perturbation hooks, orbits, Lyapunov
-          exponents, attractor enumeration
+henon     Henon-like maps with perturbation hooks, xi-normalization,
+          attractor enumeration
 crossmap  affine-like representation (A, B) of a piece via the chain solver
 strips    stable-leaf lattice, tame boxes, cone verification, 2-D products
-renorm    tangency data, single and multi renormalization, windows, twins,
-          cone-expansion certification
+renorm    tangency data, single and two-word renormalization, windows,
+          twins, cone-expansion certification
 atlas     deterministic parameter-plane rasters and PPM/CSV emission
 cli       command-line frontend
+
+The scalar references that the tests compare these modules against live in
+``tests/oracles.py``, not in the package.
 """
 
 from __future__ import annotations

@@ -62,7 +62,6 @@ TAG_NAMES = (
     "disagree",
     "error",
 )
-_TAG_BY_NAME = {name: code for code, name in enumerate(TAG_NAMES)}
 
 KERNELS = (
     "swallow-escape",
@@ -391,11 +390,12 @@ def _block_swallow_lyap(a: np.ndarray, b: np.ndarray, params: Mapping) -> tuple[
 # ---------------------------------------------------------------------------
 # Every family runs on the compacting orbit loop above.  A family without
 # hooks steps with numpy arithmetic.  A hooked family mirrors
-# ``henon.apply_map``, ``henon.jacobian`` and the sup-norm test of
-# ``henon.orbit_escape`` and ``henon.lyapunov`` operation for operation, with
-# its field evaluators, ``math.hypot`` and ``math.log`` applied to Python
-# floats element by element: each pixel then gets the bytes of the scalar
-# routines, where np.hypot and np.log may differ from them in the last bit.
+# ``henon.apply_map``, ``henon.jacobian`` and the sup-norm test of the
+# scalar references ``orbit_escape`` and ``lyapunov`` in ``tests/oracles.py``
+# operation for operation, with its field evaluators, ``math.hypot`` and
+# ``math.log`` applied to Python floats element by element: each pixel then
+# gets the bytes of the scalar routines, where np.hypot and np.log may
+# differ from them in the last bit.
 # A step makes one elementwise pass for all its field terms and, for the
 # exponent, one for the norm and its logarithm.
 
@@ -981,51 +981,6 @@ def render_csv(raster: Raster, colormap: str | None = None) -> str:
             )
     lines.append("")
     return "\n".join(lines)
-
-
-def parse_csv(text: str) -> Raster:
-    """Rebuild a raster from its CSV emission (exact round-trip)."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# henonlab-raster "):
-        raise DomainError("not a raster CSV: missing metadata line")
-    meta: dict[str, str] = {}
-    for token in lines[0][len("# henonlab-raster "):].split():
-        key, _, value = token.partition("=")
-        meta[key] = value
-    try:
-        kernel = meta["kernel"]
-        width = int(meta["width"])
-        height = int(meta["height"])
-        a_range = (float(meta["a_lo"]), float(meta["a_hi"]))
-        b_range = (float(meta["b_lo"]), float(meta["b_hi"]))
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"malformed raster CSV metadata: {exc}") from None
-
-    rows = [
-        line for line in lines[1:]
-        if line and not line.startswith("#") and line != "a,b,payload,value"
-    ]
-    if len(rows) != width * height:
-        raise DomainError(
-            f"raster CSV has {len(rows)} data rows, expected {width * height}"
-        )
-    tags = np.empty((height, width), dtype=np.uint8)
-    values = np.empty((height, width), dtype=np.float64)
-    for k, line in enumerate(rows):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise DomainError(f"malformed raster CSV row {k + 1}: {line!r}")
-        try:
-            tags.flat[k] = _TAG_BY_NAME[fields[2]]
-        except KeyError:
-            raise DomainError(f"unknown payload {fields[2]!r} in row {k + 1}") from None
-        values.flat[k] = float(fields[3])
-    return Raster(width, height, a_range, b_range, kernel, tags, values)
-
-
-def read_csv(path: str) -> Raster:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_csv(fh.read())
 
 
 def emit(

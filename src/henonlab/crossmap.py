@@ -24,7 +24,7 @@ from .errors import (
 )
 from .henon import ZERO_FIELD, HenonMap, evaluate, iterate
 from .maps1d import Piece1D, piece_1d
-from .rootfind import DEFAULT_MAX_ITER, DEFAULT_RTOL, bisect, newton_safeguarded
+from .rootfind import DEFAULT_MAX_ITER, DEFAULT_RTOL, bisect
 
 __all__ = [
     "ConeSpec",
@@ -43,7 +43,6 @@ __all__ = [
     "eval_cross_param_jet",
     "slice_image",
     "shoot_oracle",
-    "reverse_eval",
     "det_identity",
     "hyperbolicity_check",
     "distortion_report",
@@ -55,7 +54,8 @@ _MAX_SWEEPS = 200
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Cone-field parameters; unset slopes derive from the core width eta."""
+    """Cone-field parameters; unset slopes derive from the core width eta,
+    which must be finite and positive."""
 
     eta: float
     c_h: float = None  # type: ignore[assignment]
@@ -63,6 +63,8 @@ class ConeSpec:
     c: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise DomainError(f"core width eta must be finite and positive, got {self.eta!r}")
         if self.c_h is None:
             object.__setattr__(self, "c_h", 1.0 / self.eta)
         if self.c_v is None:
@@ -455,7 +457,7 @@ def _tangent_columns(chain: CrossMapChain, x1: float, y0: float, second: bool):
 
 
 # ---------------------------------------------------------------------------
-# independent forward-shooting oracle and time reversal
+# independent forward-shooting oracle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -481,14 +483,13 @@ def shoot_oracle(
     chain: CrossMapChain,
     x1: float,
     y0: float,
-    tol: float = 1e-12,
-    samples: int = 9,
 ) -> ShootResult:
     """Cross-validate the chain solve by bisection on a forward residual.
 
     The domain-side x runs over the 1-D segment of the word; the residual is
     the final x of the explicit forward orbit minus the target x1. The slice
-    must be strictly monotone over the bracket.
+    must be strictly monotone at nine evenly spaced points of the bracket,
+    and the bisection runs to relative tolerance 1e-12.
     """
     f = chain.henon
     n = chain.order
@@ -497,44 +498,20 @@ def shoot_oracle(
     def residual(x0: float) -> float:
         return iterate(f, (x0, y0), n)[0] - x1
 
-    values = [residual(lo + (hi - lo) * k / (samples - 1)) for k in range(samples)]
-    diffs = [values[k + 1] - values[k] for k in range(samples - 1)]
+    values = [residual(lo + (hi - lo) * k / 8) for k in range(9)]
+    diffs = [values[k + 1] - values[k] for k in range(8)]
     if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise NonMonotoneError(
             f"forward slice is not monotone over [{lo!r}, {hi!r}]"
         )
     try:
-        x0 = bisect(residual, lo, hi, rtol=tol)
+        x0 = bisect(residual, lo, hi, rtol=1e-12)
     except BracketError as exc:
         raise NonMonotoneError(
             f"target {x1!r} not bracketed by the word segment: {exc}"
         ) from exc
     _, y_exit = iterate(f, (x0, y0), n)
     return ShootResult(x0, y_exit)
-
-
-def reverse_eval(
-    chain: CrossMapChain,
-    x0: float,
-    y_exit: float,
-    seed: float = 0.0,
-) -> tuple[float, float]:
-    """Recover (x1, y0) from the opposite boundary pair (x0, y_exit).
-
-    Scalar shooting on y0: the forward orbit from (x0, y0) must exit with
-    final y equal to y_exit. Useful as a time-symmetry check; the constraint
-    slope degenerates as b -> 0, so this is meant for |b| bounded away
-    from zero.
-    """
-    f = chain.henon
-    n = chain.order
-
-    def g(y0: float) -> float:
-        return iterate(f, (x0, y0), n)[1] - y_exit
-
-    y0 = newton_safeguarded(g, seed)
-    x1, _ = iterate(f, (x0, y0), n)
-    return x1, y0
 
 
 def det_identity(chain: CrossMapChain, x1: float, y0: float) -> tuple[float, float]:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import ContractionError, ConvergenceError, DomainError
-from .maps1d import LyapValue
 from .rootfind import newton2, newton_safeguarded
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "jacobian",
     "rho_offset",
     "normalize_xi",
-    "orbit_escape",
-    "lyapunov",
     "find_attractors",
     "build_map",
     "MAP_REGISTRY",
@@ -199,62 +196,8 @@ def normalize_xi(f: HenonMap, grid: int = 20, extent: float = 3.0) -> HenonMap:
 
 
 # ---------------------------------------------------------------------------
-# orbits, Lyapunov, attractors
+# attractors
 # ---------------------------------------------------------------------------
-
-def orbit_escape(
-    f: HenonMap,
-    z0: Sequence[float],
-    n_max: int,
-    r_esc: float = 10.0,
-) -> tuple[list[tuple[float, float]], bool, int]:
-    """Iterate until the sup-norm exceeds r_esc or n_max steps are done."""
-    z = (float(z0[0]), float(z0[1]))
-    traj = [z]
-    for step in range(1, n_max + 1):
-        z = apply_map(f, z)
-        traj.append(z)
-        if max(abs(z[0]), abs(z[1])) > r_esc:
-            return traj, True, step
-    return traj, False, n_max
-
-
-def lyapunov(
-    f: HenonMap,
-    z0: Sequence[float],
-    v0: Sequence[float],
-    n: int,
-    r_esc: float = 10.0,
-) -> LyapValue:
-    """Tangent-growth exponent along the orbit of z0, per step.
-
-    The tangent vector is renormalized each step, making the result exactly
-    invariant under scaling of v0.  An escaping orbit returns the escape
-    sentinel with ``step``, the number of map steps taken when the sup-norm
-    first exceeded r_esc.
-    """
-    z = (float(z0[0]), float(z0[1]))
-    norm = math.hypot(v0[0], v0[1])
-    if norm == 0.0:
-        raise DomainError("v0 must be nonzero")
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    vx, vy = v0[0] / norm, v0[1] / norm
-    total = 0.0
-    for step in range(1, n + 1):
-        J = jacobian(f, z)
-        wx = J[0][0] * vx + J[0][1] * vy
-        wy = J[1][0] * vx + J[1][1] * vy
-        growth = math.hypot(wx, wy)
-        if growth == 0.0:
-            return LyapValue("zero-derivative", None)
-        total += math.log(growth)
-        vx, vy = wx / growth, wy / growth
-        z = apply_map(f, z)
-        if max(abs(z[0]), abs(z[1])) > r_esc:
-            return LyapValue("escape", None, step)
-    return LyapValue("value", total / n)
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -370,20 +313,24 @@ def _first_return(f: HenonMap, x0: float, y0: float, max_period: int, tol: float
     return None
 
 
+#: recurrence tolerance of the period scan
+_RETURN_TOL = 1e-9
+#: distance below which two cycle points are one point
+_DEDUP_TOL = 1e-6
+
+
 def find_attractors(
     f: HenonMap,
     seeds: Sequence[Sequence[float]],
     max_period: int = 64,
     n_transient: int = 5000,
-    tol: float = 1e-9,
     r_esc: float = 10.0,
-    dedup_tol: float = 1e-6,
 ) -> AttractorReport:
     """Detect attracting cycles by recurrence, then refine by Newton.
 
     Each seed runs a transient of exactly ``n_transient`` map steps and is
     dropped once the sup-norm exceeds r_esc; then the minimal period
-    <= max_period with recurrence within tol is located.  Both loops run
+    <= max_period with recurrence within 1e-9 is located.  Both loops run
     ``apply_map``'s arithmetic on local floats (``_transient``,
     ``_first_return``), so they give its bits.  The cycle is refined by
     Newton on f^period - id.  Each Newton point gets one pass along its
@@ -407,7 +354,7 @@ def find_attractors(
         z = _transient(f, float(seed[0]), float(seed[1]), n_transient, r_esc)
         if z is None:
             continue
-        period = _first_return(f, z[0], z[1], max_period, tol)
+        period = _first_return(f, z[0], z[1], max_period, _RETURN_TOL)
         if period is None:
             skipped.append((seed[0], seed[1]))
             continue
@@ -446,14 +393,14 @@ def find_attractors(
         minimal = True
         for q in range(1, period):
             if period % q == 0:
-                if max(abs(points[q][0] - points[0][0]), abs(points[q][1] - points[0][1])) < dedup_tol:
+                if max(abs(points[q][0] - points[0][0]), abs(points[q][1] - points[0][1])) < _DEDUP_TOL:
                     minimal = False
                     break
         if not minimal:
             continue
 
         cycle = Cycle(points, period, mults)
-        if not any(_same_cycle(cycle.points, c.points, dedup_tol) for c in cycles):
+        if not any(_same_cycle(cycle.points, c.points, _DEDUP_TOL) for c in cycles):
             cycles.append(cycle)
     return AttractorReport(tuple(cycles), tuple(skipped))
 
@@ -504,5 +451,5 @@ def build_map(name: str, a: float, b: float, m: int = 1, **kwargs) -> HenonMap:
     try:
         builder = MAP_REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown map {name!r}; known: {sorted(MAP_REGISTRY)}") from None
+        raise DomainError(f"unknown map {name!r}; known: {sorted(MAP_REGISTRY)}") from None
     return builder(a, b, m, **kwargs)

@@ -21,7 +21,6 @@ __all__ = [
     "QuadraticLadder",
     "Piece1D",
     "SwallowClassification",
-    "LyapValue",
     "BoundaryPolyline",
     "quad",
     "ladder",
@@ -32,7 +31,6 @@ __all__ = [
     "star",
     "swallow_classify",
     "swallow_boundary",
-    "lyap_composed",
     "DEFAULT_ESCAPE_RADIUS",
 ]
 
@@ -117,18 +115,15 @@ def _alpha2_of(a: float) -> float:
     return ladder(a).require("alpha2")
 
 
-def special_parameters(
-    bracket1: tuple[float, float] = (-1.56, -1.52),
-    bracket2: tuple[float, float] = (-1.90, -1.88),
-) -> tuple[float, float]:
+def special_parameters() -> tuple[float, float]:
     """Parameters where the critical orbit closes on the ladder.
 
-    a1 solves a + alpha1(a) = 0, a2 solves a + alpha2(a) = 0. Both are
-    cross-checked against the equivalent orbit identities Q^3(0) = alpha and
-    Q^4(0) = alpha before being returned.
+    a1 solves a + alpha1(a) = 0 in [-1.56, -1.52], a2 solves a + alpha2(a) = 0
+    in [-1.90, -1.88]. Both are cross-checked against the equivalent orbit
+    identities Q^3(0) = alpha and Q^4(0) = alpha before being returned.
     """
-    a1 = bisect(lambda a: a + _alpha1_of(a), *bracket1)
-    a2 = bisect(lambda a: a + _alpha2_of(a), *bracket2)
+    a1 = bisect(lambda a: a + _alpha1_of(a), -1.56, -1.52)
+    a2 = bisect(lambda a: a + _alpha2_of(a), -1.90, -1.88)
     for a, k in ((a1, 3), (a2, 4)):
         lad = ladder(a)
         x = iterate_quad(a, 0.0, k)
@@ -459,55 +454,8 @@ def swallow_boundary(
 
 
 # ---------------------------------------------------------------------------
-# Lyapunov exponents of the compositions
+# parameter derivative of the ladder
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LyapValue:
-    """Per-quadratic-step Lyapunov value or a dedicated sentinel tag."""
-
-    tag: str  # value | zero-derivative | escape
-    value: float | None
-    #: map step at which the orbit escaped; set by ``henon.lyapunov`` on
-    #: the escape sentinel, None otherwise
-    step: int | None = None
-
-    @property
-    def is_value(self) -> bool:
-        return self.tag == "value"
-
-
-def _lyap_one(
-    start: float, first: float, second: float, n: int, r_esc: float
-) -> LyapValue:
-    u = start
-    total = 0.0
-    steps = 0
-    for _ in range(n):
-        for param in (first, second):
-            if u == 0.0:
-                return LyapValue("zero-derivative", None)
-            total += math.log(abs(2.0 * u))
-            u = quad(param, u)
-            steps += 1
-            if abs(u) > r_esc:
-                return LyapValue("escape", None)
-    return LyapValue("value", total / steps)
-
-
-def lyap_composed(
-    a: float, b: float, n: int, r_esc: float = DEFAULT_ESCAPE_RADIUS
-) -> tuple[LyapValue, LyapValue]:
-    """Lyapunov exponents of both compositions, per quadratic step.
-
-    The Q_b.Q_a orbit starts at the critical image a, the Q_a.Q_b orbit at b;
-    log|2u| accumulates at every quadratic application and the sum is divided
-    by the number of applications.
-    """
-    lam_ab = _lyap_one(a, a, b, n, r_esc)
-    lam_ba = _lyap_one(b, b, a, n, r_esc)
-    return lam_ab, lam_ba
-
 
 def dalpha2_da(a: float) -> float:
     """Derivative of the alpha2 rung in the parameter: the chain rule down

@@ -36,9 +36,7 @@ from .errors import (
 )
 from .henon import (
     AttractorReport,
-    Field2,
     HenonMap,
-    ZERO_FIELD,
     apply_map,
     evaluate,
     find_attractors,
@@ -57,10 +55,8 @@ __all__ = [
     "ConeCertificate",
     "find_tangency",
     "renormalize",
-    "delta_star",
     "solve_mu_zero",
     "renorm_window",
-    "conjugate_rescale",
     "multi_renormalize",
     "double_tangency",
     "twin_find",
@@ -160,7 +156,7 @@ class TangencyData:
     mu is the defect (signed distance of the fold image from the strip),
     q half the fold curvature, d the Jacobian determinant at the fold
     point, B the exit height H(0) at the anchor, read off the anchor solve's
-    last jet. H and V trace the strip boundary graphs through the anchor.
+    last jet. H traces the exit-height graph through the anchor.
     """
 
     chain: CrossMapChain
@@ -176,19 +172,6 @@ class TangencyData:
         if t == 0.0:
             return self.B
         return eval_cross(self.chain, self.c + t, self.c).B
-
-    def V(self, s: float) -> float:
-        return eval_cross(self.chain, self.c, self.c + s).A
-
-    def defect(self, t: float) -> float:
-        return _defect_at(self.chain, self.c, t)
-
-
-def _defect_at(chain: CrossMapChain, c: float, t: float) -> float:
-    """One fold step from the chart ray versus the next strip entry."""
-    f = chain.henon
-    b_val = eval_cross(chain, c + t, c).B
-    return _first_coord(f, c + t, b_val) - eval_cross(chain, c, c + t).A
 
 
 def find_tangency(chain: CrossMapChain, seed: float = 0.0) -> TangencyData:
@@ -305,35 +288,6 @@ def renormalize(f: HenonMap, word: str) -> RenormData:
     return RenormData(",".join(chain.piece.word), t, M, abar, bbar)
 
 
-def delta_star(
-    data: RenormData,
-    R: float = 2.5,
-    grid: int = 33,
-) -> float:
-    """Sup-norm deviation of the chart return from the quadratic family
-    (X, Y) |-> (X^2 + abar - bbar^M Y, X) over the natural window."""
-    # Chart thickness sigma*lam is the plane separation per unit Y. Once it
-    # drops toward the rounding floor of the exit-height evaluations (at
-    # b = 0 exactly, or ~1e-29 for deep words at small b, where the two
-    # B-values agree to the last bit), the return carries no resolvable
-    # Y-dependence: compare the X-component only, over a plain [-R, R]^2.
-    thickness = abs(data.tangency.sigma * data.tangency.lam)
-    resolvable = thickness >= 1e-20
-    bbarM = data.bbar ** data.M if resolvable else 0.0
-    y_extent = R / abs(bbarM) if bbarM != 0.0 else R
-    worst = 0.0
-    for i in range(grid):
-        X = -R + 2.0 * R * i / (grid - 1)
-        for j in range(grid):
-            Y = -y_extent + 2.0 * y_extent * j / (grid - 1)
-            Xp, Yp = data.renorm_map(X, Y)
-            model = X * X + data.abar - bbarM * Y
-            worst = max(worst, abs(Xp - model))
-            if resolvable:
-                worst = max(worst, abs(Yp - X))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # parameter solves
 # ---------------------------------------------------------------------------
@@ -406,18 +360,17 @@ def renorm_window(
     word: str,
     a_lo: float,
     a_hi: float,
-    coarse: int = 48,
 ) -> RenormWindow:
     """Parameter window over which the renormalized value sweeps the full
-    quadratic range [-2, 1/4]."""
+    quadratic range [-2, 1/4]; its edges are bracketed on 48 equal cells."""
     a_star = solve_mu_zero(build, word, a_lo, a_hi)
 
     def abar(a: float) -> float:
         return renormalize(build(a), word).abar
 
     samples = []
-    for k in range(coarse + 1):
-        a = a_lo + (a_hi - a_lo) * k / coarse
+    for k in range(49):
+        a = a_lo + (a_hi - a_lo) * k / 48
         samples.append((a, abar(a)))
 
     def edge(level: float) -> float:
@@ -435,54 +388,6 @@ def renorm_window(
 
     ends = sorted((edge(0.25), edge(-2.0)))
     return RenormWindow(a_star, ends[0], ends[1])
-
-
-# ---------------------------------------------------------------------------
-# affine conjugacy
-# ---------------------------------------------------------------------------
-
-def conjugate_rescale(f: HenonMap, c: float, q: float) -> HenonMap:
-    """Conjugate by the affine chart centered at the point with both
-    coordinates c and scaled by q. Renormalized parameters are invariant
-    under this change of coordinates."""
-    bmc = f.bm * c
-    r = 1.0 / q
-    zeta = f.zeta
-
-    def zv(x: float, v: float) -> float:
-        return (r - 1.0) * x * x + 2.0 * c * x + q * zeta.value(c + x * r, bmc + v * r)
-
-    def zdx(x: float, v: float) -> float:
-        return 2.0 * (r - 1.0) * x + 2.0 * c + zeta.dx(c + x * r, bmc + v * r)
-
-    def zdv(x: float, v: float) -> float:
-        return zeta.dv(c + x * r, bmc + v * r)
-
-    def zdxx(x: float, v: float) -> float:
-        return 2.0 * (r - 1.0) + zeta.dxx(c + x * r, bmc + v * r) * r
-
-    def zdxv(x: float, v: float) -> float:
-        return zeta.dxv(c + x * r, bmc + v * r) * r
-
-    def zdvv(x: float, v: float) -> float:
-        return zeta.dvv(c + x * r, bmc + v * r) * r
-
-    new_zeta = Field2(zv, zdx, zdv, zdxx, zdxv, zdvv)
-
-    if f.xi is ZERO_FIELD:
-        new_xi = ZERO_FIELD
-    else:
-        xi = f.xi
-        new_xi = Field2(
-            lambda x, v: q * xi.value(c + x * r, bmc + v * r),
-            lambda x, v: xi.dx(c + x * r, bmc + v * r),
-            lambda x, v: xi.dv(c + x * r, bmc + v * r),
-            lambda x, v: xi.dxx(c + x * r, bmc + v * r) * r,
-            lambda x, v: xi.dxv(c + x * r, bmc + v * r) * r,
-            lambda x, v: xi.dvv(c + x * r, bmc + v * r) * r,
-        )
-    a_new = q * (c * c + f.a - c - bmc)
-    return HenonMap(a_new, f.b, f.m, new_zeta, new_xi)
 
 
 # ---------------------------------------------------------------------------
@@ -603,41 +508,36 @@ def multi_renormalize(
     anchor_seed: Sequence[float] | None = None,
     anchor_rtol: float = 1e-12,
 ) -> MultiRenormData:
-    """Renormalize a cycle of words to a cycle of quadratic-family maps.
+    """Renormalize a cycle of two words to a cycle of quadratic-family maps.
 
-    The anchors solve all fold-tangency conditions jointly by Newton's
+    The anchors solve both fold-tangency conditions jointly by Newton's
     method on the fold slopes, starting from ``anchor_seed`` (one anchor
     per word) when given; the slopes and their analytic 2x2 Jacobian come
-    from one cross-map jet per word, word i at (c_i, c_{i-1}).  Two words
-    whose seed has converged cost one jet each (``_solve_anchors``).  The
+    from one cross-map jet per word, word i at (c_i, c_{i-1}).  A seed that
+    has converged costs one jet per word (``_solve_anchors``).  The
     chart scales gamma_i are the cyclically weighted geometric means of the
     cross-map slopes, satisfying gamma_i^2 = gamma_{i+1} sigma_{i+1}.
     ``anchor_rtol`` is Newton's relative step tolerance on the anchors; it
     can be relaxed when many nearby maps are renormalized in sequence, each
     seeded near its anchors."""
-    if len(words) not in (1, 2):
-        raise DomainError(f"multi_renormalize takes one or two words, got {len(words)}")
     if anchor_seed is not None and len(anchor_seed) != len(words):
         raise DomainError(f"anchor seed {tuple(anchor_seed)!r} needs one anchor per word, "
                           f"{len(words)} in all")
+    if len(words) != 2:
+        raise DomainError(f"multi_renormalize takes two words, got {len(words)}")
     chains = tuple(factorize_chain(f, w) for w in words)
     count = len(chains)
 
-    if count == 1:
-        t = find_tangency(chains[0], seed=anchor_seed[0] if anchor_seed is not None else 0.0)
-        cs: tuple[float, ...] = (t.c,)
-        sigma, lam, mu, q, d, B = [t.sigma], [t.lam], [t.mu], [t.q], [t.d], [t.B]
-    else:
-        seed = [float(v) for v in anchor_seed] if anchor_seed is not None else [0.0] * count
-        cs, (jets, folds) = _solve_anchors(_cycle_folds(chains), seed, anchor_rtol)
-        sigma = [jet.dA[0] for jet in jets]
-        lam = [jet.dB[1] for jet in jets]
-        mu = [fold.mu for fold in folds]
-        q = [0.5 * fold.curv for fold in folds]
-        B = [jet.B for jet in jets]
-        d = [evaluate(f, (cs[i], B[i])).det for i in range(count)]
-        for i in range(count):
-            _check_chart(q[i], mu[i], sigma[i], f" at cycle index {i}")
+    seed = [float(v) for v in anchor_seed] if anchor_seed is not None else [0.0] * count
+    cs, (jets, folds) = _solve_anchors(_cycle_folds(chains), seed, anchor_rtol)
+    sigma = [jet.dA[0] for jet in jets]
+    lam = [jet.dB[1] for jet in jets]
+    mu = [fold.mu for fold in folds]
+    q = [0.5 * fold.curv for fold in folds]
+    B = [jet.B for jet in jets]
+    d = [evaluate(f, (cs[i], B[i])).det for i in range(count)]
+    for i in range(count):
+        _check_chart(q[i], mu[i], sigma[i], f" at cycle index {i}")
 
     denom = 1.0 - 2.0 ** (-count)
     gamma = []
@@ -801,6 +701,14 @@ def _mu_gradient(t: TangencyData) -> tuple[float, float]:
     return grad[0], grad[1] * f.m * f.b ** (f.m - 1)
 
 
+def _core_width(j: int, a: float) -> float:
+    """Core width eta_j = sqrt(c_{j+1}.hi - c_{j+2}.hi) / 2 of the 1-D
+    pieces at parameter a: the twin seed scale and the cone aperture."""
+    hi1 = piece_1d(f"c{j + 1}", a).hi
+    hi2 = piece_1d(f"c{j + 2}", a).hi
+    return 0.5 * math.sqrt(hi1 - hi2)
+
+
 @dataclass(frozen=True)
 class TwinResult:
     """Outcome of ``twin_find``.
@@ -872,9 +780,7 @@ def twin_find(
     gap = f"bm{j}" if sign**m > 0.0 else f"bp{j}"
     word_plus = f"{word_minus},{gap},bm0"
 
-    hi1 = piece_1d(f"c{j + 1}", a_m).hi
-    hi2 = piece_1d(f"c{j + 2}", a_m).hi
-    eta = 0.5 * math.sqrt(hi1 - hi2)
+    eta = _core_width(j, a_m)
 
     def b_at(bm: float) -> float:
         return sign * bm ** (1.0 / m)
@@ -946,7 +852,6 @@ def certify_cone_expansion(
     j: int = 0,
     grid: tuple[int, int] = (61, 9),
     r_disk: float = 0.1,
-    fat: float | None = None,
 ) -> ConeCertificate:
     """Sampled expansion/invariance diagnostic for the horizontal cone field.
 
@@ -964,8 +869,7 @@ def certify_cone_expansion(
         raise DomainError(f"gap index j must be non-negative, got {j}")
     lad = ladder(f.a)
     alpha0 = lad.require("alpha0")
-    if fat is None:
-        fat = 10.0 * abs(f.bm) + 1e-9
+    fat = 10.0 * abs(f.bm) + 1e-9
 
     alphabet = ["s-", "s+"]
     for m in range(j + 1):
@@ -974,9 +878,7 @@ def certify_cone_expansion(
     deep = piece_1d(f"c{j + 2}", f.a)
     shallow = piece_1d("c0", f.a)
 
-    hi1 = piece_1d(f"c{j + 1}", f.a).hi
-    hi2 = piece_1d(f"c{j + 2}", f.a).hi
-    eta = 0.5 * math.sqrt(hi1 - hi2)
+    eta = _core_width(j, f.a)
     aperture = eta * eta
 
     def in_seg(x: float, piece) -> bool:

@@ -1,6 +1,6 @@
 """Every name a module exports through ``__all__`` must exist, the scalar
-modules load without numpy, and every function perfbench's tracer rebinds
-exists."""
+modules load without numpy, ``henon`` loads without ``maps1d``, and every
+function perfbench's tracer rebinds exists."""
 
 import importlib
 import importlib.util
@@ -38,15 +38,26 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_renorm_imports_no_numpy():
-    # the twin path runs on scalars: numpy is only for the rasters of atlas
+def _loads(module: str, other: str) -> bool:
+    """Whether importing ``module`` in a fresh interpreter loads ``other``."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, henonlab.renorm; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, {module}; print({other!r} in sys.modules)"],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert proc.returncode == 0 and proc.stdout in ("True\n", "False\n"), proc.stderr
+    return proc.stdout == "True\n"
+
+
+def test_renorm_imports_no_numpy():
+    # the twin path runs on scalars: numpy is only for the rasters of atlas
+    assert not _loads("henonlab.renorm", "numpy")
+
+
+def test_henon_imports_no_maps1d():
+    # the Henon maps need nothing of the quadratic-family core
+    assert not _loads("henonlab.henon", "henonlab.maps1d")
 
 
 def test_tracer_targets_resolve():

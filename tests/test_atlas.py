@@ -28,17 +28,16 @@ from henonlab.atlas import (
     Raster,
     compare_summary,
     emit,
-    parse_csv,
-    read_csv,
     render_csv,
     render_ppm,
     sweep,
 )
 from henonlab.errors import DomainError, HenonLabError
-from henonlab.henon import MAP_REGISTRY, HenonMap, build_map, lyapunov, orbit_escape
+from henonlab.henon import MAP_REGISTRY, HenonMap, build_map
 from henonlab.maps1d import swallow_classify
 from henonlab.renorm import multi_renormalize, renormalize
 from henonlab.rootfind import newton2
+from oracles import lyapunov, orbit_escape, parse_csv, read_csv
 
 
 def make_raster(tags, values, kernel="henon-lyap", a_range=(0.0, 1.0), b_range=(0.0, 1.0)):

@@ -19,7 +19,6 @@ from henonlab.crossmap import (
     eval_cross_param_jet,
     factorize_chain,
     hyperbolicity_check,
-    reverse_eval,
     shoot_oracle,
     slice_image,
 )
@@ -33,8 +32,8 @@ from henonlab.henon import (
     normalize_xi,
     sine_perturbed_fields,
 )
-from henonlab.renorm import conjugate_rescale
 from henonlab.rootfind import newton_safeguarded
+from oracles import conjugate_rescale, reverse_eval
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -249,6 +248,11 @@ class TestHyperbolicity:
         assert cone.c_h == pytest.approx(2.0)
         assert cone.c_v == pytest.approx(0.25)
         assert cone.c == pytest.approx(1.0 / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("eta", [0.0, -0.5, math.inf, math.nan])
+    def test_cone_spec_rejects_bad_eta(self, eta):
+        with pytest.raises(DomainError, match="eta must be finite and positive"):
+            ConeSpec(eta=eta)
 
     def test_return_piece_margin(self):
         chain = make_chain("s-", a=-1.95, b=1e-3)

