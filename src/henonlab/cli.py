@@ -193,26 +193,23 @@ def _read_config(path: str) -> dict[str, str]:
 # shared option blocks
 # ---------------------------------------------------------------------------
 
-def _map_options(default_map: str = "standard") -> tuple[Option, ...]:
-    return (
-        Option("map", _parse_choice(*sorted(MAP_REGISTRY)), default_map,
-               "registered map family"),
-        Option("m", _parse_int, "1", "multiplicity exponent of b"),
-        Option("delta", _parse_float, "0.01", "perturbation amplitude for hooked maps"),
-    )
+_MAP_OPTIONS = (
+    Option("map", _parse_choice(*sorted(MAP_REGISTRY)), "standard", "registered map family"),
+    Option("m", _parse_int, "1", "multiplicity exponent of b"),
+    Option("delta", _parse_float, "0.01", "perturbation amplitude for hooked maps"),
+)
 
 
-def _raster_options(kernels: tuple[str, ...], default_kernel: str,
-                    default_grid: str, default_format: str = "ppm") -> tuple[Option, ...]:
+def _raster_options(kernels: tuple[str, ...], default_kernel: str) -> tuple[Option, ...]:
     return (
         Option("kernel", _parse_choice(*kernels), default_kernel, "pixel kernel"),
-        Option("grid", _parse_grid, default_grid, "raster size as WIDTHxHEIGHT"),
+        Option("grid", _parse_grid, "400x400", "raster size as WIDTHxHEIGHT"),
         Option("a-range", _parse_range, "auto", "horizontal axis as LO:HI"),
         Option("b-range", _parse_range, "auto", "vertical axis as LO:HI"),
         Option("steps", _parse_int, "2000", "escape-classification iteration cap"),
         Option("n", _parse_int, "10000", "growth-exponent iteration count"),
         Option("radius", _parse_float, "10", "escape radius"),
-        Option("format", _parse_choice("ppm", "csv"), default_format, "output format"),
+        Option("format", _parse_choice("ppm", "csv"), "ppm", "output format"),
         Option("colormap", _parse_choice("auto", *sorted(COLORMAPS)), "auto",
                "colormap name"),
         Option("out", _parse_str, "-", "output path, - for stdout"),
@@ -449,16 +446,15 @@ _register(Command(
 _register(Command(
     "swallow",
     "raster of the composed-quadratic parameter plane",
-    _raster_options(("swallow-escape", "swallow-lyap"), "swallow-escape", "400x400"),
+    _raster_options(("swallow-escape", "swallow-lyap"), "swallow-escape"),
     _run_raster,
 ))
 
 _register(Command(
     "henon-atlas",
     "raster of the two-dimensional family's parameter plane",
-    _raster_options(("henon-escape", "henon-lyap", "renorm-strip"),
-                    "henon-lyap", "400x400")
-    + _map_options()
+    _raster_options(("henon-escape", "henon-lyap", "renorm-strip"), "henon-lyap")
+    + _MAP_OPTIONS
     + (Option("word", _parse_str, "c1", "word for the renorm-strip kernel"),),
     _run_raster,
 ))
@@ -474,7 +470,7 @@ _register(Command(
         Option("y0", _parse_float, "0", "entry height of the probe"),
         Option("samples", _parse_int, "1",
                "probe count; above 1 prints a table across the segment"),
-    ) + _map_options(),
+    ) + _MAP_OPTIONS,
     _run_crossmap,
 ))
 
@@ -495,7 +491,7 @@ _register(Command(
         Option("word", _parse_str, "c1", "word to renormalize"),
         Option("a", _parse_float, None, "first parameter"),
         Option("b", _parse_float, None, "second parameter"),
-    ) + _map_options(),
+    ) + _MAP_OPTIONS,
     _run_renorm,
 ))
 
@@ -507,7 +503,7 @@ _register(Command(
         Option("a-lo", _parse_float, "-1.8646", "bracket start"),
         Option("a-hi", _parse_float, "-1.8580", "bracket end"),
         Option("b", _parse_float, "0", "second parameter held fixed"),
-    ) + _map_options(),
+    ) + _MAP_OPTIONS,
     _run_renorm_window,
 ))
 
@@ -521,7 +517,7 @@ _register(Command(
                "crossing seed scale: |b|^m = |b-hat|*eta, b signed like b-hat"),
         Option("target", _parse_float, "-0.5", "renormalized target value"),
         Option("a-range", _parse_range, "auto", "bracket of the short word's roots as LO:HI"),
-    ) + _map_options(),
+    ) + _MAP_OPTIONS,
     _run_twin,
 ))
 
@@ -558,7 +554,7 @@ _register(Command(
         Option("max-period", _parse_int, "64", "largest period searched"),
         Option("transient", _parse_int, "5000", "settle-down iterations"),
         Option("radius", _parse_float, "10", "escape radius"),
-    ) + _map_options(),
+    ) + _MAP_OPTIONS,
     _run_attractors,
 ))
 
@@ -571,7 +567,7 @@ _register(Command(
         Option("j", _parse_int, "0", "gap index of the central strip"),
         Option("grid", _parse_grid, "61x9", "sample grid as WIDTHxHEIGHT"),
         Option("r-disk", _parse_float, "0.1", "exclusion radius near tangencies"),
-    ) + _map_options(),
+    ) + _MAP_OPTIONS,
     _run_certify,
 ))
 

@@ -54,23 +54,26 @@ _MAX_SWEEPS = 200
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Cone-field parameters; unset slopes derive from the core width eta,
+    """Cone-field parameters; the slopes derive from the core width eta,
     which must be finite and positive."""
 
     eta: float
-    c_h: float = None  # type: ignore[assignment]
-    c_v: float = None  # type: ignore[assignment]
-    c: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise DomainError(f"core width eta must be finite and positive, got {self.eta!r}")
-        if self.c_h is None:
-            object.__setattr__(self, "c_h", 1.0 / self.eta)
-        if self.c_v is None:
-            object.__setattr__(self, "c_v", self.eta / 2.0)
-        if self.c is None:
-            object.__setattr__(self, "c", 1.0 / math.sqrt(2.0))
+
+    @property
+    def c_h(self) -> float:
+        return 1.0 / self.eta
+
+    @property
+    def c_v(self) -> float:
+        return self.eta / 2.0
+
+    @property
+    def c(self) -> float:
+        return 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -140,17 +140,19 @@ def rho_offset(f: HenonMap, x: float, v: float) -> float:
     return newton_safeguarded(g, xi.value(x, v), df=dg)
 
 
-def normalize_xi(f: HenonMap, grid: int = 20, extent: float = 3.0) -> HenonMap:
+def normalize_xi(f: HenonMap) -> HenonMap:
     """Conjugate the map so that the second coordinate becomes exactly x.
 
     The chart is (x, y) |-> (x + xi(x, b^m y), y); its inverse uses the
     pointwise solved offset rho. The returned map re-expresses the first
     coordinate through a derived zeta field whose partials are central
-    finite differences of the pointwise evaluator.
+    finite differences of the pointwise evaluator.  The chart needs
+    |dxi/dx| < 1/2, checked on a 20x20 grid over [-3, 3]^2.
     """
     if f.normalized:
         return f
     bm = f.bm
+    grid, extent = 20, 3.0
     for i in range(grid):
         for j in range(grid):
             x = -extent + 2.0 * extent * i / (grid - 1)

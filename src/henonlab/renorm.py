@@ -41,6 +41,7 @@ from .henon import (
     evaluate,
     find_attractors,
     iterate,
+    jacobian,
 )
 from .maps1d import ladder, parse_word, piece_1d, special_parameters
 from .rootfind import _converged, bisect, newton2, newton_safeguarded
@@ -155,8 +156,8 @@ class TangencyData:
     c anchors the tangency; sigma and lam are the cross-map slopes there;
     mu is the defect (signed distance of the fold image from the strip),
     q half the fold curvature, d the Jacobian determinant at the fold
-    point, B the exit height H(0) at the anchor, read off the anchor solve's
-    last jet. H traces the exit-height graph through the anchor.
+    point, A = A(c, c) and B = H(0) at the anchor, read off the anchor
+    solve's last jet. H traces the exit-height graph through the anchor.
     """
 
     chain: CrossMapChain
@@ -166,6 +167,7 @@ class TangencyData:
     mu: float
     q: float
     d: float
+    A: float
     B: float
 
     def H(self, t: float) -> float:
@@ -196,7 +198,7 @@ def find_tangency(chain: CrossMapChain, seed: float = 0.0) -> TangencyData:
     q = 0.5 * fold.curv
     _check_chart(q, fold.mu, jet.dA[0], "")
     d = evaluate(chain.henon, (c, jet.B)).det
-    return TangencyData(chain, c, jet.dA[0], jet.dB[1], fold.mu, q, d, jet.B)
+    return TangencyData(chain, c, jet.dA[0], jet.dB[1], fold.mu, q, d, jet.A, jet.B)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,7 @@ class RenormData:
 
     def renorm_map(self, X: float, Y: float) -> tuple[float, float]:
         """One full return in chart coordinates: one explicit fold step,
-        then the contracted chain passage, then chart-out."""
+        then the contracted chain passage, then ``chart_inv``."""
         t = self.tangency
         f = t.chain.henon
         limit = ladder(f.a).require("beta") + 1.0
@@ -258,11 +260,9 @@ class RenormData:
                 raise DomainError(
                     f"renormalization sample {p!r} leaves the strip region"
                 )
-        xn, yn = _chain_forward(t.chain, w[0], w[1])
-        Xp = (xn - t.c) / t.sigma
+        Xp, Yp = self.chart_inv(*_chain_forward(t.chain, w[0], w[1]))
         if t.lam == 0.0:
             return Xp, X  # degenerate thickness: the exit height is the entry
-        Yp = (yn - t.H(t.sigma * Xp)) / (t.sigma * t.lam)
         return Xp, Yp
 
 
@@ -274,7 +274,7 @@ def renormalize(f: HenonMap, word: str) -> RenormData:
     abar = t.q * t.mu / (t.sigma * t.sigma)
 
     # the determinant product walks the orbit itself, so it cannot use iterate
-    z = (eval_cross(chain, t.c, t.c).A, t.c)
+    z = (t.A, t.c)
     det_full = 1.0
     for _ in range(n + 1):
         det_full *= evaluate(f, z).det
@@ -396,30 +396,32 @@ def renorm_window(
 
 @dataclass(frozen=True)
 class MultiRenormData:
-    """Chart data and rescaled parameters of a cycle of words.
+    """Chart data and rescaled parameters of a cycle of two words, i and
+    1 - i, with chart scales
+        gamma_i = sign(sigma_i) |sigma_(1-i)|^(2/3) |sigma_i|^(1/3).
 
-    When the two-word anchor solve stops at a converged seed, c is its
-    Newton iterate, but sigma, lam, q, B and d are taken at the seed, at
-    most ``anchor_rtol`` (relative) away; the defects mu are carried from
-    the seed to c to first order, since abar = q mu / gamma^2 magnifies
-    their error most.  Over the embed-compare tracking of a 21x21 raster
-    abar then agrees with a solve that evaluates at c to 8.4e-11, where the
+    When the anchor solve stops at a converged seed, c is its Newton
+    iterate, but sigma, lam, q, B and d are taken at the seed, at most
+    ``anchor_rtol`` (relative) away; the defects mu are carried from the
+    seed to c to first order, since abar = q mu / gamma^2 magnifies their
+    error most.  Over the embed-compare tracking of a 21x21 raster abar
+    then agrees with a solve that evaluates at c to 8.4e-11, where the
     seed's own defects would leave it 1.4e-7 off.
     """
 
-    words: tuple[str, ...]
-    chains: tuple[CrossMapChain, ...]
-    c: tuple[float, ...]
-    sigma: tuple[float, ...]
-    lam: tuple[float, ...]
-    gamma: tuple[float, ...]
-    mu: tuple[float, ...]
-    q: tuple[float, ...]
-    d: tuple[float, ...]
-    abar: tuple[float, ...]
-    bbar: tuple[float, ...]
+    words: tuple[str, str]
+    chains: tuple[CrossMapChain, CrossMapChain]
+    c: tuple[float, float]
+    sigma: tuple[float, float]
+    lam: tuple[float, float]
+    gamma: tuple[float, float]
+    mu: tuple[float, float]
+    q: tuple[float, float]
+    d: tuple[float, float]
+    abar: tuple[float, float]
+    bbar: tuple[float, float]
     #: exit heights at the anchors, B[i] = H(i, 0), from the anchor solve's jets
-    B: tuple[float, ...]
+    B: tuple[float, float]
 
     @property
     def count(self) -> int:
@@ -428,37 +430,27 @@ class MultiRenormData:
     def H(self, i: int, t: float) -> float:
         if t == 0.0:
             return self.B[i]
-        prev = self.c[(i - 1) % self.count]
-        return eval_cross(self.chains[i], self.c[i] + t, prev).B
+        return eval_cross(self.chains[i], self.c[i] + t, self.c[1 - i]).B
 
     def chart(self, i: int, X: float, Y: float) -> tuple[float, float]:
         gi = self.gamma[i]
-        gnext = self.gamma[(i + 1) % self.count]
-        return (self.c[i] + gi * X, self.H(i, gi * X) + gnext * self.lam[i] * Y)
+        return (self.c[i] + gi * X, self.H(i, gi * X) + self.gamma[1 - i] * self.lam[i] * Y)
 
     def chart_inv(self, i: int, x: float, y: float) -> tuple[float, float]:
         gi = self.gamma[i]
-        gnext = self.gamma[(i + 1) % self.count]
         X = (x - self.c[i]) / gi
         if self.lam[i] == 0.0:
             return X, 0.0
-        return X, (y - self.H(i, gi * X)) / (gnext * self.lam[i])
+        return X, (y - self.H(i, gi * X)) / (self.gamma[1 - i] * self.lam[i])
 
     def transition(self, i: int, X: float, Y: float) -> tuple[float, float]:
-        """Chart-i to chart-(i+1) return: one fold step, then the passage
-        through the next word's strip."""
-        nxt = (i + 1) % self.count
-        f = self.chains[i].henon
-        z = self.chart(i, X, Y)
-        w = apply_map(f, z)
-        xn, yn = _chain_forward(self.chains[nxt], w[0], w[1])
-        Xp = (xn - self.c[nxt]) / self.gamma[nxt]
+        """Chart-i to chart-(1 - i) return: one fold step, then the passage
+        through the other word's strip, then ``chart_inv``."""
+        nxt = 1 - i
+        w = apply_map(self.chains[i].henon, self.chart(i, X, Y))
+        Xp, Yp = self.chart_inv(nxt, *_chain_forward(self.chains[nxt], w[0], w[1]))
         if self.lam[nxt] == 0.0:
             return Xp, X
-        nxt2 = (nxt + 1) % self.count
-        Yp = (yn - self.H(nxt, self.gamma[nxt] * Xp)) / (
-            self.gamma[nxt2] * self.lam[nxt]
-        )
         return Xp, Yp
 
 
@@ -508,65 +500,54 @@ def multi_renormalize(
     anchor_seed: Sequence[float] | None = None,
     anchor_rtol: float = 1e-12,
 ) -> MultiRenormData:
-    """Renormalize a cycle of two words to a cycle of quadratic-family maps.
+    """Renormalize a cycle of two words to a pair of quadratic-family maps.
 
     The anchors solve both fold-tangency conditions jointly by Newton's
     method on the fold slopes, starting from ``anchor_seed`` (one anchor
     per word) when given; the slopes and their analytic 2x2 Jacobian come
-    from one cross-map jet per word, word i at (c_i, c_{i-1}).  A seed that
-    has converged costs one jet per word (``_solve_anchors``).  The
-    chart scales gamma_i are the cyclically weighted geometric means of the
-    cross-map slopes, satisfying gamma_i^2 = gamma_{i+1} sigma_{i+1}.
-    ``anchor_rtol`` is Newton's relative step tolerance on the anchors; it
-    can be relaxed when many nearby maps are renormalized in sequence, each
-    seeded near its anchors."""
+    from one cross-map jet per word, word i at (c_i, c_(1-i)).  A seed that
+    has converged costs one jet per word (``_solve_anchors``).  The chart
+    scales gamma_i = sign(sigma_i) |sigma_(1-i)|^(2/3) |sigma_i|^(1/3) are
+    weighted geometric means of the two cross-map slopes, satisfying
+    gamma_i^2 = gamma_(1-i) sigma_(1-i).  ``anchor_rtol`` is Newton's
+    relative step tolerance on the anchors; it can be relaxed when many
+    nearby maps are renormalized in sequence, each seeded near its anchors."""
     if anchor_seed is not None and len(anchor_seed) != len(words):
         raise DomainError(f"anchor seed {tuple(anchor_seed)!r} needs one anchor per word, "
                           f"{len(words)} in all")
     if len(words) != 2:
         raise DomainError(f"multi_renormalize takes two words, got {len(words)}")
-    chains = tuple(factorize_chain(f, w) for w in words)
-    count = len(chains)
+    chains = (factorize_chain(f, words[0]), factorize_chain(f, words[1]))
 
-    seed = [float(v) for v in anchor_seed] if anchor_seed is not None else [0.0] * count
+    seed = [float(v) for v in anchor_seed] if anchor_seed is not None else [0.0, 0.0]
     cs, (jets, folds) = _solve_anchors(_cycle_folds(chains), seed, anchor_rtol)
-    sigma = [jet.dA[0] for jet in jets]
-    lam = [jet.dB[1] for jet in jets]
-    mu = [fold.mu for fold in folds]
-    q = [0.5 * fold.curv for fold in folds]
-    B = [jet.B for jet in jets]
-    d = [evaluate(f, (cs[i], B[i])).det for i in range(count)]
-    for i in range(count):
+    sigma = tuple(jet.dA[0] for jet in jets)
+    lam = tuple(jet.dB[1] for jet in jets)
+    mu = tuple(fold.mu for fold in folds)
+    q = tuple(0.5 * fold.curv for fold in folds)
+    B = tuple(jet.B for jet in jets)
+    d = tuple(evaluate(f, (c, height)).det for c, height in zip(cs, B))
+    for i in (0, 1):
         _check_chart(q[i], mu[i], sigma[i], f" at cycle index {i}")
 
-    denom = 1.0 - 2.0 ** (-count)
-    gamma = []
-    for i in range(count):
-        mag = 1.0
-        for r in range(1, count + 1):
-            mag *= abs(sigma[(i + r) % count]) ** (2.0 ** (-r) / denom)
-        gamma.append(math.copysign(mag, sigma[i]))
-
-    abar = []
-    bbar = []
-    for i in range(count):
-        gi2 = gamma[i] * gamma[i]
-        abar.append(q[i] * mu[i] / gi2)
-        bbar.append(d[i] * lam[i] * gamma[(i + 1) % count] / gi2)
-
+    gamma = tuple(
+        math.copysign(abs(sigma[1 - i]) ** (2.0 / 3.0) * abs(sigma[i]) ** (1.0 / 3.0), sigma[i])
+        for i in (0, 1)
+    )
+    gi2 = tuple(g * g for g in gamma)
     return MultiRenormData(
         tuple(",".join(ch.piece.word) for ch in chains),
         chains,
         cs,
-        tuple(sigma),
-        tuple(lam),
-        tuple(gamma),
-        tuple(mu),
-        tuple(q),
-        tuple(d),
-        tuple(abar),
-        tuple(bbar),
-        tuple(B),
+        sigma,
+        lam,
+        gamma,
+        mu,
+        q,
+        d,
+        tuple(q[i] * mu[i] / gi2[i] for i in (0, 1)),
+        tuple(d[i] * lam[i] * gamma[1 - i] / gi2[i] for i in (0, 1)),
+        B,
     )
 
 
@@ -924,23 +905,24 @@ def certify_cone_expansion(
                 unclassified += 1
                 continue
 
-            worst = math.inf
+            jacs = []
             arrived = z
+            for _ in range(tau):
+                jacs.append(jacobian(f, arrived))
+                arrived = apply_map(f, arrived)
+            out_slope = _arrival_slope(f, arrived)
+            worst = math.inf
             ok = True
             for v_off in (-aperture, aperture):
                 v = (1.0, slope + v_off)
                 w_vec = v
-                arrived = z
-                for _ in range(tau):
-                    jac = evaluate(f, arrived).jacobian
+                for jac in jacs:
                     w_vec = (
                         jac[0][0] * w_vec[0] + jac[0][1] * w_vec[1],
                         jac[1][0] * w_vec[0] + jac[1][1] * w_vec[1],
                     )
-                    arrived = apply_map(f, arrived)
                 growth = math.hypot(*w_vec) / math.hypot(*v)
                 worst = min(worst, growth)
-                out_slope = _arrival_slope(f, arrived)
                 if (
                     w_vec[0] == 0.0
                     or out_slope is None

@@ -1,12 +1,13 @@
 """Safeguarded scalar and small-system root finding.
 
 All iterative solvers in the package funnel through these routines so that
-tolerances and iteration caps are uniform: relative tolerance 1e-12, at most
-200 iterations, bisection fallback whenever a bracket is available.  The one
-exception is the per-factor solve of ``crossmap.eval_cross``, which runs the
-Newton iteration of ``newton_safeguarded`` (analytic slope, no bracket)
-written inline with the same tolerance, cap and stopping rule, because it
-is called millions of times per tangency search.  The fold-tangency solves
+tolerances and iteration caps are uniform: relative tolerance 1e-12 by
+default, a fixed cap of 200 iterations (100 for ``newton2``), bisection
+fallback whenever a bracket is available.  The one exception is the
+per-factor solve of ``crossmap.eval_cross``, which runs the Newton
+iteration of ``newton_safeguarded`` (analytic slope, no bracket) written
+inline with the same tolerance, cap and stopping rule, because it is
+called millions of times per tangency search.  The fold-tangency solves
 of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
 cross-map jets, and ``renorm.double_tangency`` passes the exact parameter
 Jacobian of its two fold defects, taken from the jets' parameter columns;
@@ -40,6 +41,7 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_MAX_ITER = 200
+_NEWTON2_MAX_ITER = 100
 
 
 def _converged(step: float, x: float, rtol: float) -> bool:
@@ -51,7 +53,6 @@ def bisect(
     lo: float,
     hi: float,
     rtol: float = DEFAULT_RTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Bisection on [lo, hi]; requires a sign change at the endpoints."""
     flo, fhi = f(lo), f(hi)
@@ -61,7 +62,7 @@ def bisect(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0 or _converged(hi - lo, mid, rtol):
@@ -79,7 +80,6 @@ def newton_safeguarded(
     bracket: tuple[float, float] | None = None,
     df: Callable[[float], float] | None = None,
     rtol: float = DEFAULT_RTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Newton iteration falling back to bisection inside an optional bracket.
 
@@ -111,7 +111,7 @@ def newton_safeguarded(
     else:
         x_prev, f_prev = x + max(1e-8, 1e-8 * abs(x)), None
 
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         if df is not None:
             slope = df(x)
         else:
@@ -142,7 +142,7 @@ def newton_safeguarded(
         x, fx = x_new, f_new
         if fx == 0.0 or _converged(x - x_prev, x, rtol):
             return x
-    raise ConvergenceError(f"newton did not converge after {max_iter} iterations")
+    raise ConvergenceError(f"newton did not converge after {DEFAULT_MAX_ITER} iterations")
 
 
 def newton2(
@@ -150,7 +150,6 @@ def newton2(
     x0: Sequence[float],
     jac: Callable[[Sequence[float]], tuple[tuple[float, float], tuple[float, float]]],
     rtol: float = DEFAULT_RTOL,
-    max_iter: int = 100,
 ) -> tuple[float, float]:
     """Damped 2x2 Newton with the analytic Jacobian ``jac``.
 
@@ -163,7 +162,7 @@ def newton2(
     x = [float(x0[0]), float(x0[1])]
     fx = F(x)
     rnorm = max(abs(fx[0]), abs(fx[1]))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON2_MAX_ITER):
         J = jac(x)
         det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
         if det == 0.0 or not _finite(det):
@@ -185,7 +184,7 @@ def newton2(
         step = max(abs(x[0] - x_prev[0]), abs(x[1] - x_prev[1]))
         if _converged(step, max(abs(x[0]), abs(x[1])), rtol) or rnorm == 0.0:
             return (x[0], x[1])
-    raise ConvergenceError(f"newton2 did not converge after {max_iter} iterations")
+    raise ConvergenceError(f"newton2 did not converge after {_NEWTON2_MAX_ITER} iterations")
 
 
 def _finite(v: float) -> bool:

@@ -42,6 +42,8 @@ __all__ = [
 _LEAF_TOL = 1e-8
 _MIN_SAMPLES = 257
 _MAX_SAMPLES = 4097
+# samples along the side graphs of a box or strip
+_SIDE_SAMPLES = 129
 
 # label -> label of the image leaf under one forward application
 K0_LABELS: dict[str, str] = {
@@ -182,13 +184,9 @@ def _lattice_residual(f: HenonMap, leaves: dict[str, Curve]) -> float:
     return worst
 
 
-def stable_leaf_lattice(
-    f: HenonMap,
-    y_extent: float = 3.0,
-    tol: float = _LEAF_TOL,
-) -> LeafLattice:
+def stable_leaf_lattice(f: HenonMap, y_extent: float = 3.0) -> LeafLattice:
     """Build all distinguished leaves, doubling the sampling until the
-    forward-invariance residual is below tol."""
+    forward-invariance residual is below 1e-8."""
     if not f.normalized:
         raise DomainError("leaf construction requires a xi-normalized map")
     values = _rung_values(f.a)
@@ -196,11 +194,11 @@ def stable_leaf_lattice(
     while True:
         leaves = _build_leaves(f, values, y_extent, n)
         residual = _lattice_residual(f, leaves)
-        if residual <= tol:
+        if residual <= _LEAF_TOL:
             return LeafLattice(f, y_extent, leaves, residual, n)
         if n >= _MAX_SAMPLES:
             raise ConvergenceError(
-                f"leaf residual {residual!r} above {tol!r} at {n} samples"
+                f"leaf residual {residual!r} above {_LEAF_TOL!r} at {n} samples"
             )
         n = 2 * n - 1
 
@@ -226,8 +224,8 @@ class TameBox:
         return self.psi_minus.values[0], self.psi_plus.values[0]
 
 
-def _flat(lo: float, hi: float, value: float, n: int = 2) -> Curve:
-    return Curve(lo, hi, tuple([value] * n))
+def _flat(lo: float, hi: float, value: float) -> Curve:
+    return Curve(lo, hi, (value, value))
 
 
 def _strip_box(y_lo: float, y_hi: float, sides: Sequence[tuple[float, ...]]) -> TameBox:
@@ -242,12 +240,12 @@ def _strip_box(y_lo: float, y_hi: float, sides: Sequence[tuple[float, ...]]) -> 
     )
 
 
-def _leaf_box(lattice: LeafLattice, left: str, right: str, n: int) -> TameBox:
+def _leaf_box(lattice: LeafLattice, left: str, right: str) -> TameBox:
     """Box between two lattice leaves over the lattice's full height, with
     flat top and bottom spanning the leaves at y = 0."""
     lo, hi = -lattice.y_extent, lattice.y_extent
     phi_minus, phi_plus = lattice.leaf(left), lattice.leaf(right)
-    ys = _grid(lo, hi, n)
+    ys = _grid(lo, hi, _SIDE_SAMPLES)
     x_lo, x_hi = phi_minus(0.0), phi_plus(0.0)
     return TameBox(
         Curve(lo, hi, tuple(phi_minus(y) for y in ys)),
@@ -294,20 +292,16 @@ def _pullback_curve(
     return x0s, x1s
 
 
-def _match_label(value: float, rungs: dict[str, float], tol: float = 1e-6) -> str:
+def _match_label(value: float, rungs: dict[str, float]) -> str:
     best = min(rungs, key=lambda lbl: abs(rungs[lbl] - value))
-    if abs(rungs[best] - value) > tol:
+    if abs(rungs[best] - value) > 1e-6:
         raise ProductError(
             f"segment endpoint image {value!r} is not a distinguished point"
         )
     return best
 
 
-def build_piece(
-    lattice: LeafLattice,
-    word: str,
-    n_samples: int = 129,
-) -> Piece2D:
+def build_piece(lattice: LeafLattice, word: str) -> Piece2D:
     """Full-height strip of a word: stable sides pull the distinguished
     image leaves back through the cross-map chain."""
     f = lattice.henon
@@ -315,7 +309,7 @@ def build_piece(
     piece = chain.piece
     rungs = _rung_values(f.a)
     y_lo, y_hi = -lattice.y_extent, lattice.y_extent
-    ys = _grid(y_lo, y_hi, n_samples)
+    ys = _grid(y_lo, y_hi, _SIDE_SAMPLES)
 
     sides: list[tuple[float, ...]] = []
     for endpoint in piece.segment:
@@ -326,23 +320,23 @@ def build_piece(
     return Piece2D(",".join(piece.word), chain, _strip_box(y_lo, y_hi, sides))
 
 
-def build_box(lattice: LeafLattice, name: str, n_samples: int = 129):
+def build_box(lattice: LeafLattice, name: str):
     """Named boxes: "e" (between the innermost leaves), "D" (the global
     trapping box, full leaves through the orientation-preserving fixed
     points with height 1/(8 |b|^m)), or any admissible word."""
     f = lattice.henon
     if name == "e":
-        return _leaf_box(lattice, "-alpha0", "alpha0", n_samples)
+        return _leaf_box(lattice, "-alpha0", "alpha0")
     if name == "D":
         bm = abs(f.bm)
         if bm == 0.0:
             raise DomainError("the trapping box is unbounded at b = 0")
         tall = stable_leaf_lattice(f, y_extent=1.0 / (8.0 * bm))
-        return _leaf_box(tall, "-beta", "beta", n_samples)
-    return build_piece(lattice, name, n_samples=n_samples)
+        return _leaf_box(tall, "-beta", "beta")
+    return build_piece(lattice, name)
 
 
-def star_2d(piece: Piece2D, other: Piece2D, n_samples: int = 129) -> Piece2D:
+def star_2d(piece: Piece2D, other: Piece2D) -> Piece2D:
     """Concatenate strips: pull the stable sides of the second strip back
     through the chain of the first.
 
@@ -371,7 +365,7 @@ def star_2d(piece: Piece2D, other: Piece2D, n_samples: int = 129) -> Piece2D:
                 )
 
     y_lo, y_hi = piece.box.y_range
-    ys_new = _grid(y_lo, y_hi, n_samples)
+    ys_new = _grid(y_lo, y_hi, _SIDE_SAMPLES)
     sides = []
     for side in (other.box.phi_minus, other.box.phi_plus):
         x0s, _ = _pullback_curve(chain, side, side(0.0), ys_new)
@@ -381,14 +375,14 @@ def star_2d(piece: Piece2D, other: Piece2D, n_samples: int = 129) -> Piece2D:
     return Piece2D(word, combined, _strip_box(y_lo, y_hi, sides))
 
 
-def image_unstable_boundary(piece: Piece2D, n_samples: int = 65) -> tuple[Curve, Curve]:
+def image_unstable_boundary(piece: Piece2D) -> tuple[Curve, Curve]:
     """Unstable boundary of the forward image: exit-point graphs traced as
-    the domain-side x runs along the top and bottom edges."""
+    the domain-side x runs over 65 points of the top and bottom edges."""
     f = piece.chain.henon
     out = []
     for y0 in piece.box.y_range:
         lo, hi = piece.box.x_range(y0)
-        exits = [iterate(f, (x, y0), piece.order) for x in _grid(lo, hi, n_samples)]
+        exits = [iterate(f, (x, y0), piece.order) for x in _grid(lo, hi, 65)]
         xs = [x for x, _ in exits]
         ys = [y for _, y in exits]
         a, b = (xs[0], xs[-1]) if xs[0] <= xs[-1] else (xs[-1], xs[0])
@@ -409,28 +403,22 @@ class ConeReport:
     n_probes: int
 
 
-def verify_cones(
-    f: HenonMap,
-    box: TameBox,
-    cone: ConeSpec,
-    grid: tuple[int, int] = (33, 33),
-) -> ConeReport:
+def verify_cones(f: HenonMap, box: TameBox, cone: ConeSpec) -> ConeReport:
     """Check that the derivative maps vertical-cone boundary vectors into
-    the horizontal cone at every grid point of the box.
+    the horizontal cone at every point of a 33x33 grid over the box.
 
     A sample with |x| < eta straddles the fold, where no such statement can
     hold, and fails the check outright. The margin is the worst ratio
     c_h |w_x| / |w_y| over the image vectors w; above 1 means strictly
     inside the horizontal cone.
     """
-    nx, ny = grid
     y_lo, y_hi = box.y_range
     margin = math.inf
     worst = (math.nan, math.nan)
     count = 0
-    for y in _grid(y_lo, y_hi, ny):
+    for y in _grid(y_lo, y_hi, 33):
         x_lo, x_hi = box.x_range(y)
-        for x in _grid(x_lo, x_hi, nx):
+        for x in _grid(x_lo, x_hi, 33):
             count += 1
             if abs(x) < cone.eta:
                 return ConeReport(False, 0.0, (x, y), count)

@@ -180,6 +180,21 @@ def conjugate_rescale(f: HenonMap, c: float, q: float) -> HenonMap:
     return HenonMap(a_new, f.b, f.m, new_zeta, new_xi)
 
 
+def chart_scales(sigma: Sequence[float]) -> tuple[float, ...]:
+    """Chart scales of a cycle of any length: gamma_i is the geometric mean
+    of the |sigma_(i+r)|, r = 1..count, with weights 2^-r / (1 - 2^-count),
+    signed like sigma_i, so that gamma_i^2 = gamma_(i+1) sigma_(i+1)."""
+    count = len(sigma)
+    denom = 1.0 - 2.0 ** (-count)
+    gamma = []
+    for i in range(count):
+        mag = 1.0
+        for r in range(1, count + 1):
+            mag *= abs(sigma[(i + r) % count]) ** (2.0 ** (-r) / denom)
+        gamma.append(math.copysign(mag, sigma[i]))
+    return tuple(gamma)
+
+
 # ---------------------------------------------------------------------------
 # cross maps
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Every name a module exports through ``__all__`` must exist, the scalar
+"""Every name a module exports through ``__all__`` must exist, every
+defaulted parameter of an exported function is set by some call, the scalar
 modules load without numpy, ``henon`` loads without ``maps1d``, and every
 function perfbench's tracer rebinds exists."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -36,6 +39,48 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported)
     missing = [item for item in exported if not hasattr(module, item)]
     assert missing == []
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the package, its tests and perfbench, by called name."""
+    root = Path(__file__).resolve().parents[1]
+    calls: dict[str, list[ast.Call]] = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, index: int, param: inspect.Parameter) -> bool:
+    """Whether a call may set the parameter at ``index`` of the signature:
+    by keyword, by position, or through ``*args`` / ``**kwargs``."""
+    if any(kw.arg in (param.name, None) for kw in call.keywords):
+        return True
+    return param.kind is param.POSITIONAL_OR_KEYWORD and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def test_every_exported_default_is_set_by_a_caller():
+    # a default that no call changes is a constant in disguise
+    calls = _calls_by_name()
+    unset = []
+    for name in MODULES:
+        module = importlib.import_module(f"henonlab.{name}")
+        for item in getattr(module, "__all__", ()):
+            func = getattr(module, item)
+            if not inspect.isfunction(func):
+                continue
+            for index, param in enumerate(inspect.signature(func).parameters.values()):
+                if param.default is param.empty:
+                    continue
+                if not any(_sets(call, index, param) for call in calls.get(item, ())):
+                    unset.append(f"{name}.{item}({param.name})")
+    assert unset == []
 
 
 def _loads(module: str, other: str) -> bool:

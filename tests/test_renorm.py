@@ -38,9 +38,9 @@ from henonlab.renorm import (
     solve_mu_zero,
     twin_find,
 )
-from henonlab import crossmap, renorm
+from henonlab import atlas, crossmap, renorm
 from henonlab.rootfind import bisect, newton2, newton_safeguarded
-from oracles import _defect_at, conjugate_rescale, delta_star
+from oracles import _defect_at, chart_scales, conjugate_rescale, delta_star
 
 A1, A2 = special_parameters()
 
@@ -229,6 +229,41 @@ class TestRenormalize:
                 rd.chart_inv(*z)[0], abs=1e-9
             )
 
+    def test_degenerate_return_keeps_the_entry(self):
+        # at b = 0 the chart has no thickness: the return's second
+        # coordinate is the entry's X, not chart_inv's 0
+        rd = renormalize(HenonMap(-1.86, 0.0), "c1")
+        t = rd.tangency
+        assert t.lam == 0.0
+        for X, Y in ((0.2, 0.3), (-0.4, -1.0)):
+            w = apply_map(t.chain.henon, rd.chart(X, Y))
+            forward = renorm._chain_forward(t.chain, w[0], w[1])
+            assert rd.renorm_map(X, Y) == (rd.chart_inv(*forward)[0], X)
+
+    @pytest.mark.parametrize("word", ["c1", "c1,bm0,bm0"])
+    def test_entry_point_comes_from_the_anchor_solve(self, monkeypatch, word):
+        # renormalize reads A(c, c) off find_tangency's last jet instead of
+        # solving the chain there once more
+        f = HenonMap(*atlas._EMBED_SEED)
+
+        def count(run):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(args[1:])
+                return eval_cross(*args, **kwargs)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(crossmap, "eval_cross", counted)
+                mp.setattr(renorm, "eval_cross", counted)
+                run()
+            return len(calls)
+
+        assert count(lambda: renormalize(f, word)) == count(
+            lambda: find_tangency(factorize_chain(f, word)))
+        t = renormalize(f, word).tangency
+        assert t.A == eval_cross(t.chain, t.c, t.c).A
+
     def test_domain_guard(self, flat_roots):
         rd = renormalize(HenonMap(flat_roots[0], 1e-3), "c1")
         with pytest.raises(DomainError):
@@ -378,6 +413,26 @@ class TestMultiWord:
             Xp, Yp = md.transition(0, X, Y)
             assert Xp == pytest.approx(Xe, abs=1e-8)
             assert Yp == pytest.approx(Ye, abs=1e-8)
+
+    @pytest.mark.parametrize("cycle", ["equal-pair", "thick", "embed-seed"])
+    def test_scales_are_the_weighted_mean(self, equal_pair, cycle):
+        # the closed form gives the bits of the weighted mean over the cycle
+        if cycle == "equal-pair":
+            md = equal_pair[0]
+        elif cycle == "thick":
+            md = multi_renormalize(_thick_chart().chain.henon, ("w=3", "w=3"))
+        else:
+            md = multi_renormalize(HenonMap(*atlas._EMBED_SEED), atlas._EMBED_WORDS)
+        assert [g.hex() for g in md.gamma] == [g.hex() for g in chart_scales(md.sigma)]
+
+    def test_degenerate_transition_keeps_the_entry(self):
+        md = multi_renormalize(HenonMap(-1.86, 0.0), ("c1", "c1"))
+        assert md.lam == (0.0, 0.0)
+        for i in (0, 1):
+            for X, Y in ((0.2, 0.3), (-0.1, 0.5)):
+                w = apply_map(md.chains[i].henon, md.chart(i, X, Y))
+                forward = renorm._chain_forward(md.chains[1 - i], w[0], w[1])
+                assert md.transition(i, X, Y) == (md.chart_inv(1 - i, *forward)[0], X)
 
     def test_transition_dual_route_thin(self, equal_pair):
         md, _ = equal_pair
