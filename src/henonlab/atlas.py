@@ -11,7 +11,10 @@ per numpy step on one compacting loop; renorm-strip renormalizes its block
 pixel by pixel.  embed-compare tracks its block's pixels in the workers and
 runs its two orbit checks on that loop once per raster, over every tracked
 pixel, in the calling process: the loop's cost is per numpy call rather
-than per orbit, so a check per block would pay it once per worker.  On
+than per orbit, so a check per block would pay it once per worker.  Each
+step of those checks runs a chunk of composed steps in place and tests
+their positions at once, so that the checks pay the loop's bookkeeping
+and escape test per chunk, not per composed step.  On
 that loop the three escape checks (swallow-escape, henon-escape and the
 embed-compare checks) also retire an orbit whose position repeats bit for
 bit, which is exact because each step is a pure function of the position;
@@ -230,7 +233,8 @@ _COLORMAP_NOTES: dict[str, str] = {
 # recurrences, so a pixel's payload does not depend on the block it was
 # computed in.
 
-#: Pixels per orbit block; bounds the working arrays of one task.
+#: Pixels per orbit block; bounds the working arrays of one task, and the
+#: history of a chunked check (``_chunked_bounded``) likewise.
 _BLOCK_PIXELS = 1 << 14
 
 
@@ -781,12 +785,15 @@ def _embed_checks(walks, cfg: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """Predicted against direct boundedness at every tracked pixel of the
     raster, from the blocks' ``_block_embed_compare`` results in row order.
 
-    The prediction is the a-then-b composed orbit of the target.  The direct
-    check iterates the tracked map from the chart origin: one composed step
-    is a full passage through both words plus the two fold steps, mirroring
-    the period of the renormalized composition, and the orbit escapes when
-    its first chart coordinate first exceeds the same radius the prediction
-    uses.  Each orbit is elementwise, so no pixel depends on the blocks.
+    The prediction is the a-then-b composed orbit of the target
+    (``_predicted_bounded``).  The direct check iterates the tracked map
+    from the chart origin (``_direct_bounded``): one composed step is a
+    full passage through both words plus the two fold steps, mirroring the
+    period of the renormalized composition, and the orbit escapes when its
+    first chart coordinate first exceeds the same radius the prediction
+    uses.  Both run a chunk of composed steps per step of the orbit loop,
+    so that their cost is per chunk, not per composed step.  Each orbit is
+    elementwise, so no pixel depends on the blocks.
     """
     embed = cfg["params"]["_embed_cfg"]
     n_composed, r_esc = embed["steps"], embed["radius"]
@@ -796,24 +803,89 @@ def _embed_checks(walks, cfg: Mapping) -> tuple[np.ndarray, np.ndarray]:
     if not tracked.any():
         return tags, values
     period = next(p for _, _, p in walks if p is not None)
-
-    def advance(px, py, a_px, bm, c0, g0):
-        for _ in range(period):
-            px, py = px * px + a_px - bm * py, px
-        escaped = ~(np.abs(px) < 1e100) | (np.abs((px - c0) / g0) > r_esc)
-        return (px, py, a_px, bm, c0, g0), escaped, None
-
     orbits = np.concatenate([rows for _, rows, _ in walks])
-    direct = _run_orbits(advance, tuple(orbits.T), n_composed, position=2)[0] == 0
+    direct = _direct_bounded(orbits, period, n_composed, r_esc)
     a = _a_centers(cfg["a_range"], cfg["width"])
     b = _b_centers(cfg["b_range"], cfg["height"])
     first = np.broadcast_to(a, tracked.shape)[tracked]
     second = np.broadcast_to(b[:, None], tracked.shape)[tracked]
-    predicted = _composed_left(first, second, n_composed, r_esc) == 0
+    predicted = _predicted_bounded(first, second, n_composed, r_esc)
     agree = predicted == direct
     tags[tracked] = np.where(agree, TAG_AGREE, TAG_DISAGREE)
     values[tracked] = agree
     return tags, values
+
+
+def _chunked_bounded(run_chunk, state: tuple[np.ndarray, ...], steps: int,
+                     position: int, rows: int) -> np.ndarray:
+    """Whether each orbit stays for ``steps`` composed steps, on
+    ``_run_orbits`` with a chunk of composed steps per loop step.
+
+    ``run_chunk(history, *state)`` runs one composed step per ``rows`` rows
+    of ``history``, an array of (rows * chunk, orbits), in place on the
+    state; it writes the values its escape test reads into those rows and
+    returns ``advance``'s triple, the escape mask taken over the whole
+    history.  Chunks hold max(1, min(steps, _BLOCK_PIXELS // orbits))
+    composed steps, which bounds the history like a block's working arrays,
+    and the last one stops at ``steps``.  Only ``left == 0`` is read, and
+    that is exact at any chunk: an escape inside a chunk leaves at its
+    chunk, and a position that repeats at a chunk's end is periodic, every
+    test of its cycle passed.
+    """
+    lanes = state[0].size
+    chunk = max(1, min(steps, _BLOCK_PIXELS // lanes))
+    full, rest = divmod(steps, chunk)
+    sizes = iter([chunk] * full + [rest] * (rest > 0))
+    history = np.empty(rows * chunk * lanes)
+
+    def advance(*state):
+        n = state[0].size
+        return run_chunk(history[:rows * next(sizes) * n].reshape(-1, n), *state)
+
+    return _run_orbits(advance, state, full + (rest > 0), position)[0] == 0
+
+
+def _direct_bounded(orbits: np.ndarray, period: int, steps: int, r_esc: float) -> np.ndarray:
+    """Whether each orbit row (x, y, a, b^m, c_0, gamma_0) stays finite
+    (below 1e100 in size) and within r_esc in the chart coordinate
+    |(x - c_0) / gamma_0| after each of ``steps`` composed steps of
+    ``period`` Henon steps.
+
+    Each Henon step is x*x + a - b^m*y in that order, written in place.
+    """
+    def run_chunk(seen, px, py, a_px, bm, c0, g0):
+        t = np.empty(px.size)
+        for row in seen:
+            for _ in range(period):
+                np.multiply(px, px, t)
+                np.add(t, a_px, t)
+                np.multiply(bm, py, py)
+                np.subtract(t, py, py)
+                px, py = py, px
+            row[...] = px
+        escaped = ~(np.abs(seen) < 1e100) | (np.abs((seen - c0) / g0) > r_esc)
+        return (px, py, a_px, bm, c0, g0), escaped.any(axis=0), None
+
+    # contiguous copies, which the steps overwrite
+    return _chunked_bounded(run_chunk, tuple(np.ascontiguousarray(orbits.T)), steps,
+                            position=2, rows=1)
+
+
+def _predicted_bounded(first: np.ndarray, second: np.ndarray, steps: int,
+                       r_esc: float) -> np.ndarray:
+    """``_composed_left(first, second, steps, r_esc) == 0``, each half-step
+    of every composed step tested on the history."""
+    def run_chunk(seen, x, first, second):
+        last = x
+        for row, add in zip(seen, (first, second) * (len(seen) // 2)):
+            np.multiply(last, last, row)
+            np.add(row, add, row)
+            last = row
+        x[...] = last
+        return (x, first, second), (np.abs(seen) > r_esc).any(axis=0), None
+
+    return _chunked_bounded(run_chunk, (np.zeros(first.size), first, second), steps,
+                            position=1, rows=2)
 
 
 #: Every raster kernel: (a, b_block, params) -> the block's result, which is
@@ -891,6 +963,10 @@ def sweep(
     for key in ("steps", "n", "m"):
         if key in params and int(params[key]) < 1:
             raise DomainError(f"{key} must be at least 1, got {params[key]}")
+    # payload steps are float64, exact up to 2**53
+    for key in ("steps", "n"):
+        if key in params and int(params[key]) > 2**53:
+            raise DomainError(f"{key} must be at most 2**53, got {params[key]}")
     if "radius" in params and not float(params["radius"]) > 0.0:
         raise DomainError(f"escape radius must be positive, got {params['radius']}")
     if workers is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     BracketError,
@@ -23,7 +23,7 @@ from .errors import (
     NonMonotoneError,
 )
 from .henon import ZERO_FIELD, HenonMap, evaluate, iterate
-from .maps1d import Piece1D, piece_1d
+from .maps1d import Piece1D, piece_1d, pieces_1d
 from .rootfind import DEFAULT_MAX_ITER, DEFAULT_RTOL, bisect
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "HyperbolicityReport",
     "DistortionReport",
     "factorize_chain",
+    "factorize_chains",
     "eval_cross",
     "eval_cross_derivatives",
     "eval_cross_jet",
@@ -96,14 +97,28 @@ class CrossMapChain:
         return self.piece.order
 
 
+_NOT_NORMALIZED = "cross-map factorization requires a xi-normalized map"
+
+
 def factorize_chain(f: HenonMap, word: str | Piece1D) -> CrossMapChain:
     if not f.normalized:
-        raise DomainError("cross-map factorization requires a xi-normalized map")
+        raise DomainError(_NOT_NORMALIZED)
     piece = piece_1d(word, f.a) if isinstance(word, str) else word
     if piece.order < 1:
         name = ",".join(piece.word)
         raise DomainError(f"word {name!r} has no quadratic factors")
     return CrossMapChain(f, piece)
+
+
+def factorize_chains(f: HenonMap, words: Sequence[str]) -> Iterator[CrossMapChain]:
+    """``factorize_chain`` of each word in turn, the pieces built from one
+    table at f.a (``maps1d.pieces_1d``).  Chains are made as they are asked
+    for, so they, and any error with its message, come as from one
+    ``factorize_chain`` call per word."""
+    if not f.normalized:
+        raise DomainError(_NOT_NORMALIZED)
+    for piece in pieces_1d(words, f.a):
+        yield factorize_chain(f, piece)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConvergenceError, DomainError, LadderError, ProductError, WordError
 from .rootfind import bisect, newton2
@@ -28,6 +28,7 @@ __all__ = [
     "parse_word",
     "iterate_quad",
     "piece_1d",
+    "pieces_1d",
     "star",
     "swallow_classify",
     "swallow_boundary",
@@ -312,17 +313,31 @@ def star(piece: Piece1D, other: Piece1D) -> Piece1D:
     )
 
 
+def pieces_1d(words: Iterable[str | Sequence[str]], a: float) -> Iterator[Piece1D]:
+    """Build the 1-D pieces of several words at parameter a, in order.
+
+    One ladder and one table of built factors serve every word, so that a
+    factor or c_j level that several words share is built once.  Each word
+    is parsed and built only when its piece is asked for, so the pieces,
+    and any error with its message, come as from one ``piece_1d`` call per
+    word in turn."""
+    lad = None
+    built: dict[str, Piece1D] = {}
+    for word in words:
+        tokens = parse_word(word) if isinstance(word, str) else tuple(word)
+        if not tokens:
+            raise WordError("empty word", 0)
+        if lad is None:
+            lad = ladder(a)
+        piece = _factor(tokens[0], a, lad, built)
+        for token in tokens[1:]:
+            piece = star(piece, _factor(token, a, lad, built))
+        yield piece
+
+
 def piece_1d(word: str | Sequence[str], a: float) -> Piece1D:
     """Build the 1-D piece of a word at parameter a."""
-    tokens = parse_word(word) if isinstance(word, str) else tuple(word)
-    if not tokens:
-        raise WordError("empty word", 0)
-    lad = ladder(a)
-    built: dict[str, Piece1D] = {}
-    piece = _factor(tokens[0], a, lad, built)
-    for token in tokens[1:]:
-        piece = star(piece, _factor(token, a, lad, built))
-    return piece
+    return next(pieces_1d((word,), a))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .crossmap import (
     CrossJet,
@@ -23,6 +23,7 @@ from .crossmap import (
     eval_cross_jet,
     eval_cross_param_jet,
     factorize_chain,
+    factorize_chains,
 )
 from .errors import (
     BracketError,
@@ -43,7 +44,7 @@ from .henon import (
     iterate,
     jacobian,
 )
-from .maps1d import ladder, parse_word, piece_1d, special_parameters
+from .maps1d import ladder, parse_word, pieces_1d, special_parameters
 from .rootfind import _converged, bisect, newton2, newton_safeguarded
 
 __all__ = [
@@ -517,7 +518,7 @@ def multi_renormalize(
                           f"{len(words)} in all")
     if len(words) != 2:
         raise DomainError(f"multi_renormalize takes two words, got {len(words)}")
-    chains = (factorize_chain(f, words[0]), factorize_chain(f, words[1]))
+    chains = tuple(factorize_chains(f, words))
 
     seed = [float(v) for v in anchor_seed] if anchor_seed is not None else [0.0, 0.0]
     cs, (jets, folds) = _solve_anchors(_cycle_folds(chains), seed, anchor_rtol)
@@ -603,9 +604,9 @@ def double_tangency(
     trace: list[tuple[float, float, float, float]] = []
     last: list = [None, None]
 
-    def tangency(f: HenonMap, word: str) -> TangencyData:
+    def tangency(f: HenonMap, chains: Iterator[CrossMapChain], word: str) -> TangencyData:
         try:
-            return find_tangency(factorize_chain(f, word))
+            return find_tangency(next(chains))
         except (BranchError, DomainError, LadderError) as exc:
             where = f"Newton iterate {(f.a, f.b)!r} from seed" if trace else "seed"
             raise NoCrossingError(
@@ -616,7 +617,8 @@ def double_tangency(
         key = (x[0], x[1])
         if last[0] != key:
             f = _built_map(build, *key)
-            ts = (tangency(f, word1), tangency(f, word2))
+            chains = factorize_chains(f, (word1, word2))
+            ts = (tangency(f, chains, word1), tangency(f, chains, word2))
             trace.append((key[0], key[1], ts[0].mu, ts[1].mu))
             last[:] = [key, ts]
         return last[1]
@@ -685,8 +687,7 @@ def _mu_gradient(t: TangencyData) -> tuple[float, float]:
 def _core_width(j: int, a: float) -> float:
     """Core width eta_j = sqrt(c_{j+1}.hi - c_{j+2}.hi) / 2 of the 1-D
     pieces at parameter a: the twin seed scale and the cone aperture."""
-    hi1 = piece_1d(f"c{j + 1}", a).hi
-    hi2 = piece_1d(f"c{j + 2}", a).hi
+    hi1, hi2 = (piece.hi for piece in pieces_1d((f"c{j + 1}", f"c{j + 2}"), a))
     return 0.5 * math.sqrt(hi1 - hi2)
 
 
@@ -855,9 +856,8 @@ def certify_cone_expansion(
     alphabet = ["s-", "s+"]
     for m in range(j + 1):
         alphabet.extend([f"bm{m}", f"bp{m}"])
-    segs = {w: piece_1d(w, f.a) for w in alphabet}
-    deep = piece_1d(f"c{j + 2}", f.a)
-    shallow = piece_1d("c0", f.a)
+    *pieces, deep, shallow = pieces_1d((*alphabet, f"c{j + 2}", "c0"), f.a)
+    segs = dict(zip(alphabet, pieces))
 
     eta = _core_width(j, f.a)
     aperture = eta * eta

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .crossmap import CrossMapChain, eval_cross, factorize_chain
 from .errors import ConvergenceError, DomainError, ProductError
-from .henon import HenonMap, apply_map, evaluate, iterate
+from .henon import HenonMap, apply_map, iterate, jacobian
 from .maps1d import iterate_quad, ladder, piece_1d
 from .rootfind import newton_safeguarded
 
@@ -422,7 +422,7 @@ def verify_cones(f: HenonMap, box: TameBox, cone: ConeSpec) -> ConeReport:
             count += 1
             if abs(x) < cone.eta:
                 return ConeReport(False, 0.0, (x, y), count)
-            J = evaluate(f, (x, y)).jacobian
+            J = jacobian(f, (x, y))
             for sx in (-1.0, 1.0):
                 vx, vy = sx * cone.c_v, 1.0
                 wx = J[0][0] * vx + J[0][1] * vy

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from henonlab.atlas import TAG_NAMES, Raster
+from henonlab.atlas import TAG_NAMES, Raster, _composed_left, _run_orbits
 from henonlab.crossmap import CrossMapChain, eval_cross
 from henonlab.errors import DomainError
 from henonlab.henon import ZERO_FIELD, Field2, HenonMap, apply_map, iterate, jacobian
@@ -221,6 +221,31 @@ def reverse_eval(
     y0 = newton_safeguarded(g, seed)
     x1, _ = iterate(f, (x0, y0), n)
     return x1, y0
+
+
+# ---------------------------------------------------------------------------
+# the embed-compare orbit checks one composed step per orbit-loop step: the
+# forms that ``atlas._direct_bounded`` and ``atlas._predicted_bounded`` chunk
+# ---------------------------------------------------------------------------
+
+def embed_direct_left(orbits: np.ndarray, period: int, n_composed: int,
+                      r_esc: float) -> np.ndarray:
+    """The composed step at which each orbit row (x, y, a, b^m, c_0,
+    gamma_0) left the chart, 0 if it stayed or retired as periodic."""
+    def advance(px, py, a_px, bm, c0, g0):
+        for _ in range(period):
+            px, py = px * px + a_px - bm * py, px
+        escaped = ~(np.abs(px) < 1e100) | (np.abs((px - c0) / g0) > r_esc)
+        return (px, py, a_px, bm, c0, g0), escaped, None
+
+    return _run_orbits(advance, tuple(orbits.T), n_composed, position=2)[0]
+
+
+def embed_predicted_left(first: np.ndarray, second: np.ndarray, n_composed: int,
+                         r_esc: float) -> np.ndarray:
+    """The composed step at which the a-then-b composed orbit of 0 escaped,
+    0 if it stayed or retired as periodic."""
+    return _composed_left(first, second, n_composed, r_esc)
 
 
 # ---------------------------------------------------------------------------

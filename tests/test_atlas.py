@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -37,7 +38,14 @@ from henonlab.henon import MAP_REGISTRY, HenonMap, build_map
 from henonlab.maps1d import swallow_classify
 from henonlab.renorm import multi_renormalize, renormalize
 from henonlab.rootfind import newton2
-from oracles import lyapunov, orbit_escape, parse_csv, read_csv
+from oracles import (
+    embed_direct_left,
+    embed_predicted_left,
+    lyapunov,
+    orbit_escape,
+    parse_csv,
+    read_csv,
+)
 
 
 def make_raster(tags, values, kernel="henon-lyap", a_range=(0.0, 1.0), b_range=(0.0, 1.0)):
@@ -852,6 +860,22 @@ def test_figures_swallow_ppm_bytes_pinned():
     assert hashlib.sha256(render_ppm(r)).hexdigest() == FIGURES_SWALLOW_PPM_SHA256
 
 
+#: SHA-256 of the 21x21 embed-compare PPM at the benchmark's embed-swallow
+#: settings, and the host it was recorded on: the chart scales take ``**``
+#: of the cross-map slopes, which goes through the platform's libm, so
+#: another numpy build or CPU may move the bytes.
+EMBED_SWALLOW_PPM_SHA256 = "cb279e9556be4146763c428c32c2680b16e8a12aee91d8871c6279d7a59c0744"
+EMBED_SWALLOW_PPM_HOST = {"numpy": "2.4.6", "machine": "x86_64"}
+
+
+def test_embed_swallow_ppm_bytes_pinned():
+    r = sweep("embed-compare", 21, 21, (-2.1, 0.4), (-2.1, 0.4),
+              params={"steps": 2000, "radius": 10.0}, workers=2)
+    host = {"numpy": np.__version__, "machine": platform.machine()}
+    assert hashlib.sha256(render_ppm(r)).hexdigest() == EMBED_SWALLOW_PPM_SHA256, (
+        f"recorded on {EMBED_SWALLOW_PPM_HOST}, run on {host}")
+
+
 class TestRenormStrip:
     def test_values_match_direct_renormalization(self):
         r = sweep("renorm-strip", 3, 2)
@@ -1145,6 +1169,166 @@ class TestEmbedCompareCounts:
         sweep("embed-compare", 7, 6, workers=workers)
         # the direct check and the prediction's composed orbits
         assert log.read_text(encoding="ascii").split() == [str(os.getpid())] * 2
+
+
+def _per_step_checks(mp):
+    """Patch the chunked embed-compare checks with the per-step references."""
+    mp.setattr(atlas, "_direct_bounded",
+               lambda *args: embed_direct_left(*args) == 0)
+    mp.setattr(atlas, "_predicted_bounded",
+               lambda *args: embed_predicted_left(*args) == 0)
+
+
+@pytest.fixture(scope="module")
+def embed_21x21_lanes():
+    """The orbit rows, period and targets that the serial 21x21 sweep in the
+    benchmark's window hands to its two checks."""
+    seen = {}
+    direct, predicted = atlas._direct_bounded, atlas._predicted_bounded
+
+    def record_direct(orbits, period, steps, r_esc):
+        seen["direct"] = (orbits, period)
+        return direct(orbits, period, steps, r_esc)
+
+    def record_predicted(first, second, steps, r_esc):
+        seen["predicted"] = (first, second)
+        return predicted(first, second, steps, r_esc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(atlas, "_direct_bounded", record_direct)
+        mp.setattr(atlas, "_predicted_bounded", record_predicted)
+        sweep("embed-compare", 21, 21, (-2.1, 0.4), (-2.1, 0.4),
+              params={"steps": 2000, "radius": 10.0}, workers=1)
+    return seen
+
+
+def _direct_lanes() -> np.ndarray:
+    """Synthetic orbit rows (x, y, a, b^m, c_0, gamma_0) of the direct check.
+
+    Escapes at every step up to 100 and from 1951 to 2100, past the last
+    step of 2000; exact Henon cycles of 1, 2 and 3 steps; NaN and infinite
+    starts, parameters and charts; and two cycles that leave the chart on
+    the step their position repeats (gamma_0 = 0.05 puts a chart radius of
+    10 at 0.5).  The 15 lanes after the escapes are these last three sets.
+    """
+    # the orbit of 0 under x -> x^2 + 1/4 + 1e-7 climbs the channel to 1/2
+    # over thousands of steps; a chart radius of 10 between its points T - 1
+    # and T leaves at step T
+    a = 0.25 + 1e-7
+    heights = [0.0]
+    for _ in range(2100):
+        heights.append(heights[-1] * heights[-1] + a)
+    escapes = [(0.0, 0.0, a, 0.0, 0.0, (heights[t - 1] + heights[t]) / 20.0)
+               for t in (*range(1, 101), *range(1951, 2101))]
+    cycles = [
+        (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),     # fixed point
+        (-2.0, -2.0, -2.0, -2.0, 0.0, 1.0),  # fixed point with b^m y
+        (0.0, 0.0, -1.0, 0.0, 0.0, 1.0),    # 0 -> -1 -> 0
+        (-2.0, 0.0, -4.0, 1.0, 0.0, 1.0),   # period 2 with b^m y
+        (-1.0, 0.0, -2.0, 1.0, 0.0, 1.0),   # period 3
+    ]
+    odd = [
+        (math.nan, 0.0, 0.0, 0.0, 0.0, 1.0),
+        (math.inf, 0.0, 0.0, 0.0, 0.0, 1.0),
+        (-math.inf, 0.0, 0.0, 0.0, 0.0, 1.0),
+        (0.0, math.nan, -1.0, 0.5, 0.0, 1.0),
+        (0.0, 0.0, math.nan, 0.0, 0.0, 1.0),
+        (0.0, 0.0, 0.0, math.inf, 0.0, 1.0),
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),     # chart coordinate 0/0 never tests true
+        (0.0, 0.0, 0.0, 0.0, math.nan, 1.0),
+    ]
+    on_repeat = [
+        (1.0, 1.0, 0.0, 0.0, 0.0, 0.05),    # fixed, outside the chart
+        (0.0, -1.0, -1.0, 0.0, -0.9, 0.05),  # period 2, leaves at 0
+    ]
+    return np.array(escapes + cycles + odd + on_repeat)
+
+
+#: (first, second) of the prediction: the same slow escapes, exact composed
+#: cycles of 1 and 2 steps (no small dyadic pair closes an exact 3-cycle of
+#: x -> (x^2 + first)^2 + second through 0), NaN and infinite parameters,
+#: and a cycle whose first half-step leaves on the step it repeats.
+_PREDICTED_LANES = (
+    [(0.25 + eps, 0.25 + eps) for eps in np.geomspace(2e-6, 1.0, 300)]
+    + [(-1.0, -1.0), (0.0, 0.0), (-2.0, -4.0), (-2.0, -2.0), (0.0, -1.0), (-1.0, 0.0)]
+    + [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf)]
+    + [(-11.0, -121.0)]
+)
+
+
+class TestChunkedEmbedChecks:
+    """The embed-compare checks, a chunk of composed steps per orbit-loop
+    step, give the booleans of the per-step references in ``oracles``."""
+
+    @pytest.mark.parametrize("width, height, window, params", EMBED_ORACLE_CASES)
+    def test_rasters_match_per_step_checks(self, monkeypatch, width, height, window, params):
+        with monkeypatch.context() as mp:
+            _per_step_checks(mp)
+            expected = sweep("embed-compare", width, height, a_range=window, b_range=window,
+                             params=params, workers=1)
+        for workers in (1, 2, 3):
+            r = sweep("embed-compare", width, height, a_range=window, b_range=window,
+                      params=params, workers=workers)
+            TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values,
+                                                    (expected.tags, expected.values))
+
+    # steps = 2000 is the "default-21x21" case above
+    @pytest.mark.parametrize("steps", [1, 37])
+    def test_benchmark_raster_at_step_counts(self, monkeypatch, steps):
+        params = {"steps": steps, "radius": 10.0}
+        with monkeypatch.context() as mp:
+            _per_step_checks(mp)
+            expected = sweep("embed-compare", 21, 21, (-2.1, 0.4), (-2.1, 0.4),
+                             params=params, workers=1)
+        r = sweep("embed-compare", 21, 21, (-2.1, 0.4), (-2.1, 0.4), params=params, workers=2)
+        TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values,
+                                                (expected.tags, expected.values))
+
+    @pytest.mark.parametrize("steps", [1, 37, 2000])
+    def test_benchmark_lanes_at_step_counts(self, embed_21x21_lanes, steps):
+        orbits, period = embed_21x21_lanes["direct"]
+        first, second = embed_21x21_lanes["predicted"]
+        # 441 lanes make chunks of 37: 2000 steps end on a chunk of 2
+        assert atlas._BLOCK_PIXELS // len(orbits) == 37
+        direct = atlas._direct_bounded(orbits, period, steps, 10.0)
+        predicted = atlas._predicted_bounded(first, second, steps, 10.0)
+        assert direct.tolist() == (embed_direct_left(orbits, period, steps, 10.0) == 0).tolist()
+        assert predicted.tolist() == (embed_predicted_left(first, second, steps, 10.0)
+                                      == 0).tolist()
+        if steps == 2000:
+            assert np.count_nonzero(direct) == 267
+
+    @pytest.mark.parametrize("steps", [1, 37, 2000])
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_synthetic_direct_lanes(self, steps, period):
+        orbits = _direct_lanes()
+        left = embed_direct_left(orbits, period, steps, 10.0)
+        got = atlas._direct_bounded(orbits, period, steps, 10.0)
+        assert got.tolist() == (left == 0).tolist()
+        cycles, odd, on_repeat = got[-15:-10], got[-10:-2], got[-2:]
+        assert cycles.all()
+        assert odd.tolist() == [False] * 6 + [True] * 2
+        # the 2-cycle leaves at its second composed step
+        assert on_repeat.tolist() == [False, steps == 1]
+        chunk = min(steps, atlas._BLOCK_PIXELS // len(orbits))
+        if steps == 2000 and period == 1:
+            # escapes at every offset inside a chunk, and at each step after
+            # the last chunk of 48 up to where a whole chunk of 61 would end
+            assert (chunk, steps % chunk) == (61, 48)
+            escaped = left[:-15][left[:-15] > 0]
+            assert set((escaped - 1) % chunk) == set(range(chunk))
+            assert set(embed_direct_left(orbits, 1, 2100, 10.0)[:-15]) >= set(range(2001, 2014))
+
+    @pytest.mark.parametrize("steps", [1, 37, 2000])
+    def test_synthetic_predicted_lanes(self, steps):
+        first, second = (np.array(v) for v in zip(*_PREDICTED_LANES))
+        left = embed_predicted_left(first, second, steps, 10.0)
+        got = atlas._predicted_bounded(first, second, steps, 10.0)
+        assert got.tolist() == (left == 0).tolist()
+        assert got[300:306].all() and not got[-1]
+        chunk = min(steps, atlas._BLOCK_PIXELS // len(first))
+        if steps == 2000:
+            assert set((left[:300][left[:300] > 0] - 1) % chunk) == set(range(chunk))
 
 
 class TestDeterminism:

@@ -281,6 +281,24 @@ class TestExitCodes:
         assert "steps must be at least 1" in err
 
     @pytest.mark.parametrize("args", [
+        ("henon-atlas", "--kernel", "henon-lyap", "--grid", "3x3", "--n"),
+        ("swallow", "--grid", "3x3", "--steps"),
+        ("embed-swallow", "--grid", "3x3", "--steps"),
+    ], ids=lambda args: f"{args[0]} {args[-1]}")
+    def test_step_counts_above_float64_integers(self, capsys, args):
+        # payload steps are float64: 2**53 + 1 would not round-trip
+        for count in ("100000000000000000000", str(2**53 + 1)):
+            rc, out, err = call(capsys, *args, count, "--workers", "1")
+            assert (rc, out) == (2, "")
+            assert err == f"error: {args[-1][2:]} must be at most 2**53, got {count}\n"
+
+    def test_step_count_bound_is_inclusive(self):
+        # every orbit leaves at step 1, so 2**53 steps finish at once
+        r = sweep("swallow-escape", 2, 2, (5.0, 6.0), (5.0, 6.0),
+                  params={"steps": 2**53}, workers=1)
+        assert r.values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("args", [
         ("crossmap", "--word", "e,e", "--a", "-1.86", "--b", "0"),
         ("renorm", "--word", "e,e", "--a", "-1.86", "--b", "0.001"),
         ("henon-atlas", "--kernel", "renorm-strip", "--word", "e,e", "--grid", "2x2",

@@ -18,11 +18,18 @@ from henonlab.crossmap import (
     eval_cross_jet,
     eval_cross_param_jet,
     factorize_chain,
+    factorize_chains,
     hyperbolicity_check,
     shoot_oracle,
     slice_image,
 )
-from henonlab.errors import BranchError, ConvergenceError, DomainError, NonMonotoneError
+from henonlab.errors import (
+    BranchError,
+    ConvergenceError,
+    DomainError,
+    HenonLabError,
+    NonMonotoneError,
+)
 from henonlab.henon import (
     ZERO_FIELD,
     Field2,
@@ -70,6 +77,23 @@ class TestClosedForm:
         f = build_map("sine-perturbed", a=-1.95, b=0.01)
         with pytest.raises(DomainError):
             factorize_chain(f, "s-")
+
+    @pytest.mark.parametrize("words", [("c1", "c1,bm0,bm0"), ("e", "zz"), ("c1", "zz"),
+                                       ("c1,bm0", "e")])
+    @pytest.mark.parametrize("a", [-1.95, -1.86, -1.7, 0.0, 0.3])
+    def test_chains_of_several_words_match_one_at_a_time(self, words, a):
+        def outcome(make):
+            try:
+                return [(ch.henon, ch.piece) for ch in make()]
+            except HenonLabError as exc:
+                return (type(exc), str(exc))
+
+        for f in (HenonMap(a, 1e-3), build_map("sine-perturbed", a=a, b=0.01)):
+            def one_at_a_time():
+                for word in words:
+                    yield factorize_chain(f, word)
+
+            assert outcome(lambda: factorize_chains(f, words)) == outcome(one_at_a_time)
 
 
 class TestChainVsShoot:

@@ -10,13 +10,14 @@ import pytest
 from henonlab import maps1d
 from hypothesis import given, settings, strategies as st
 
-from henonlab.errors import DomainError, LadderError, ProductError, WordError
+from henonlab.errors import DomainError, HenonLabError, LadderError, ProductError, WordError
 from henonlab.maps1d import (
     dalpha2_da,
     iterate_quad,
     ladder,
     parse_word,
     piece_1d,
+    pieces_1d,
     quad,
     special_parameters,
     star,
@@ -302,6 +303,58 @@ def test_shared_factors_build_the_same_piece(word):
         kinds.add(expected.split("(")[0].split(":")[0])
     assert {"Piece1D", "LadderError"} <= kinds
     assert ("ProductError" in kinds) == ("b" in word)
+
+
+#: Word lists built at one a together: the embed-compare pair, the core
+#: width's c levels, the cone certificate's alphabet at j = 1, and lists
+#: with an order-zero word or a malformed one after a good one.
+PIECE_LISTS = [
+    ("c1", "c1,bm0,bm0"),
+    ("c2", "c3"),
+    ("s-", "s+", "bm0", "bp0", "bm1", "bp1", "c3", "c0"),
+    ("c1,bp0,bm0", "c1,bm0", "c2,bp1,bm0"),
+    ("e", "c1", "zz", "c2"),
+]
+
+
+def _one_by_one(words, a):
+    """``piece_1d`` of each word in turn up to the first error, which is
+    recorded by class and message."""
+    out = []
+    for word in words:
+        try:
+            out.append(piece_1d(word, a))
+        except HenonLabError as exc:
+            return out + [(type(exc).__name__, str(exc))]
+    return out
+
+
+def _together(words, a):
+    out = []
+    try:
+        out.extend(pieces_1d(words, a))
+    except HenonLabError as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("words", PIECE_LISTS)
+def test_pieces_1d_match_one_word_at_a_time(words):
+    kinds = set()
+    for k in range(2001):
+        a = -2.1 + 2.4 * k / 2000  # up to 0.3, past the fixed points' 1/4
+        expected = _one_by_one(words, a)
+        assert _together(words, a) == expected
+        kinds.add(expected[-1][0] if isinstance(expected[-1], tuple) else "Piece1D")
+    assert {"LadderError", "DomainError"} <= kinds
+    assert ("WordError" in kinds) == ("Piece1D" not in kinds) == ("zz" in words)
+
+
+def test_pieces_1d_builds_each_word_when_asked():
+    pieces = pieces_1d(("c1", "zz"), -1.86)
+    assert next(pieces) == piece_1d("c1", -1.86)
+    with pytest.raises(WordError):
+        next(pieces)
 
 
 def test_parse_word_errors():

@@ -371,6 +371,12 @@ def equal_pair():
 
 
 class TestMultiWord:
+    def test_normalization_checked_first(self):
+        # at a = 0.3 the ladder has no fixed points, so building a piece first
+        # would raise a different DomainError
+        with pytest.raises(DomainError, match="xi-normalized"):
+            multi_renormalize(build_map("sine-perturbed", 0.3, 0.01), ("c1", "zz"))
+
     @pytest.mark.parametrize("words", [(), ("c1",), ("c1", "c1", "c1")],
                              ids=["none", "one", "three"])
     def test_word_count_validated(self, words):

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from henonlab import strips
 from henonlab.crossmap import ConeSpec
 from henonlab.errors import DomainError, ProductError
-from henonlab.henon import HenonMap, apply_map
+from henonlab.henon import HenonMap, apply_map, evaluate
 from henonlab.maps1d import ladder, piece_1d
 from henonlab.strips import (
     K0_LABELS,
@@ -175,6 +176,15 @@ class TestVerifyCones:
         report = verify_cones(lattice_degenerate.henon, box, ConeSpec(eta=0.5))
         assert not report.ok
         assert report.margin == 0.0
+
+    def test_reports_match_evaluate_jacobian(self, monkeypatch, lattice_195,
+                                             lattice_195_degenerate, lattice_degenerate):
+        cases = [(lattice_195.henon, build_piece(lattice_195, "s-").box, 0.3),
+                 (lattice_195_degenerate.henon, build_piece(lattice_195_degenerate, "s-").box, 0.3),
+                 (lattice_degenerate.henon, build_box(lattice_degenerate, "e"), 0.5)]
+        reports = [verify_cones(f, box, ConeSpec(eta=eta)) for f, box, eta in cases]
+        monkeypatch.setattr(strips, "jacobian", lambda f, z: evaluate(f, z).jacobian)
+        assert [verify_cones(f, box, ConeSpec(eta=eta)) for f, box, eta in cases] == reports
 
 
 class TestExport:
