@@ -31,8 +31,9 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from multiprocessing import Value
 from typing import Callable, Mapping
 
 import numpy as np
@@ -922,6 +923,36 @@ def _block_payload(cfg: Mapping, rows: range) -> tuple:
     return _BLOCK_KERNELS[kernel](a, b, params)
 
 
+#: The block counter of the sweep a pool child serves.  A synchronized value
+#: reaches a child only by inheritance, so the pool's initializer sets it.
+_child_counter = None
+
+
+def _share_counter(counter) -> None:
+    global _child_counter
+    _child_counter = counter
+
+
+def _drain(cfg: Mapping, blocks: list[range], counter=None) -> dict[int, tuple]:
+    """Compute blocks until none is left, each time claiming the lowest
+    unclaimed one from the shared counter (by default a pool child's):
+    {block index: payload}.  A block that raises moves the counter past the
+    last block, so that every process stops after the block it is on."""
+    counter = _child_counter if counter is None else counter
+    done = {}
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= len(blocks):
+            return done
+        try:
+            done[k] = _block_payload(cfg, blocks[k])
+        except BaseException:
+            counter.value = len(blocks)
+            raise
+
+
 def _gather(payloads: list, cfg: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """The raster's (tags, values) from its blocks' results in row order:
     stacked, or for embed-compare the orbit checks over every block's tracks."""
@@ -942,13 +973,18 @@ def sweep(
 ) -> Raster:
     """Rasterize a kernel over a parameter rectangle, one kernel call per block of rows.
 
-    Blocks are computed independently from immutable configuration, in the
-    pool when ``workers`` > 1, and gathered in row order (``_gather``).  For
+    ``workers`` processes compute the blocks, the calling process being one
+    of them: it forks min(workers, blocks) - 1 pool children, and each
+    process claims the lowest unclaimed block from a shared counter until
+    none is left (``_drain``).  ``None`` (auto) means one process per CPU
+    this process may run on.  Blocks are computed independently from
+    immutable configuration and gathered in row order (``_gather``).  For
     embed-compare the blocks return their tracks, and the orbit checks then
-    run here, once over every tracked pixel; workers = 1 goes the same way.
-    No pixel depends on the block it falls in, so the result is identical
+    run here, once over every tracked pixel.  No pixel depends on the block
+    it falls in or the process that computed it, so the result is identical
     for every worker count.  Per-pixel numerical failures become
-    error-tagged payloads; only configuration mistakes raise.
+    error-tagged payloads; only configuration mistakes raise, and the first
+    block to raise stops every process after its current block.
     """
     if kernel not in KERNELS:
         raise DomainError(f"unknown kernel {kernel!r}; known: {KERNELS}")
@@ -970,7 +1006,8 @@ def sweep(
     if "radius" in params and not float(params["radius"]) > 0.0:
         raise DomainError(f"escape radius must be positive, got {params['radius']}")
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     if kernel == "renorm-strip":
@@ -992,14 +1029,15 @@ def sweep(
         )
 
     blocks = _row_blocks(cfg, workers)
-    task = partial(_block_payload, cfg)
-    if workers == 1:
-        payloads = list(map(task, blocks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(task, blocks,
-                                     chunksize=max(1, len(blocks) // (4 * workers))))
-    tags, values = _gather(payloads, cfg)
+    counter = Value("q", 0)
+    children = min(workers, len(blocks)) - 1
+    with (ProcessPoolExecutor(children, initializer=_share_counter, initargs=(counter,))
+          if children else nullcontext()) as pool:
+        futures = [pool.submit(_drain, cfg, blocks) for _ in range(children)]
+        done = _drain(cfg, blocks, counter)
+        for future in futures:
+            done.update(future.result())
+    tags, values = _gather([done[k] for k in range(len(blocks))], cfg)
     return Raster(width, height, a_range, b_range, kernel, tags, values)
 
 

@@ -213,7 +213,8 @@ def _raster_options(kernels: tuple[str, ...], default_kernel: str) -> tuple[Opti
         Option("colormap", _parse_choice("auto", *sorted(COLORMAPS)), "auto",
                "colormap name"),
         Option("out", _parse_str, "-", "output path, - for stdout"),
-        Option("workers", _parse_auto_int, "auto", "process count, auto = all cores"),
+        Option("workers", _parse_auto_int, "auto",
+               "processes computing rows, this one included; auto = the CPUs it may use"),
     )
 
 
@@ -539,7 +540,8 @@ _register(Command(
         Option("colormap", _parse_choice("auto", *sorted(COLORMAPS)), "auto",
                "colormap name"),
         Option("out", _parse_str, "-", "output path, - for stdout"),
-        Option("workers", _parse_auto_int, "auto", "process count, auto = all cores"),
+        Option("workers", _parse_auto_int, "auto",
+               "processes computing rows, this one included; auto = the CPUs it may use"),
     ),
     _run_embed,
 ))

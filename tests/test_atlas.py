@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import platform
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -860,6 +861,23 @@ def test_figures_swallow_ppm_bytes_pinned():
     assert hashlib.sha256(render_ppm(r)).hexdigest() == FIGURES_SWALLOW_PPM_SHA256
 
 
+#: SHA-256 of the 50x50 henon-lyap CSV at the benchmark's figures settings,
+#: and the host it was recorded on: the exponents sum ``np.log`` of
+#: ``np.hypot``, which go through the platform's libm, so another numpy
+#: build or CPU may move the bytes.
+FIGURES_LYAP_CSV_SHA256 = "98ce58328a050bc087d0148430f101a9e0040cd5e0058f68d21e5489e848f0d0"
+FIGURES_LYAP_CSV_HOST = {"numpy": "2.4.6", "machine": "x86_64"}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_figures_lyap_csv_bytes_pinned(workers):
+    r = sweep("henon-lyap", 50, 50, *HENON_WINDOW,
+              params={"map": "standard", "m": 1, "n": 10_000, "radius": 10.0}, workers=workers)
+    host = {"numpy": np.__version__, "machine": platform.machine()}
+    digest = hashlib.sha256(render_csv(r).encode("ascii")).hexdigest()
+    assert digest == FIGURES_LYAP_CSV_SHA256, f"recorded on {FIGURES_LYAP_CSV_HOST}, run on {host}"
+
+
 #: SHA-256 of the 21x21 embed-compare PPM at the benchmark's embed-swallow
 #: settings, and the host it was recorded on: the chart scales take ``**``
 #: of the cross-map slopes, which goes through the platform's libm, so
@@ -1331,6 +1349,32 @@ class TestChunkedEmbedChecks:
             assert set((left[:300][left[:300] > 0] - 1) % chunk) == set(range(chunk))
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools ``sweep`` creates, each recording whether it was shut down."""
+    created = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.was_shut_down = False
+            created.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.was_shut_down = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(atlas, "ProcessPoolExecutor", RecordingPool)
+    return created
+
+
+def _await_file(path, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.001)
+
+
 class TestDeterminism:
     def test_pool_matches_serial_for_vector_kernel(self):
         serial = sweep("swallow-lyap", 16, 12, params={"n": 300}, workers=1)
@@ -1345,24 +1389,122 @@ class TestDeterminism:
         assert serial == pooled
 
 
-    def test_pool_shut_down_when_a_row_raises(self, monkeypatch):
-        pools = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.was_shut_down = False
-                pools.append(self)
-
-            def shutdown(self, *args, **kwargs):
-                self.was_shut_down = True
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(atlas, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_shut_down_when_a_row_raises(self, monkeypatch, pools, tmp_path):
         with pytest.raises(DomainError):
             sweep("henon-escape", 2, 2, params={"map": "no-such-map"}, workers=2)
         assert len(pools) == 1
         assert pools[0].was_shut_down
+
+        # 24 one-row blocks; the calling process fails on its first, once the
+        # child is busy with one of its own
+        log, started = tmp_path / "log", tmp_path / "started"
+        caller, kernel = os.getpid(), atlas._BLOCK_KERNELS["swallow-escape"]
+
+        def failing(a, b, params):
+            if os.getpid() == caller:
+                _await_file(started)
+                with open(log, "a", encoding="ascii") as fh:
+                    fh.write("failed\n")
+                raise DomainError("the calling process's block")
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write("started\n")
+            started.touch()
+            time.sleep(0.02)
+            return kernel(a, b, params)
+
+        monkeypatch.setitem(atlas._BLOCK_KERNELS, "swallow-escape", failing)
+        monkeypatch.setattr(atlas, "_BLOCK_PIXELS", 4)
+        with pytest.raises(DomainError, match="calling process"):
+            sweep("swallow-escape", 4, 24, params={"steps": 10}, workers=2)
+        assert len(pools) == 2 and pools[1].was_shut_down
+        events = log.read_text(encoding="ascii").split()
+        # the child may have claimed one block before the counter moved
+        assert events.count("failed") == 1
+        assert events[events.index("failed"):].count("started") <= 1
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch, pools, tmp_path):
+        failed = tmp_path / "failed"
+        caller, kernel = os.getpid(), atlas._BLOCK_KERNELS["swallow-escape"]
+
+        def failing(a, b, params):
+            if os.getpid() == caller:
+                _await_file(failed)
+                return kernel(a, b, params)
+            failed.touch()
+            raise DomainError("a child's block")
+
+        monkeypatch.setitem(atlas._BLOCK_KERNELS, "swallow-escape", failing)
+        with pytest.raises(DomainError, match="child's block"):
+            sweep("swallow-escape", 4, 4, params={"steps": 10}, workers=2)
+        assert len(pools) == 1 and pools[0].was_shut_down
+
+    @pytest.mark.parametrize("size, workers, blocks, children", [
+        ((200, 200), 2, 3, [1]),
+        ((200, 200), 3, 3, [2]),
+        ((4, 3), 8, 3, [2]),
+        ((4, 3), 1, 1, []),
+        ((8192, 4), 1, 2, []),
+    ], ids=["200x200-w2", "200x200-w3", "4x3-w8", "4x3-w1", "8192x4-w1"])
+    def test_pool_children_are_the_other_workers(self, pools, size, workers, blocks, children):
+        cfg = {"width": size[0], "height": size[1]}
+        assert len(atlas._row_blocks(cfg, workers)) == blocks
+        sweep("swallow-escape", *size, params={"steps": 10}, workers=workers)
+        assert [pool._max_workers for pool in pools] == children
+
+    @pytest.mark.parametrize("affinity, cpus, children", [
+        ({0}, 4, []),
+        ({0, 1}, 4, [1]),
+        (None, 1, []),
+        (None, None, []),
+    ], ids=["one-cpu", "two-cpus", "no-affinity-one-cpu", "no-affinity-unknown"])
+    def test_auto_workers_follow_cpu_affinity(self, monkeypatch, pools, affinity, cpus, children):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sweep("swallow-escape", 4, 4, params={"steps": 10})
+        assert [pool._max_workers for pool in pools] == children
+
+    @pytest.mark.parametrize("size, workers, pixels, blocks", [
+        ((200, 200), 2, atlas._BLOCK_PIXELS, 3),
+        ((16, 12), 2, 16, 12),
+        ((16, 12), 3, 16, 12),
+    ], ids=["200x200-w2", "16x12-w2", "16x12-w3"])
+    def test_every_block_computed_once_in_row_order(self, monkeypatch, tmp_path,
+                                                    size, workers, pixels, blocks):
+        # the figures' 200x200 has 81 rows per block at 2 workers; a block of
+        # 16 pixels holds one row of the 16x12
+        log = tmp_path / "blocks"
+        payload = atlas._block_payload
+
+        def logged(cfg, rows):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{rows.start}\n")
+            return payload(cfg, rows)
+
+        monkeypatch.setattr(atlas, "_block_payload", logged)
+        monkeypatch.setattr(atlas, "_BLOCK_PIXELS", pixels)
+        params = {"steps": 2000, "radius": 10.0}
+        r = sweep("swallow-escape", *size, *SWALLOW_WINDOW, params=params, workers=workers)
+        expected = atlas._row_blocks({"width": size[0], "height": size[1]}, workers)
+        assert len(expected) == blocks
+        assert sorted(int(k) for k in log.read_text(encoding="ascii").split()) == [
+            rows.start for rows in expected]
+        monkeypatch.undo()
+        serial = sweep("swallow-escape", *size, *SWALLOW_WINDOW, params=params, workers=1)
+        assert r == serial
+        assert render_ppm(r) == render_ppm(serial)
+
+    @pytest.mark.parametrize("kernel, params", [
+        ("swallow-escape", {"steps": 300}),
+        ("henon-lyap", {"n": 300}),
+        ("embed-compare", {}),
+    ])
+    def test_workers_above_the_row_count(self, kernel, params):
+        serial = sweep(kernel, 9, 3, params=params, workers=1)
+        r = sweep(kernel, 9, 3, params=params, workers=5)
+        assert render_csv(r) == render_csv(serial)
 
 
 class TestEmission:
