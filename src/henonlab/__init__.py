@@ -13,6 +13,8 @@ strips    stable-leaf lattice, tame boxes, cone verification, 2-D products
 renorm    tangency data, single and two-word renormalization, windows,
           twins, cone-expansion certification
 atlas     deterministic parameter-plane rasters and PPM/CSV emission
+embed     the raster kernels that renormalize: renorm-strip and the
+          embed-compare agreement test
 cli       command-line frontend
 
 The scalar references that the tests compare these modules against live in

@@ -20,8 +20,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .atlas import COLORMAPS, compare_summary, emit, sweep
+from .atlas import COLORMAPS, emit, sweep
 from .crossmap import eval_cross, factorize_chain
+from .embed import compare_summary
 from .errors import (
     DomainError,
     HenonLabError,
@@ -200,6 +201,16 @@ _MAP_OPTIONS = (
 )
 
 
+#: Where a raster command's output goes, and how many processes compute it.
+_OUTPUT_OPTIONS = (
+    Option("format", _parse_choice("ppm", "csv"), "ppm", "output format"),
+    Option("colormap", _parse_choice("auto", *sorted(COLORMAPS)), "auto", "colormap name"),
+    Option("out", _parse_str, "-", "output path, - for stdout"),
+    Option("workers", _parse_auto_int, "auto",
+           "processes computing rows, this one included; auto = the CPUs it may use"),
+)
+
+
 def _raster_options(kernels: tuple[str, ...], default_kernel: str) -> tuple[Option, ...]:
     return (
         Option("kernel", _parse_choice(*kernels), default_kernel, "pixel kernel"),
@@ -209,13 +220,7 @@ def _raster_options(kernels: tuple[str, ...], default_kernel: str) -> tuple[Opti
         Option("steps", _parse_int, "2000", "escape-classification iteration cap"),
         Option("n", _parse_int, "10000", "growth-exponent iteration count"),
         Option("radius", _parse_float, "10", "escape radius"),
-        Option("format", _parse_choice("ppm", "csv"), "ppm", "output format"),
-        Option("colormap", _parse_choice("auto", *sorted(COLORMAPS)), "auto",
-               "colormap name"),
-        Option("out", _parse_str, "-", "output path, - for stdout"),
-        Option("workers", _parse_auto_int, "auto",
-               "processes computing rows, this one included; auto = the CPUs it may use"),
-    )
+    ) + _OUTPUT_OPTIONS
 
 
 def _build(typed: Mapping[str, object], a: float, b: float):
@@ -536,13 +541,7 @@ _register(Command(
         Option("tol", _parse_float, "1e-6", "target-tracking tolerance"),
         Option("seed", _parse_auto_pair, "auto", "tracking start as A,B"),
         Option("m", _parse_int, "1", "multiplicity exponent of b"),
-        Option("format", _parse_choice("ppm", "csv"), "ppm", "output format"),
-        Option("colormap", _parse_choice("auto", *sorted(COLORMAPS)), "auto",
-               "colormap name"),
-        Option("out", _parse_str, "-", "output path, - for stdout"),
-        Option("workers", _parse_auto_int, "auto",
-               "processes computing rows, this one included; auto = the CPUs it may use"),
-    ),
+    ) + _OUTPUT_OPTIONS,
     _run_embed,
 ))
 

@@ -19,7 +19,7 @@ one bracketed secant solve, whose first secant partner is a bracket end.
 ``newton2`` takes a step already within tolerance whole, so from a
 converged seed it costs two evaluations; ``renorm.multi_renormalize``
 takes its first step itself and skips the second evaluation, so the
-tracked anchor solves of ``atlas``, which start from the anchors its secant
+tracked anchor solves of ``embed``, which start from the anchors its secant
 model predicts, cost one evaluation when the prediction holds.  Plain
 ``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
 and the window edges of ``renorm.renorm_window``.

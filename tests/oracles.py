@@ -225,7 +225,7 @@ def reverse_eval(
 
 # ---------------------------------------------------------------------------
 # the embed-compare orbit checks one composed step per orbit-loop step: the
-# forms that ``atlas._direct_bounded`` and ``atlas._predicted_bounded`` chunk
+# forms that ``embed._direct_bounded`` and ``embed._predicted_bounded`` chunk
 # ---------------------------------------------------------------------------
 
 def embed_direct_left(orbits: np.ndarray, period: int, n_composed: int,

@@ -12,7 +12,7 @@ import time
 import pytest
 from scipy.optimize import brentq
 
-from henonlab.atlas import compare_summary, render_csv, render_ppm, sweep
+from henonlab.atlas import render_csv, render_ppm, sweep
 from henonlab.crossmap import (
     ConeSpec,
     det_identity,
@@ -23,6 +23,7 @@ from henonlab.crossmap import (
     shoot_oracle,
     slice_image,
 )
+from henonlab.embed import compare_summary
 from henonlab.errors import NoCrossingError
 from henonlab.henon import HenonMap
 from henonlab.maps1d import (

@@ -1,7 +1,8 @@
 """Every name a module exports through ``__all__`` must exist, every
 defaulted parameter of an exported function is set by some call, the scalar
-modules load without numpy, ``henon`` loads without ``maps1d``, and every
-function perfbench's tracer rebinds exists."""
+modules load without numpy, ``henon`` loads without ``maps1d``, an orbit
+raster loads no chain code, and every function perfbench's tracer rebinds
+exists."""
 
 import ast
 import importlib
@@ -103,6 +104,18 @@ def test_renorm_imports_no_numpy():
 def test_henon_imports_no_maps1d():
     # the Henon maps need nothing of the quadratic-family core
     assert not _loads("henonlab.henon", "henonlab.maps1d")
+
+
+def test_orbit_rasters_load_no_chain_code():
+    # only the kernels that renormalize import the chain solvers
+    code = ("import sys, henonlab.atlas as atlas; "
+            "atlas.sweep('swallow-escape', 2, 2, workers=1); "
+            "print([name for name in ('henonlab.renorm', 'henonlab.crossmap', 'henonlab.embed') "
+            "if name in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_tracer_targets_resolve():

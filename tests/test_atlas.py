@@ -1,7 +1,9 @@
 """Raster kernels, worker determinism, and emission round-trips."""
 
+import dataclasses
 import hashlib
 import math
+import multiprocessing
 import os
 import platform
 import time
@@ -12,11 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from henonlab import atlas, crossmap, renorm
+from henonlab import atlas, crossmap, embed, renorm
 from henonlab.atlas import (
     COLORMAPS,
-    DEFAULT_COLORMAPS,
-    DEFAULT_RANGES,
     KERNELS,
     TAG_AGREE,
     TAG_BODY,
@@ -28,12 +28,12 @@ from henonlab.atlas import (
     TAG_NAMES,
     TAG_WING,
     Raster,
-    compare_summary,
     emit,
     render_csv,
     render_ppm,
     sweep,
 )
+from henonlab.embed import compare_summary
 from henonlab.errors import DomainError, HenonLabError
 from henonlab.henon import MAP_REGISTRY, HenonMap, build_map
 from henonlab.maps1d import swallow_classify
@@ -261,8 +261,8 @@ def _frozen_embed_jacobian(x, anchors, base, words, m):
     """Finite-difference 2x2 Jacobian of the rescaled-parameter pair, and the
     anchors of its last evaluation."""
     h = 1e-9
-    md_a = atlas._embed_eval((x[0] + h, x[1]), anchors, words, m)
-    md_b = atlas._embed_eval((x[0], x[1] + h), md_a.c, words, m)
+    md_a = embed._embed_eval((x[0] + h, x[1]), anchors, words, m)
+    md_b = embed._embed_eval((x[0], x[1] + h), md_a.c, words, m)
     return (
         (md_a.abar[0] - base[0]) / h,
         (md_b.abar[0] - base[0]) / h,
@@ -280,7 +280,7 @@ def _frozen_embed_solve(target, x, anchors, J, cfg, max_iter=12):
     md = None
     try:
         for attempt in range(max_iter):
-            md = atlas._embed_eval(x, anchors, words, m)
+            md = embed._embed_eval(x, anchors, words, m)
             anchors = md.c
             g = (md.abar[0] - target[0], md.abar[1] - target[1])
             if max(abs(g[0]), abs(g[1])) <= tol:
@@ -293,8 +293,8 @@ def _frozen_embed_solve(target, x, anchors, J, cfg, max_iter=12):
             dx = (J[3] * g[0] - J[1] * g[1]) / det
             dy = (J[0] * g[1] - J[2] * g[0]) / det
             size = math.hypot(dx, dy)
-            if size > atlas._EMBED_STEP_CAP:
-                scale = atlas._EMBED_STEP_CAP / size
+            if size > embed._EMBED_STEP_CAP:
+                scale = embed._EMBED_STEP_CAP / size
                 dx *= scale
                 dy *= scale
             x = (x[0] - dx, x[1] - dy)
@@ -319,7 +319,7 @@ def _frozen_row_states(a_targets, b_targets, cfg):
 
 
 def _frozen_walk(targets, x, anchors, J, cfg):
-    """The frozen-Jacobian walk along a row, yielding like ``atlas._embed_walk``.
+    """The frozen-Jacobian walk along a row, yielding like ``embed._embed_walk``.
     Every track starts with a fresh renormalization at its starting point, and
     a failed track drops the Jacobian."""
     for target in targets:
@@ -446,10 +446,15 @@ class TestGeometry:
             a, b = (float(v) for v in line.split(",")[:2])
             assert (a, b) == r.pixel_center(i, j)
 
-    @pytest.mark.parametrize("key, value", [("steps", -5), ("steps", 0), ("n", 0)])
+    @pytest.mark.parametrize("key, value", [
+        ("steps", -5), ("steps", 0), ("n", 0),
+        ("steps", math.nan), ("steps", "x"), ("n", math.inf), ("m", math.nan),
+        ("radius", "x"), ("radius", math.nan),
+    ])
     def test_nonpositive_iteration_counts_rejected(self, key, value):
-        with pytest.raises(DomainError):
-            sweep("swallow-escape", 2, 2, params={key: value})
+        for kernel in ("swallow-escape", "henon-lyap"):
+            with pytest.raises(DomainError):
+                sweep(kernel, 2, 2, params={key: value}, workers=1)
 
     @pytest.mark.parametrize("kernel", ["henon-escape", "henon-lyap", "renorm-strip",
                                         "embed-compare"])
@@ -692,7 +697,9 @@ class TestOrbitKernelOracle:
     def test_block_heights_match_row_oracle(self, kernel, a_range, b_range, params, block):
         a = atlas._a_centers(a_range, self.WIDTH)
         b = atlas._b_centers(b_range, self.HEIGHT)
-        parts = [atlas._BLOCK_KERNELS[kernel](a, b[lo:lo + block], params)
+        spec = KERNELS[kernel]
+        prepared = spec.prepare(params, a, b)
+        parts = [spec.block(a, b[lo:lo + block], prepared, range(lo, min(lo + block, self.HEIGHT)))
                  for lo in range(0, self.HEIGHT, block)]
         tags = np.concatenate([t for t, _ in parts])
         values = np.concatenate([v for _, v in parts])
@@ -791,6 +798,7 @@ class TestOrbitRetirement:
         width, height = size or (self.WIDTH, self.HEIGHT)
         with monkeypatch.context() as mp:
             mp.setattr(atlas, "_run_orbits", run_orbits)
+            mp.setattr(embed, "_run_orbits", run_orbits)
             return sweep(kernel, width, height, a_range=a_range, b_range=b_range,
                          params=params, workers=1)
 
@@ -977,12 +985,12 @@ class TestEmbedCompareOracle:
 
     @staticmethod
     def oracle(width, height, window, params, frozen=False):
-        a_range, b_range = (window, window) if window else atlas.DEFAULT_RANGES["embed-compare"]
-        cfg = atlas._embed_config(params)
+        a_range, b_range = (window, window) if window else KERNELS["embed-compare"].window
         a = atlas._a_centers(a_range, width)
         b = atlas._b_centers(b_range, height)
+        cfg = embed._embed_config(params, a, b)
         row_states, walk = ((_frozen_row_states, _frozen_walk) if frozen
-                            else (atlas._embed_row_states, atlas._embed_walk))
+                            else (embed._embed_row_states, embed._embed_walk))
         rows = []
         for b_i, state in zip(b, row_states(a, b, cfg)):
             targets = [(float(a_j), float(b_i)) for a_j in a]
@@ -1016,7 +1024,7 @@ class TestEmbedCompareOracle:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(atlas, "multi_renormalize")
+        counted(embed, "multi_renormalize")
         counted(renorm, "eval_cross_jet")
         counted(crossmap, "eval_cross")
         counted(renorm, "eval_cross")
@@ -1030,9 +1038,9 @@ class TestEmbedCompareOracle:
         assert calls["eval_cross"] <= 2024
 
     def test_fresh_evaluation_after_a_failed_track(self, monkeypatch):
-        a = atlas._a_centers(atlas.DEFAULT_RANGES["embed-compare"][0], 5)
+        a = atlas._a_centers(KERNELS["embed-compare"].window[0], 5)
         given = []
-        solve = atlas._embed_solve
+        solve = embed._embed_solve
 
         def fail_middle_column(target, x, anchors, model, cfg, max_iter=12, md=None, guess=None):
             out = solve(target, x, anchors, model, cfg, max_iter, md, guess)
@@ -1041,7 +1049,7 @@ class TestEmbedCompareOracle:
             given.append((md is not None, model is not None))
             return None if target[0] == a[2] else out
 
-        monkeypatch.setattr(atlas, "_embed_solve", fail_middle_column)
+        monkeypatch.setattr(embed, "_embed_solve", fail_middle_column)
         r = sweep("embed-compare", 5, 2, workers=1)
         assert [list(row).count(TAG_ERROR) for row in r.tags] == [1, 1]
         # each row's first pixel and the pixel after the failed one start afresh,
@@ -1091,7 +1099,7 @@ class TestConvergedSeedAnchorSolve:
     """The anchor solve stops at a converged seed: the anchors are
     ``newton2``'s first iterate, bit for bit, without evaluating there."""
 
-    WORDS = atlas._EMBED_WORDS
+    WORDS = embed._EMBED_WORDS
 
     @pytest.mark.parametrize("width, height, window, params", EMBED_ORACLE_CASES)
     def test_rasters_match_newton2_oracle(self, monkeypatch, width, height, window, params):
@@ -1107,7 +1115,7 @@ class TestConvergedSeedAnchorSolve:
 
     @pytest.mark.parametrize("offset", [1e-11, -3e-10])
     def test_converged_seed_costs_one_jet_per_word(self, monkeypatch, offset):
-        f = HenonMap(*atlas._EMBED_SEED)
+        f = HenonMap(*embed._EMBED_SEED)
         anchors = multi_renormalize(f, self.WORDS).c
         seed = (anchors[0] * (1.0 + offset), anchors[1] * (1.0 - offset))
         calls = {"eval_cross_jet": 0}
@@ -1126,14 +1134,14 @@ class TestConvergedSeedAnchorSolve:
     def test_tracked_solves_match_newton2_oracle(self, monkeypatch):
         # every anchor solve of the serial 21x21 sweep, solved again both ways
         solves = []
-        solve = atlas.multi_renormalize
+        solve = embed.multi_renormalize
 
         def recorded(f, words, anchor_seed=None, anchor_rtol=1e-12):
             solves.append((f, words, anchor_seed, anchor_rtol))
             return solve(f, words, anchor_seed, anchor_rtol)
 
         with monkeypatch.context() as mp:
-            mp.setattr(atlas, "multi_renormalize", recorded)
+            mp.setattr(embed, "multi_renormalize", recorded)
             sweep("embed-compare", 21, 21, workers=1)
         jets = []
         for args in solves:
@@ -1163,7 +1171,7 @@ class TestConvergedSeedAnchorSolve:
 class TestEmbedCompareCounts:
     def test_serial_21x21_counts(self, monkeypatch):
         calls = {"multi_renormalize": 0, "eval_cross_jet": 0, "eval_cross": 0}
-        _counting(monkeypatch, calls, atlas, "multi_renormalize")
+        _counting(monkeypatch, calls, embed, "multi_renormalize")
         _counting(monkeypatch, calls, renorm, "eval_cross_jet")
         _counting(monkeypatch, calls, crossmap, "eval_cross")
         _counting(monkeypatch, calls, renorm, "eval_cross")
@@ -1176,14 +1184,14 @@ class TestEmbedCompareCounts:
         # each call appends its process id to a file, so calls made in a
         # pool worker, which has a copy of the wrapper, would show as well
         log = tmp_path / "pids"
-        run = atlas._run_orbits
+        run = embed._run_orbits
 
         def logged(*args, **kwargs):
             with open(log, "a", encoding="ascii") as fh:
                 fh.write(f"{os.getpid()}\n")
             return run(*args, **kwargs)
 
-        monkeypatch.setattr(atlas, "_run_orbits", logged)
+        monkeypatch.setattr(embed, "_run_orbits", logged)
         sweep("embed-compare", 7, 6, workers=workers)
         # the direct check and the prediction's composed orbits
         assert log.read_text(encoding="ascii").split() == [str(os.getpid())] * 2
@@ -1191,9 +1199,9 @@ class TestEmbedCompareCounts:
 
 def _per_step_checks(mp):
     """Patch the chunked embed-compare checks with the per-step references."""
-    mp.setattr(atlas, "_direct_bounded",
+    mp.setattr(embed, "_direct_bounded",
                lambda *args: embed_direct_left(*args) == 0)
-    mp.setattr(atlas, "_predicted_bounded",
+    mp.setattr(embed, "_predicted_bounded",
                lambda *args: embed_predicted_left(*args) == 0)
 
 
@@ -1202,7 +1210,7 @@ def embed_21x21_lanes():
     """The orbit rows, period and targets that the serial 21x21 sweep in the
     benchmark's window hands to its two checks."""
     seen = {}
-    direct, predicted = atlas._direct_bounded, atlas._predicted_bounded
+    direct, predicted = embed._direct_bounded, embed._predicted_bounded
 
     def record_direct(orbits, period, steps, r_esc):
         seen["direct"] = (orbits, period)
@@ -1213,8 +1221,8 @@ def embed_21x21_lanes():
         return predicted(first, second, steps, r_esc)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(atlas, "_direct_bounded", record_direct)
-        mp.setattr(atlas, "_predicted_bounded", record_predicted)
+        mp.setattr(embed, "_direct_bounded", record_direct)
+        mp.setattr(embed, "_predicted_bounded", record_predicted)
         sweep("embed-compare", 21, 21, (-2.1, 0.4), (-2.1, 0.4),
               params={"steps": 2000, "radius": 10.0}, workers=1)
     return seen
@@ -1308,8 +1316,8 @@ class TestChunkedEmbedChecks:
         first, second = embed_21x21_lanes["predicted"]
         # 441 lanes make chunks of 37: 2000 steps end on a chunk of 2
         assert atlas._BLOCK_PIXELS // len(orbits) == 37
-        direct = atlas._direct_bounded(orbits, period, steps, 10.0)
-        predicted = atlas._predicted_bounded(first, second, steps, 10.0)
+        direct = embed._direct_bounded(orbits, period, steps, 10.0)
+        predicted = embed._predicted_bounded(first, second, steps, 10.0)
         assert direct.tolist() == (embed_direct_left(orbits, period, steps, 10.0) == 0).tolist()
         assert predicted.tolist() == (embed_predicted_left(first, second, steps, 10.0)
                                       == 0).tolist()
@@ -1321,7 +1329,7 @@ class TestChunkedEmbedChecks:
     def test_synthetic_direct_lanes(self, steps, period):
         orbits = _direct_lanes()
         left = embed_direct_left(orbits, period, steps, 10.0)
-        got = atlas._direct_bounded(orbits, period, steps, 10.0)
+        got = embed._direct_bounded(orbits, period, steps, 10.0)
         assert got.tolist() == (left == 0).tolist()
         cycles, odd, on_repeat = got[-15:-10], got[-10:-2], got[-2:]
         assert cycles.all()
@@ -1341,7 +1349,7 @@ class TestChunkedEmbedChecks:
     def test_synthetic_predicted_lanes(self, steps):
         first, second = (np.array(v) for v in zip(*_PREDICTED_LANES))
         left = embed_predicted_left(first, second, steps, 10.0)
-        got = atlas._predicted_bounded(first, second, steps, 10.0)
+        got = embed._predicted_bounded(first, second, steps, 10.0)
         assert got.tolist() == (left == 0).tolist()
         assert got[300:306].all() and not got[-1]
         chunk = min(steps, atlas._BLOCK_PIXELS // len(first))
@@ -1398,9 +1406,9 @@ class TestDeterminism:
         # 24 one-row blocks; the calling process fails on its first, once the
         # child is busy with one of its own
         log, started = tmp_path / "log", tmp_path / "started"
-        caller, kernel = os.getpid(), atlas._BLOCK_KERNELS["swallow-escape"]
+        caller, kernel = os.getpid(), KERNELS["swallow-escape"]
 
-        def failing(a, b, params):
+        def failing(a, b, params, rows):
             if os.getpid() == caller:
                 _await_file(started)
                 with open(log, "a", encoding="ascii") as fh:
@@ -1410,9 +1418,9 @@ class TestDeterminism:
                 fh.write("started\n")
             started.touch()
             time.sleep(0.02)
-            return kernel(a, b, params)
+            return kernel.block(a, b, params, rows)
 
-        monkeypatch.setitem(atlas._BLOCK_KERNELS, "swallow-escape", failing)
+        monkeypatch.setitem(KERNELS, "swallow-escape", dataclasses.replace(kernel, block=failing))
         monkeypatch.setattr(atlas, "_BLOCK_PIXELS", 4)
         with pytest.raises(DomainError, match="calling process"):
             sweep("swallow-escape", 4, 24, params={"steps": 10}, workers=2)
@@ -1424,16 +1432,16 @@ class TestDeterminism:
 
     def test_child_exception_reaches_the_caller(self, monkeypatch, pools, tmp_path):
         failed = tmp_path / "failed"
-        caller, kernel = os.getpid(), atlas._BLOCK_KERNELS["swallow-escape"]
+        caller, kernel = os.getpid(), KERNELS["swallow-escape"]
 
-        def failing(a, b, params):
+        def failing(a, b, params, rows):
             if os.getpid() == caller:
                 _await_file(failed)
-                return kernel(a, b, params)
+                return kernel.block(a, b, params, rows)
             failed.touch()
             raise DomainError("a child's block")
 
-        monkeypatch.setitem(atlas._BLOCK_KERNELS, "swallow-escape", failing)
+        monkeypatch.setitem(KERNELS, "swallow-escape", dataclasses.replace(kernel, block=failing))
         with pytest.raises(DomainError, match="child's block"):
             sweep("swallow-escape", 4, 4, params={"steps": 10}, workers=2)
         assert len(pools) == 1 and pools[0].was_shut_down
@@ -1505,6 +1513,47 @@ class TestDeterminism:
         serial = sweep(kernel, 9, 3, params=params, workers=1)
         r = sweep(kernel, 9, 3, params=params, workers=5)
         assert render_csv(r) == render_csv(serial)
+
+
+class TestSpawnedChildren:
+    """Pool children that start a fresh interpreter (the spawn start method)
+    import what they run, ``embed`` included, and give the bytes of one
+    process."""
+
+    @pytest.mark.parametrize("kernel, width, height, a_range, b_range, params", [
+        pytest.param("embed-compare", 8, 6, None, None, {"steps": 300, "radius": 4.0},
+                     id="embed-short-small-radius-8x6"),
+        pytest.param("henon-lyap", 11, 7, *HENON_WINDOW,
+                     {"n": 300, "map": "sine-perturbed", "delta": 0.02},
+                     id="henon-lyap-sine-perturbed"),
+    ])
+    def test_spawned_child_gives_the_serial_bytes(self, monkeypatch, pools, kernel, width,
+                                                  height, a_range, b_range, params):
+        serial = sweep(kernel, width, height, a_range, b_range, params=params, workers=1)
+        assert len(atlas._row_blocks({"width": width, "height": height}, 2)) == 2
+        spawn = multiprocessing.get_context("spawn")
+        counters, make_counter = [], spawn.Value
+        payload = atlas._block_payload
+
+        def counter(*args):
+            counters.append(make_counter(*args))
+            return counters[-1]
+
+        def after_the_child_claims(cfg, rows):
+            # the calling process holds block 0 until the child has claimed
+            # block 1, so that the child computes a block
+            deadline = time.monotonic() + 120.0
+            while counters[0].value < 2:
+                assert time.monotonic() < deadline, "the child never claimed a block"
+                time.sleep(0.01)
+            return payload(cfg, rows)
+
+        monkeypatch.setattr(spawn, "Value", counter)
+        monkeypatch.setattr(atlas, "get_context", lambda: spawn)
+        monkeypatch.setattr(atlas, "_block_payload", after_the_child_claims)
+        r = sweep(kernel, width, height, a_range, b_range, params=params, workers=2)
+        assert [pool._mp_context.get_start_method() for pool in pools] == ["spawn"]
+        TestOrbitKernelOracle.assert_same_bytes(r.tags, r.values, (serial.tags, serial.values))
 
 
 class TestEmission:
@@ -1596,14 +1645,10 @@ class TestEmission:
             parse_csv(good + "0,0,bounded,0\n")
 
     def test_every_kernel_has_colormap(self):
-        for kernel in KERNELS:
-            assert DEFAULT_COLORMAPS[kernel] in COLORMAPS
+        assert len(KERNELS) == 6
+        for spec in KERNELS.values():
+            assert spec.colormap in COLORMAPS
         assert len(TAG_NAMES) == 8
-
-    def test_kernel_tables_name_the_same_kernels(self):
-        assert len(set(KERNELS)) == len(KERNELS) == 6
-        for table in (DEFAULT_RANGES, DEFAULT_COLORMAPS, atlas._BLOCK_KERNELS):
-            assert tuple(table) == KERNELS
 
     @settings(max_examples=40, deadline=None)
     @given(

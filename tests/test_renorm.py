@@ -38,7 +38,7 @@ from henonlab.renorm import (
     solve_mu_zero,
     twin_find,
 )
-from henonlab import atlas, crossmap, renorm
+from henonlab import crossmap, embed, renorm
 from henonlab.rootfind import bisect, newton2, newton_safeguarded
 from oracles import _defect_at, chart_scales, conjugate_rescale, delta_star
 
@@ -244,7 +244,7 @@ class TestRenormalize:
     def test_entry_point_comes_from_the_anchor_solve(self, monkeypatch, word):
         # renormalize reads A(c, c) off find_tangency's last jet instead of
         # solving the chain there once more
-        f = HenonMap(*atlas._EMBED_SEED)
+        f = HenonMap(*embed._EMBED_SEED)
 
         def count(run):
             calls = []
@@ -428,7 +428,7 @@ class TestMultiWord:
         elif cycle == "thick":
             md = multi_renormalize(_thick_chart().chain.henon, ("w=3", "w=3"))
         else:
-            md = multi_renormalize(HenonMap(*atlas._EMBED_SEED), atlas._EMBED_WORDS)
+            md = multi_renormalize(HenonMap(*embed._EMBED_SEED), embed._EMBED_WORDS)
         assert [g.hex() for g in md.gamma] == [g.hex() for g in chart_scales(md.sigma)]
 
     def test_degenerate_transition_keeps_the_entry(self):
