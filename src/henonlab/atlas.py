@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -370,9 +371,7 @@ def _map_config(params: Mapping) -> tuple[str, int, dict]:
     if name not in MAP_REGISTRY:
         raise DomainError(f"unknown map {name!r}; known: {sorted(MAP_REGISTRY)}")
     m = params["m"]
-    extra = {}
-    if "delta" in params:
-        extra["delta"] = float(params["delta"])
+    extra = {"delta": params["delta"]} if "delta" in params else {}
     return name, m, extra
 
 
@@ -512,10 +511,19 @@ def _block_henon_lyap(a: np.ndarray, b: np.ndarray, params: Mapping,
 # the kernel table
 # ---------------------------------------------------------------------------
 
+def _number(key: str, value) -> float:
+    """The value of parameter ``key`` as a float, or DomainError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{key} must be a number, got {value!r}") from None
+
+
 def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
-    """``params`` with the counts steps, n and m and the escape radius
-    checked and their defaults filled in.  This is the ``prepare`` of the
-    orbit kernels, which read nothing of the pixel centres a and b."""
+    """``params`` with the counts steps, n and m, the escape radius and any
+    perturbation amplitude delta checked and their defaults filled in.  This
+    is the ``prepare`` of the orbit kernels, which read nothing of the pixel
+    centres a and b."""
     checked = dict(params)
     # payload steps are float64, exact up to 2**53
     for key, default, top in (("steps", _DEFAULT_ESCAPE_STEPS, 2**53),
@@ -525,18 +533,19 @@ def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
             count = int(value)
         except (TypeError, ValueError, OverflowError):
             raise DomainError(f"{key} must be an integer, got {value!r}") from None
+        # int() truncates a number, but parses only an integral string
+        if count != value and not isinstance(value, str):
+            raise DomainError(f"{key} must be an integer, got {value!r}")
         if count < 1:
             raise DomainError(f"{key} must be at least 1, got {value}")
         if count > top:
             raise DomainError(f"{key} must be at most 2**53, got {value}")
         checked[key] = count
-    radius = params.get("radius", DEFAULT_ESCAPE_RADIUS)
-    try:
-        checked["radius"] = float(radius)
-    except (TypeError, ValueError):
-        raise DomainError(f"escape radius must be a number, got {radius!r}") from None
+    checked["radius"] = _number("radius", params.get("radius", DEFAULT_ESCAPE_RADIUS))
     if not checked["radius"] > 0.0:
-        raise DomainError(f"escape radius must be positive, got {radius}")
+        raise DomainError(f"escape radius must be positive, got {checked['radius']}")
+    if "delta" in params:
+        checked["delta"] = _number("delta", params["delta"])
     return checked
 
 
@@ -611,7 +620,7 @@ def _share_counter(counter) -> None:
 
 def _drain(cfg: Mapping, blocks: list[range], counter=None) -> dict[int, tuple]:
     """Compute blocks until none is left, each time claiming the lowest
-    unclaimed one from the shared counter (by default a pool child's):
+    unclaimed one from the block counter (by default a pool child's):
     {block index: payload}.  A block that raises moves the counter past the
     last block, so that every process stops after the block it is on."""
     counter = _child_counter if counter is None else counter
@@ -672,17 +681,20 @@ def sweep(
     cfg = {"kernel": kernel, "width": width, "height": height, "a_range": a_range,
            "b_range": b_range, "prepared": spec.prepare(params or {}, a, b)}
     blocks = _row_blocks(cfg, workers)
-    # the counter's lock must come from the start method of the pool's children
-    context = get_context()
-    counter = context.Value("q", 0)
     children = min(workers, len(blocks)) - 1
-    with (ProcessPoolExecutor(children, mp_context=context, initializer=_share_counter,
-                              initargs=(counter,))
-          if children else nullcontext()) as pool:
-        futures = [pool.submit(_drain, cfg, blocks) for _ in range(children)]
-        done = _drain(cfg, blocks, counter)
-        for future in futures:
-            done.update(future.result())
+    if not children:
+        # nothing to share the counter with, so no shared memory either
+        done = _drain(cfg, blocks, SimpleNamespace(value=0, get_lock=nullcontext))
+    else:
+        # the counter's lock must come from the start method of the pool's children
+        context = get_context()
+        counter = context.Value("q", 0)
+        with ProcessPoolExecutor(children, mp_context=context, initializer=_share_counter,
+                                 initargs=(counter,)) as pool:
+            futures = [pool.submit(_drain, cfg, blocks) for _ in range(children)]
+            done = _drain(cfg, blocks, counter)
+            for future in futures:
+                done.update(future.result())
     tags, values = spec.gather([done[k] for k in range(len(blocks))], cfg["prepared"], a, b)
     return Raster(width, height, a_range, b_range, kernel, tags, values)
 

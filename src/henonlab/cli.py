@@ -11,18 +11,31 @@ same configuration.
 Exit codes: 0 on success, 2 on configuration errors (bad flags, malformed
 words, out-of-domain parameters, I/O problems), 3 on numerical failures
 (solvers that do not converge, degenerate tangencies, missing crossings).
+
+The raster modules ``atlas`` and ``embed`` are imported by the commands
+that use them, not here: they load numpy, ``multiprocessing`` and
+``concurrent.futures``, which ``twin`` and the other chain commands never
+touch, and numpy's import is most of such a command's start-up.  The
+``--colormap`` parser reads the names from ``atlas`` when it parses, which
+only a raster command does.
 """
 
 from __future__ import annotations
+
+import os
+
+# No henonlab code calls BLAS, and OpenBLAS would otherwise start a thread
+# pool whose threads spin through numpy's import.  This module owns the
+# process, so it sets this before anything can load numpy; a value the
+# caller set wins, and library users keep their own.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .atlas import COLORMAPS, emit, sweep
 from .crossmap import eval_cross, factorize_chain
-from .embed import compare_summary
 from .errors import (
     DomainError,
     HenonLabError,
@@ -130,6 +143,12 @@ def _parse_choice(*allowed: str) -> Callable[[str, str], str]:
     return parse
 
 
+def _parse_colormap(name: str, s: str) -> str:
+    from .atlas import COLORMAPS
+
+    return _parse_choice("auto", *sorted(COLORMAPS))(name, s)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -204,7 +223,7 @@ _MAP_OPTIONS = (
 #: Where a raster command's output goes, and how many processes compute it.
 _OUTPUT_OPTIONS = (
     Option("format", _parse_choice("ppm", "csv"), "ppm", "output format"),
-    Option("colormap", _parse_choice("auto", *sorted(COLORMAPS)), "auto", "colormap name"),
+    Option("colormap", _parse_colormap, "auto", "colormap name"),
     Option("out", _parse_str, "-", "output path, - for stdout"),
     Option("workers", _parse_auto_int, "auto",
            "processes computing rows, this one included; auto = the CPUs it may use"),
@@ -229,6 +248,8 @@ def _build(typed: Mapping[str, object], a: float, b: float):
 
 
 def _sweep(typed: Mapping[str, object], kernel: str):
+    from .atlas import sweep
+
     keys = ("steps", "n", "radius", "map", "m", "delta", "word", "words", "tol")
     params = {key: typed[key] for key in keys if key in typed}
     if typed.get("seed") is not None:
@@ -239,6 +260,8 @@ def _sweep(typed: Mapping[str, object], kernel: str):
 
 
 def _emit_raster(typed: Mapping[str, object], raster) -> None:
+    from .atlas import emit
+
     colormap = None if typed["colormap"] == "auto" else str(typed["colormap"])
     out = str(typed["out"])
     emit(raster, str(typed["format"]), out, colormap)
@@ -283,6 +306,8 @@ def _run_raster(typed: Mapping[str, object]) -> int:
 
 
 def _run_embed(typed: Mapping[str, object]) -> int:
+    from .embed import compare_summary
+
     raster = _sweep(typed, "embed-compare")
     summary = compare_summary(raster)
     stream = sys.stderr if typed["out"] == "-" else sys.stdout

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .atlas import (_BLOCK_PIXELS, TAG_AGREE, TAG_DISAGREE, TAG_ERROR, TAG_LYAP, Raster,
-                    _checked, _map_config, _run_orbits)
+                    _checked, _map_config, _number, _run_orbits)
 from .errors import ConvergenceError, DomainError, HenonLabError
 from .henon import HenonMap, build_map
 from .maps1d import parse_word
@@ -104,7 +104,7 @@ def _embed_config(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
         seed_a, seed_b = (float(v) for v in seed)
     except (TypeError, ValueError):
         raise DomainError(f"tracking seed must be two numbers (a, b), got {seed!r}") from None
-    tol = float(params.get("tol", _EMBED_TOL))
+    tol = _number("tol", params.get("tol", _EMBED_TOL))
     if not tol > 0.0:
         raise DomainError(f"tracking tolerance must be positive, got {tol!r}")
     cfg = {"words": words, "seed": (seed_a, seed_b), "m": m, "tol": tol,

@@ -1,13 +1,14 @@
 """Every name a module exports through ``__all__`` must exist, every
 defaulted parameter of an exported function is set by some call, the scalar
 modules load without numpy, ``henon`` loads without ``maps1d``, an orbit
-raster loads no chain code, and every function perfbench's tracer rebinds
-exists."""
+raster loads no chain code, ``twin`` loads no raster module, the CLI starts
+no OpenBLAS thread, and every function perfbench's tracer rebinds exists."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
@@ -106,16 +107,65 @@ def test_henon_imports_no_maps1d():
     assert not _loads("henonlab.henon", "henonlab.maps1d")
 
 
+def _fresh(code: str, env: dict | None = None) -> str:
+    """The last line that ``code`` prints in a fresh interpreter with
+    ``env`` (default: this one's)."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def _loaded_after(code: str, names: tuple[str, ...]) -> str:
+    """Those of ``names`` in ``sys.modules`` after ``code`` runs fresh."""
+    return _fresh(f"import sys\n{code}\nprint([n for n in {names!r} if n in sys.modules])")
+
+
+def _without_openblas_setting() -> dict:
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
 def test_orbit_rasters_load_no_chain_code():
     # only the kernels that renormalize import the chain solvers
-    code = ("import sys, henonlab.atlas as atlas; "
-            "atlas.sweep('swallow-escape', 2, 2, workers=1); "
-            "print([name for name in ('henonlab.renorm', 'henonlab.crossmap', 'henonlab.embed') "
-            "if name in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    code = "import henonlab.atlas as atlas; atlas.sweep('swallow-escape', 2, 2, workers=1)"
+    assert _loaded_after(code, ("henonlab.renorm", "henonlab.crossmap", "henonlab.embed")) == "[]"
+
+
+def test_one_process_sweep_shares_no_memory():
+    # with no pool children the block counter is a plain local one
+    code = "import henonlab.atlas as atlas; atlas.sweep('henon-lyap', 2, 2, workers=1)"
+    assert _loaded_after(code, ("multiprocessing.sharedctypes",)) == "[]"
+
+
+def test_twin_loads_no_raster_modules():
+    # the chain commands run on scalars: numpy and the pool are for rasters
+    code = ("import contextlib, io, henonlab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert henonlab.cli.run(['twin', '--target', '-0.5']) == 0")
+    names = ("numpy", "multiprocessing", "concurrent.futures", "henonlab.atlas",
+             "henonlab.embed")
+    assert _loaded_after(code, names) == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_runs_openblas_on_one_thread(preset, expected):
+    # the CLI makes no BLAS call; a caller's own setting wins
+    env = _without_openblas_setting()
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, henonlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(code, env) == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_raster_command_starts_no_thread(tmp_path):
+    # numpy's import would otherwise leave an OpenBLAS thread behind
+    out = tmp_path / "swallow.ppm"
+    code = ("import os, henonlab.cli; "
+            f"assert henonlab.cli.run(['swallow', '--grid', '2x2', '--workers', '1', "
+            f"'--out', {str(out)!r}]) == 0; "
+            "print(len(os.listdir('/proc/self/task')))")
+    assert _fresh(code, _without_openblas_setting()) == "1"
 
 
 def test_tracer_targets_resolve():

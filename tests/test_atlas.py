@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from henonlab import atlas, crossmap, embed, renorm
 from henonlab.atlas import (
@@ -450,11 +451,24 @@ class TestGeometry:
         ("steps", -5), ("steps", 0), ("n", 0),
         ("steps", math.nan), ("steps", "x"), ("n", math.inf), ("m", math.nan),
         ("radius", "x"), ("radius", math.nan),
+        ("steps", 2.5), ("m", 1.9), ("tol", "x"), ("delta", "x"),
     ])
-    def test_nonpositive_iteration_counts_rejected(self, key, value):
-        for kernel in ("swallow-escape", "henon-lyap"):
+    def test_nonpositive_iteration_counts_rejected(self, monkeypatch, key, value):
+        # the kernels that read the key, and what else the case sets
+        kernels, others = {
+            "tol": (("embed-compare",), {}),
+            "delta": (("henon-lyap",), {"map": "sine-perturbed"}),
+            "m": (("swallow-escape", "henon-lyap"), {"n": 3}),
+        }.get(key, (("swallow-escape", "henon-lyap"), {}))
+        # prepare rejects the value in the calling process: no block runs
+        monkeypatch.setattr(atlas, "_block_payload", None)
+        for kernel in kernels:
             with pytest.raises(DomainError):
-                sweep(kernel, 2, 2, params={key: value}, workers=1)
+                sweep(kernel, 2, 2, params={key: value, **others}, workers=1)
+
+    def test_integral_float_counts_accepted(self):
+        as_ints = sweep("henon-lyap", 2, 2, params={"n": 300, "m": 1}, workers=1)
+        assert sweep("henon-lyap", 2, 2, params={"n": 300.0, "m": 1.0}, workers=1) == as_ints
 
     @pytest.mark.parametrize("kernel", ["henon-escape", "henon-lyap", "renorm-strip",
                                         "embed-compare"])
@@ -869,37 +883,55 @@ def test_figures_swallow_ppm_bytes_pinned():
     assert hashlib.sha256(render_ppm(r)).hexdigest() == FIGURES_SWALLOW_PPM_SHA256
 
 
+def _host() -> dict:
+    """What a pin through the platform's libm depends on: numpy's version,
+    the machine, the targets among numpy's SIMD dispatch targets that this
+    process runs (``NPY_DISABLE_CPU_FEATURES`` turns some off) and the C
+    library, whose ``hypot`` ``np.hypot`` calls."""
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+            "libc": " ".join(platform.libc_ver())}
+
+
+def _host_mismatch(recorded: dict) -> str:
+    host = _host()
+    differ = [key for key in host if host[key] != recorded.get(key)]
+    return f"recorded on {recorded}, run on {host}: they differ in {differ}"
+
+
 #: SHA-256 of the 50x50 henon-lyap CSV at the benchmark's figures settings,
 #: and the host it was recorded on: the exponents sum ``np.log`` of
-#: ``np.hypot``, which go through the platform's libm, so another numpy
-#: build or CPU may move the bytes.
+#: ``np.hypot``, which go through numpy's dispatched loops and the
+#: platform's libm, so another numpy build, CPU or libc may move the bytes.
 FIGURES_LYAP_CSV_SHA256 = "98ce58328a050bc087d0148430f101a9e0040cd5e0058f68d21e5489e848f0d0"
-FIGURES_LYAP_CSV_HOST = {"numpy": "2.4.6", "machine": "x86_64"}
+FIGURES_LYAP_CSV_HOST = {"numpy": "2.4.6", "machine": "x86_64",
+                         "dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+                         "libc": "glibc 2.36"}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_figures_lyap_csv_bytes_pinned(workers):
     r = sweep("henon-lyap", 50, 50, *HENON_WINDOW,
               params={"map": "standard", "m": 1, "n": 10_000, "radius": 10.0}, workers=workers)
-    host = {"numpy": np.__version__, "machine": platform.machine()}
     digest = hashlib.sha256(render_csv(r).encode("ascii")).hexdigest()
-    assert digest == FIGURES_LYAP_CSV_SHA256, f"recorded on {FIGURES_LYAP_CSV_HOST}, run on {host}"
+    assert digest == FIGURES_LYAP_CSV_SHA256, _host_mismatch(FIGURES_LYAP_CSV_HOST)
 
 
 #: SHA-256 of the 21x21 embed-compare PPM at the benchmark's embed-swallow
 #: settings, and the host it was recorded on: the chart scales take ``**``
 #: of the cross-map slopes, which goes through the platform's libm, so
-#: another numpy build or CPU may move the bytes.
+#: another numpy build, CPU or libc may move the bytes.
 EMBED_SWALLOW_PPM_SHA256 = "cb279e9556be4146763c428c32c2680b16e8a12aee91d8871c6279d7a59c0744"
-EMBED_SWALLOW_PPM_HOST = {"numpy": "2.4.6", "machine": "x86_64"}
+EMBED_SWALLOW_PPM_HOST = {"numpy": "2.4.6", "machine": "x86_64",
+                          "dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+                          "libc": "glibc 2.36"}
 
 
 def test_embed_swallow_ppm_bytes_pinned():
     r = sweep("embed-compare", 21, 21, (-2.1, 0.4), (-2.1, 0.4),
               params={"steps": 2000, "radius": 10.0}, workers=2)
-    host = {"numpy": np.__version__, "machine": platform.machine()}
     assert hashlib.sha256(render_ppm(r)).hexdigest() == EMBED_SWALLOW_PPM_SHA256, (
-        f"recorded on {EMBED_SWALLOW_PPM_HOST}, run on {host}")
+        _host_mismatch(EMBED_SWALLOW_PPM_HOST))
 
 
 class TestRenormStrip:

@@ -188,6 +188,13 @@ class TestExitCodes:
         assert rc == 2
         assert "WIDTHxHEIGHT" in err
 
+    def test_unknown_colormap_lists_the_choices(self, capsys):
+        # the parser reads the names from atlas only when a raster command parses
+        rc, out, err = call(capsys, "swallow", "--colormap", "bogus")
+        assert (rc, out) == (2, "")
+        assert err == ("error: --colormap: expected one of ('auto', 'class', 'compare', "
+                       "'escape', 'lyap'), got 'bogus'\n")
+
     def test_no_root_bracket_is_numerical_failure(self, capsys):
         rc, _, err = call(capsys, "renorm-window", "--a-lo", "-1.70",
                           "--a-hi", "-1.65")
