@@ -19,6 +19,11 @@ cli       command-line frontend
 
 The scalar references that the tests compare these modules against live in
 ``tests/oracles.py``, not in the package.
+
+Records are ``typing.NamedTuple`` classes, or ``__slots__`` classes on
+``henon.Frozen`` where a NamedTuple cannot do, never dataclasses:
+``@dataclass`` runs generated code at import, about 0.7 ms a class, and
+every CLI command and pool child pays it.
 """
 
 from __future__ import annotations

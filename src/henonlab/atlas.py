@@ -22,15 +22,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from multiprocessing import get_context
 from types import SimpleNamespace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .henon import MAP_REGISTRY, ZERO_FIELD, HenonMap, build_map
+from .henon import MAP_REGISTRY, ZERO_FIELD, Frozen, HenonMap, build_map
 from .maps1d import DEFAULT_ESCAPE_RADIUS
 
 # ---------------------------------------------------------------------------
@@ -77,23 +76,31 @@ def _b_centers(b_range: tuple[float, float], n: int) -> np.ndarray:
     return hi - (np.arange(n) + 0.5) * (hi - lo) / n
 
 
-@dataclass(frozen=True, eq=False)
-class Raster:
+_set = object.__setattr__
+
+
+class Raster(Frozen):
     """Pixel grid over a parameter rectangle; row 0 holds the largest b.
 
     Pixel (i, j) is the cell center a = a_lo + (j+1/2)*da,
     b = b_hi - (i+1/2)*db.  ``tags`` holds payload codes (see TAG_NAMES),
     ``values`` the numeric part of each payload: escape step, exponent,
     agreement flag, or zero where the tag alone carries the meaning.
+    Rasters compare by their arrays' contents and are not hashable.
     """
 
-    width: int
-    height: int
-    a_range: tuple[float, float]
-    b_range: tuple[float, float]
-    kernel: str
-    tags: np.ndarray
-    values: np.ndarray
+    __slots__ = _fields = ("width", "height", "a_range", "b_range", "kernel", "tags", "values")
+
+    def __init__(self, width: int, height: int, a_range: tuple[float, float],
+                 b_range: tuple[float, float], kernel: str, tags: np.ndarray,
+                 values: np.ndarray):
+        _set(self, "width", width)
+        _set(self, "height", height)
+        _set(self, "a_range", a_range)
+        _set(self, "b_range", b_range)
+        _set(self, "kernel", kernel)
+        _set(self, "tags", tags)
+        _set(self, "values", values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Raster):
@@ -147,8 +154,7 @@ def _shade_lyap(rgb: np.ndarray, tags: np.ndarray, values: np.ndarray) -> None:
         rgb[hit, channel] = 80.0 + np.rint(175.0 * np.minimum(1.0, np.abs(values[hit])))
 
 
-@dataclass(frozen=True)
-class Colormap:
+class Colormap(NamedTuple):
     """RGB per tag, the legend a CSV prints, and an optional in-place shade."""
 
     palette: np.ndarray
@@ -367,9 +373,9 @@ def _block_swallow_lyap(a: np.ndarray, b: np.ndarray, params: Mapping,
 
 
 def _map_config(params: Mapping) -> tuple[str, int, dict]:
+    """The map family's name, m and extra builder arguments of ``params``
+    as ``_checked`` left them."""
     name = str(params.get("map", "standard"))
-    if name not in MAP_REGISTRY:
-        raise DomainError(f"unknown map {name!r}; known: {sorted(MAP_REGISTRY)}")
     m = params["m"]
     extra = {"delta": params["delta"]} if "delta" in params else {}
     return name, m, extra
@@ -520,10 +526,10 @@ def _number(key: str, value) -> float:
 
 
 def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
-    """``params`` with the counts steps, n and m, the escape radius and any
-    perturbation amplitude delta checked and their defaults filled in.  This
-    is the ``prepare`` of the orbit kernels, which read nothing of the pixel
-    centres a and b."""
+    """``params`` with the counts steps, n and m, the escape radius, any
+    map family name and any perturbation amplitude delta checked and their
+    defaults filled in.  This is the ``prepare`` of the orbit kernels, which
+    read nothing of the pixel centres a and b."""
     checked = dict(params)
     # payload steps are float64, exact up to 2**53
     for key, default, top in (("steps", _DEFAULT_ESCAPE_STEPS, 2**53),
@@ -544,6 +550,10 @@ def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
     checked["radius"] = _number("radius", params.get("radius", DEFAULT_ESCAPE_RADIUS))
     if not checked["radius"] > 0.0:
         raise DomainError(f"escape radius must be positive, got {checked['radius']}")
+    if "map" in params:
+        name = str(params["map"])
+        if name not in MAP_REGISTRY:
+            raise DomainError(f"unknown map {name!r}; known: {sorted(MAP_REGISTRY)}")
     if "delta" in params:
         checked["delta"] = _number("delta", params["delta"])
     return checked
@@ -562,8 +572,7 @@ def _embed(name: str) -> Callable:
     return call
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(NamedTuple):
     """A raster kernel: its default window (a_range, b_range) and colormap,
     and its steps.  ``prepare(params, a, b)`` checks the parameters once, in
     the calling process, and returns what every block reads.  ``block(a,

@@ -32,8 +32,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .crossmap import eval_cross, factorize_chain
 from .errors import (
@@ -153,24 +152,21 @@ def _parse_colormap(name: str, s: str) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     name: str
     parse: Callable[[str, str], object]
     default: str | None  # None marks a required option
     help: str
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     name: str
     summary: str
     options: tuple[Option, ...]
     runner: Callable[[Mapping[str, object]], int]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved invocation: a command plus every option as text."""
 
     command: str

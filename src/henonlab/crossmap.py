@@ -12,8 +12,7 @@ forward-shooting oracle for cross-validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BracketError,
@@ -22,7 +21,7 @@ from .errors import (
     DomainError,
     NonMonotoneError,
 )
-from .henon import ZERO_FIELD, HenonMap, evaluate, iterate
+from .henon import ZERO_FIELD, Frozen, HenonMap, evaluate, iterate
 from .maps1d import Piece1D, piece_1d, pieces_1d
 from .rootfind import DEFAULT_MAX_ITER, DEFAULT_RTOL, bisect
 
@@ -52,17 +51,19 @@ __all__ = [
 _SWEEP_TOL = 1e-12
 _MAX_SWEEPS = 200
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class ConeSpec:
+
+class ConeSpec(Frozen):
     """Cone-field parameters; the slopes derive from the core width eta,
     which must be finite and positive."""
 
-    eta: float
+    __slots__ = _fields = ("eta",)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise DomainError(f"core width eta must be finite and positive, got {self.eta!r}")
+    def __init__(self, eta: float):
+        if not (math.isfinite(eta) and eta > 0.0):
+            raise DomainError(f"core width eta must be finite and positive, got {eta!r}")
+        _set(self, "eta", eta)
 
     @property
     def c_h(self) -> float:
@@ -77,16 +78,19 @@ class ConeSpec:
         return 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CrossMapChain:
-    """A xi-normalized map together with the branch data of a 1-D piece."""
+class CrossMapChain(Frozen):
+    """A xi-normalized map together with the branch data of a 1-D piece.
 
-    henon: HenonMap
-    piece: Piece1D
-    # the last tangent solve, [(x1, y0, second), result]; see _tangent_solve
-    _last_tangent: list = field(
-        default_factory=lambda: [None, None], init=False, repr=False, compare=False
-    )
+    ``_last_tangent`` holds the last tangent solve, [(x1, y0, second),
+    result] (see ``_tangent_solve``); it is not a field."""
+
+    __slots__ = ("henon", "piece", "_last_tangent")
+    _fields = ("henon", "piece")
+
+    def __init__(self, henon: HenonMap, piece: Piece1D):
+        _set(self, "henon", henon)
+        _set(self, "piece", piece)
+        _set(self, "_last_tangent", [None, None])
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -121,8 +125,7 @@ def factorize_chains(f: HenonMap, words: Sequence[str]) -> Iterator[CrossMapChai
         yield factorize_chain(f, piece)
 
 
-@dataclass(frozen=True)
-class CrossEval:
+class CrossEval(NamedTuple):
     A: float
     B: float
     x_path: tuple[float, ...]  # x_0 .. x_N
@@ -229,8 +232,7 @@ def eval_cross(
     raise ConvergenceError(f"cross-map sweep did not converge in {max_sweeps} sweeps")
 
 
-@dataclass(frozen=True)
-class CrossDerivs:
+class CrossDerivs(NamedTuple):
     A: float
     B: float
     dA: tuple[float, float]  # (d/dx1, d/dy0)
@@ -241,8 +243,7 @@ class CrossDerivs:
     y_path: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CrossJet:
+class CrossJet(NamedTuple):
     """Values, first and second partials of the cross map at one point."""
 
     A: float
@@ -253,10 +254,16 @@ class CrossJet:
     d2B: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class CrossParamJet(CrossJet):
-    """A cross-map jet with its partials in the parameters p = (a, b^m)."""
+class CrossParamJet(NamedTuple):
+    """A cross-map jet with its partials in the parameters p = (a, b^m):
+    ``CrossJet``'s fields, then the parameter columns."""
 
+    A: float
+    B: float
+    dA: tuple[float, float]  # (d/dx1, d/dy0)
+    dB: tuple[float, float]
+    d2A: tuple[float, float, float]  # (x1 x1, x1 y0, y0 y0)
+    d2B: tuple[float, float, float]
     dA_p: tuple[float, float]  # (d/da, d/db^m)
     dB_p: tuple[float, float]
     d2A_xp: tuple[float, float]  # (x1 a, x1 b^m)
@@ -478,8 +485,7 @@ def _tangent_columns(chain: CrossMapChain, x1: float, y0: float, second: bool):
 # independent forward-shooting oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShootResult:
+class ShootResult(NamedTuple):
     A: float
     B: float
 
@@ -550,8 +556,7 @@ def det_identity(chain: CrossMapChain, x1: float, y0: float) -> tuple[float, flo
 # hyperbolicity margins
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperbolicityReport:
+class HyperbolicityReport(NamedTuple):
     ok: bool
     margin: float
     worst_point: tuple[float, float]
@@ -596,8 +601,7 @@ def hyperbolicity_check(
 # distortion bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(NamedTuple):
     B0: float
     B1: float
     Bm: float | None  # None when b = 0 makes the scaled quantity undefined

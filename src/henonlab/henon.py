@@ -8,8 +8,7 @@ automatic differentiation anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractionError, ConvergenceError, DomainError
 from .rootfind import newton2, newton_safeguarded
@@ -38,8 +37,7 @@ def _zero(x: float, v: float) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
-class Field2:
+class Field2(NamedTuple):
     """Scalar field of two arguments with analytic partial evaluators."""
 
     value: Callable[[float, float], float] = _zero
@@ -54,32 +52,74 @@ class Field2:
         # must come back from a pickle as the module singleton.
         if self is ZERO_FIELD:
             return "ZERO_FIELD"
-        return super().__reduce_ex__(protocol)
+        return tuple.__reduce_ex__(self, protocol)
 
 
 ZERO_FIELD = Field2()
 
 
-@dataclass(frozen=True)
-class HenonMap:
-    """Henon-like map with parameters (a, b), multiplicity m and hooks."""
+_set = object.__setattr__
 
-    a: float
-    b: float
-    m: int = 1
-    zeta: Field2 = ZERO_FIELD
-    xi: Field2 = ZERO_FIELD
-    #: b^m, worked out once; not part of equality, hash or repr
-    bm: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"multiplicity m must be at least 1, got {self.m}")
+class Frozen:
+    """Base of the records that a NamedTuple cannot be: ``__slots__``
+    classes that set their fields, named in ``_fields``, once in
+    ``__init__`` with ``object.__setattr__``, and compare, hash, show and
+    pickle them as a frozen dataclass would.  A slot also reads faster
+    than a NamedTuple field, which counts for the records that inner loops
+    read."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class HenonMap(Frozen):
+    """Henon-like map with parameters (a, b), multiplicity m and hooks.
+
+    ``bm`` is b^m, worked out once; it is not a field, so equality, hash,
+    repr and pickling leave it out."""
+
+    __slots__ = ("a", "b", "m", "zeta", "xi", "bm")
+    _fields = ("a", "b", "m", "zeta", "xi")
+
+    def __init__(self, a: float, b: float, m: int = 1,
+                 zeta: Field2 = ZERO_FIELD, xi: Field2 = ZERO_FIELD):
+        if m < 1:
+            raise DomainError(f"multiplicity m must be at least 1, got {m}")
         try:
-            bm = self.b ** self.m
+            bm = b ** m
         except OverflowError:
-            raise DomainError(f"b^m overflows at b = {self.b!r}, m = {self.m}") from None
-        object.__setattr__(self, "bm", bm)
+            raise DomainError(f"b^m overflows at b = {b!r}, m = {m}") from None
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "m", m)
+        _set(self, "zeta", zeta)
+        _set(self, "xi", xi)
+        _set(self, "bm", bm)
 
     @property
     def normalized(self) -> bool:
@@ -87,8 +127,7 @@ class HenonMap:
         return self.xi is ZERO_FIELD
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     image: tuple[float, float]
     jacobian: tuple[tuple[float, float], tuple[float, float]]
     det: float
@@ -201,8 +240,7 @@ def normalize_xi(f: HenonMap) -> HenonMap:
 # attractors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     points: tuple[tuple[float, float], ...]
     period: int
     multipliers: tuple[complex, complex]
@@ -212,8 +250,7 @@ class Cycle:
         return max(abs(self.multipliers[0]), abs(self.multipliers[1]))
 
 
-@dataclass(frozen=True)
-class AttractorReport:
+class AttractorReport(NamedTuple):
     cycles: tuple[Cycle, ...]
     skipped: tuple[tuple[float, float], ...]
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, LadderError, ProductError, WordError
 from .rootfind import bisect, newton2
@@ -56,8 +55,7 @@ def iterate_quad(a: float, x: float, n: int) -> float:
 # ladder and special parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticLadder:
+class QuadraticLadder(NamedTuple):
     """Marked points of Q_a: fixed points and the preimage ladder.
 
     Rungs that do not exist at this parameter (negative radicand) are None;
@@ -139,8 +137,7 @@ def special_parameters() -> tuple[float, float]:
 # 1-D pieces and star products
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Piece1D:
+class Piece1D(NamedTuple):
     """A symbolic word with its monotone segment under Q_a^order."""
 
     word: tuple[str, ...]
@@ -344,8 +341,7 @@ def piece_1d(word: str | Sequence[str], a: float) -> Piece1D:
 # swallow geometry of composed quadratics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwallowClassification:
+class SwallowClassification(NamedTuple):
     """Joint boundedness tags of the two composed critical orbits.
 
     steps_* is the composed-step index at which the orbit escaped, or None
@@ -385,8 +381,7 @@ def swallow_classify(
     return SwallowClassification(tag, steps_ab, steps_ba)
 
 
-@dataclass(frozen=True)
-class BoundaryPolyline:
+class BoundaryPolyline(NamedTuple):
     curve: str
     points: tuple[tuple[float, float], ...]
     skipped: tuple[float, ...]

@@ -11,7 +11,6 @@ quadratics and underlies twin-attractor hunting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -150,8 +149,7 @@ def _check_chart(q: float, mu: float, sigma: float, where: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TangencyData:
+class TangencyData(NamedTuple):
     """Chart data at the fold of a word's return.
 
     c anchors the tangency; sigma and lam are the cross-map slopes there;
@@ -221,8 +219,7 @@ def _chain_forward(chain: CrossMapChain, x0: float, y0: float) -> tuple[float, f
     return xi, eval_cross(chain, xi, y0).B
 
 
-@dataclass(frozen=True)
-class RenormData:
+class RenormData(NamedTuple):
     word: str
     tangency: TangencyData
     M: int
@@ -345,8 +342,7 @@ def _first_sign_change(samples: Iterable[tuple[float, float]]) -> tuple[float, f
     return None
 
 
-@dataclass(frozen=True)
-class RenormWindow:
+class RenormWindow(NamedTuple):
     a_star: float
     lo: float
     hi: float
@@ -395,8 +391,7 @@ def renorm_window(
 # two-word cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiRenormData:
+class MultiRenormData(NamedTuple):
     """Chart data and rescaled parameters of a cycle of two words, i and
     1 - i, with chart scales
         gamma_i = sign(sigma_i) |sigma_(1-i)|^(2/3) |sigma_i|^(1/3).
@@ -556,8 +551,7 @@ def multi_renormalize(
 # simultaneous tangencies and twin attractors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoubleTangency:
+class DoubleTangency(NamedTuple):
     a: float
     b: float
     mu1: float
@@ -691,8 +685,7 @@ def _core_width(j: int, a: float) -> float:
     return 0.5 * math.sqrt(hi1 - hi2)
 
 
-@dataclass(frozen=True)
-class TwinResult:
+class TwinResult(NamedTuple):
     """Outcome of ``twin_find``.
 
     ``bracket`` is the seed window in b, signed like ``b_hat``, whose b^m
@@ -806,8 +799,7 @@ def twin_find(
 # cone-expansion diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeCertificate:
+class ConeCertificate(NamedTuple):
     counts: dict
     expansion_min: dict
     violations: dict

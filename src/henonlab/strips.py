@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .crossmap import CrossMapChain, eval_cross, factorize_chain
 from .errors import ConvergenceError, DomainError, ProductError
@@ -68,8 +67,7 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """Uniformly sampled graph with linear interpolation, clamped at ends."""
 
     lo: float
@@ -131,8 +129,7 @@ def _transform_solve(f: HenonMap, target: Callable[[float], float],
     return newton_safeguarded(g, seed, df=dg)
 
 
-@dataclass(frozen=True)
-class LeafLattice:
+class LeafLattice(NamedTuple):
     henon: HenonMap
     y_extent: float
     leaves: dict[str, Curve]
@@ -207,8 +204,7 @@ def stable_leaf_lattice(f: HenonMap, y_extent: float = 3.0) -> LeafLattice:
 # boxes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TameBox:
+class TameBox(NamedTuple):
     """Curvilinear rectangle: side graphs x(y), top/bottom graphs y(x)."""
 
     phi_minus: Curve  # left stable boundary, x as a function of y
@@ -255,8 +251,7 @@ def _leaf_box(lattice: LeafLattice, left: str, right: str) -> TameBox:
     )
 
 
-@dataclass(frozen=True)
-class Piece2D:
+class Piece2D(NamedTuple):
     word: str
     chain: CrossMapChain
     box: TameBox
@@ -395,8 +390,7 @@ def image_unstable_boundary(piece: Piece2D) -> tuple[Curve, Curve]:
 # cone verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeReport:
+class ConeReport(NamedTuple):
     ok: bool
     margin: float
     worst_point: tuple[float, float]

@@ -2,7 +2,8 @@
 defaulted parameter of an exported function is set by some call, the scalar
 modules load without numpy, ``henon`` loads without ``maps1d``, an orbit
 raster loads no chain code, ``twin`` loads no raster module, the CLI starts
-no OpenBLAS thread, and every function perfbench's tracer rebinds exists."""
+no OpenBLAS thread, no module imports ``dataclasses``, and every function
+perfbench's tracer rebinds exists."""
 
 import ast
 import importlib
@@ -138,13 +139,26 @@ def test_one_process_sweep_shares_no_memory():
 
 
 def test_twin_loads_no_raster_modules():
-    # the chain commands run on scalars: numpy and the pool are for rasters
+    # the chain commands run on scalars: numpy and the pool are for rasters;
+    # no record is a dataclass, whose import loads inspect
     code = ("import contextlib, io, henonlab.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert henonlab.cli.run(['twin', '--target', '-0.5']) == 0")
     names = ("numpy", "multiprocessing", "concurrent.futures", "henonlab.atlas",
-             "henonlab.embed")
+             "henonlab.embed", "dataclasses", "inspect")
     assert _loaded_after(code, names) == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    # @dataclass runs generated code at import, about 0.7 ms a class
+    importing = []
+    for path in sorted(Path(henonlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                importing.append(path.name)
+    assert importing == []
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

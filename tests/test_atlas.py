@@ -1,13 +1,15 @@
 """Raster kernels, worker determinism, and emission round-trips."""
 
-import dataclasses
 import hashlib
 import math
 import multiprocessing
 import os
 import platform
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,6 +496,9 @@ class TestGeometry:
     def test_unknown_map_rejected(self):
         with pytest.raises(DomainError):
             sweep("henon-escape", 2, 2, params={"map": "no-such-map"})
+        # every orbit kernel checks a map name it is given
+        with pytest.raises(DomainError, match="unknown map 'no-such-map'"):
+            sweep("swallow-escape", 2, 2, params={"map": "no-such-map"})
 
 
 class TestCoefficientOverflow:
@@ -893,20 +898,36 @@ def _host() -> dict:
             "libc": " ".join(platform.libc_ver())}
 
 
-def _host_mismatch(recorded: dict) -> str:
-    host = _host()
-    differ = [key for key in host if host[key] != recorded.get(key)]
-    return f"recorded on {recorded}, run on {host}: they differ in {differ}"
+def _unpinned(digest: str, pins: list, host: dict) -> str | None:
+    """None when ``pins``, a list of (host, SHA-256) entries, records
+    ``digest`` for ``host``; else what is wrong: the digest differs from the
+    one recorded for this host, or the host is unrecorded, and then how it
+    differs from each recorded one."""
+    for recorded, expected in pins:
+        if recorded == host:
+            return None if digest == expected else (
+                f"run on recorded host {host}: digest {digest}, recorded {expected}")
+    differ = "; ".join(f"{recorded} differs in {[k for k in host if host[k] != recorded.get(k)]}"
+                       for recorded, _ in pins)
+    return f"run on unrecorded host {host}: {differ}"
 
 
-#: SHA-256 of the 50x50 henon-lyap CSV at the benchmark's figures settings,
-#: and the host it was recorded on: the exponents sum ``np.log`` of
-#: ``np.hypot``, which go through numpy's dispatched loops and the
-#: platform's libm, so another numpy build, CPU or libc may move the bytes.
-FIGURES_LYAP_CSV_SHA256 = "98ce58328a050bc087d0148430f101a9e0040cd5e0058f68d21e5489e848f0d0"
-FIGURES_LYAP_CSV_HOST = {"numpy": "2.4.6", "machine": "x86_64",
-                         "dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
-                         "libc": "glibc 2.36"}
+#: The hosts the pins below were recorded on: the second is the first with
+#: numpy's AVX-512 loops off (``NPY_DISABLE_CPU_FEATURES`` naming
+#: ``_NO_AVX512``), as on an x86_64 CPU without AVX-512.
+_NO_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+_AVX512_HOST = {"numpy": "2.4.6", "machine": "x86_64",
+                "dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"], "libc": "glibc 2.36"}
+_NO_AVX512_HOST = dict(_AVX512_HOST, dispatch=["X86_V3"])
+
+#: The 50x50 henon-lyap CSV at the benchmark's figures settings: the SHA-256
+#: recorded on each host.  The exponents sum ``np.log`` of ``np.hypot``,
+#: which go through numpy's dispatched loops and the platform's libm, so
+#: another numpy build, CPU or libc may move the bytes.
+FIGURES_LYAP_CSV = [
+    (_AVX512_HOST, "98ce58328a050bc087d0148430f101a9e0040cd5e0058f68d21e5489e848f0d0"),
+    (_NO_AVX512_HOST, "f932c000a689a6f1d09877b9d2028bf3e58685315df6da7a3425c1b37a6bfd4b"),
+]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -914,24 +935,49 @@ def test_figures_lyap_csv_bytes_pinned(workers):
     r = sweep("henon-lyap", 50, 50, *HENON_WINDOW,
               params={"map": "standard", "m": 1, "n": 10_000, "radius": 10.0}, workers=workers)
     digest = hashlib.sha256(render_csv(r).encode("ascii")).hexdigest()
-    assert digest == FIGURES_LYAP_CSV_SHA256, _host_mismatch(FIGURES_LYAP_CSV_HOST)
+    problem = _unpinned(digest, FIGURES_LYAP_CSV, _host())
+    assert problem is None, problem
 
 
-#: SHA-256 of the 21x21 embed-compare PPM at the benchmark's embed-swallow
-#: settings, and the host it was recorded on: the chart scales take ``**``
-#: of the cross-map slopes, which goes through the platform's libm, so
-#: another numpy build, CPU or libc may move the bytes.
-EMBED_SWALLOW_PPM_SHA256 = "cb279e9556be4146763c428c32c2680b16e8a12aee91d8871c6279d7a59c0744"
-EMBED_SWALLOW_PPM_HOST = {"numpy": "2.4.6", "machine": "x86_64",
-                          "dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
-                          "libc": "glibc 2.36"}
+#: The 21x21 embed-compare PPM at the benchmark's embed-swallow settings:
+#: the SHA-256 recorded on each host.  The chart scales take ``**`` of the
+#: cross-map slopes, which goes through the platform's libm, so another
+#: numpy build, CPU or libc may move the bytes.
+EMBED_SWALLOW_PPM = [
+    (_AVX512_HOST, "cb279e9556be4146763c428c32c2680b16e8a12aee91d8871c6279d7a59c0744"),
+    (_NO_AVX512_HOST, "cb279e9556be4146763c428c32c2680b16e8a12aee91d8871c6279d7a59c0744"),
+]
 
 
 def test_embed_swallow_ppm_bytes_pinned():
     r = sweep("embed-compare", 21, 21, (-2.1, 0.4), (-2.1, 0.4),
               params={"steps": 2000, "radius": 10.0}, workers=2)
-    assert hashlib.sha256(render_ppm(r)).hexdigest() == EMBED_SWALLOW_PPM_SHA256, (
-        _host_mismatch(EMBED_SWALLOW_PPM_HOST))
+    problem = _unpinned(hashlib.sha256(render_ppm(r)).hexdigest(), EMBED_SWALLOW_PPM, _host())
+    assert problem is None, problem
+
+
+@pytest.mark.skipif(not all(__cpu_features__.get(t) for t in _NO_AVX512),
+                    reason="this process runs no AVX-512 loops to turn off")
+def test_pins_hold_without_avx512():
+    # the host-dependent pins in a process with numpy's AVX-512 loops off
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_NO_AVX512))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_figures_lyap_csv_bytes_pinned[1]",
+         f"{__file__}::test_embed_swallow_ppm_bytes_pinned"],
+        capture_output=True, text=True, timeout=300, env=env, cwd=Path(__file__).parents[1],
+    )
+    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
+
+
+def test_unrecorded_host_names_every_recorded_one():
+    host = dict(_AVX512_HOST, libc="musl 1.2.4")
+    problem = _unpinned(FIGURES_LYAP_CSV[0][1], FIGURES_LYAP_CSV, host)
+    assert problem.startswith(f"run on unrecorded host {host}: ")
+    assert f"{_AVX512_HOST} differs in ['libc']" in problem
+    assert f"{_NO_AVX512_HOST} differs in ['dispatch', 'libc']" in problem
+    problem = _unpinned("0" * 64, FIGURES_LYAP_CSV, _NO_AVX512_HOST)
+    assert problem.endswith(f"digest {'0' * 64}, recorded {FIGURES_LYAP_CSV[1][1]}")
 
 
 class TestRenormStrip:
@@ -1430,8 +1476,20 @@ class TestDeterminism:
 
 
     def test_pool_shut_down_when_a_row_raises(self, monkeypatch, pools, tmp_path):
-        with pytest.raises(DomainError):
+        # an unknown map is rejected before any pool starts
+        with pytest.raises(DomainError, match="unknown map"):
             sweep("henon-escape", 2, 2, params={"map": "no-such-map"}, workers=2)
+        assert len(pools) == 0
+
+        # two one-row blocks, each of which raises
+        escape = KERNELS["henon-escape"]
+
+        def raising(a, b, params, rows):
+            raise DomainError("a block")
+
+        monkeypatch.setitem(KERNELS, "henon-escape", escape._replace(block=raising))
+        with pytest.raises(DomainError, match="a block"):
+            sweep("henon-escape", 2, 2, workers=2)
         assert len(pools) == 1
         assert pools[0].was_shut_down
 
@@ -1452,7 +1510,7 @@ class TestDeterminism:
             time.sleep(0.02)
             return kernel.block(a, b, params, rows)
 
-        monkeypatch.setitem(KERNELS, "swallow-escape", dataclasses.replace(kernel, block=failing))
+        monkeypatch.setitem(KERNELS, "swallow-escape", kernel._replace(block=failing))
         monkeypatch.setattr(atlas, "_BLOCK_PIXELS", 4)
         with pytest.raises(DomainError, match="calling process"):
             sweep("swallow-escape", 4, 24, params={"steps": 10}, workers=2)
@@ -1473,7 +1531,7 @@ class TestDeterminism:
             failed.touch()
             raise DomainError("a child's block")
 
-        monkeypatch.setitem(KERNELS, "swallow-escape", dataclasses.replace(kernel, block=failing))
+        monkeypatch.setitem(KERNELS, "swallow-escape", kernel._replace(block=failing))
         with pytest.raises(DomainError, match="child's block"):
             sweep("swallow-escape", 4, 4, params={"steps": 10}, workers=2)
         assert len(pools) == 1 and pools[0].was_shut_down

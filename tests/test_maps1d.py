@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from henonlab.errors import DomainError, HenonLabError, LadderError, ProductError, WordError
 from henonlab.maps1d import (
+    Piece1D,
     dalpha2_da,
     iterate_quad,
     ladder,
@@ -345,7 +346,7 @@ def test_pieces_1d_match_one_word_at_a_time(words):
         a = -2.1 + 2.4 * k / 2000  # up to 0.3, past the fixed points' 1/4
         expected = _one_by_one(words, a)
         assert _together(words, a) == expected
-        kinds.add(expected[-1][0] if isinstance(expected[-1], tuple) else "Piece1D")
+        kinds.add("Piece1D" if isinstance(expected[-1], Piece1D) else expected[-1][0])
     assert {"LadderError", "DomainError"} <= kinds
     assert ("WordError" in kinds) == ("Piece1D" not in kinds) == ("zz" in words)
 
