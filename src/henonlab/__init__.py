@@ -6,8 +6,7 @@ errors    the HenonLabError hierarchy that bad input and failed solves raise
 rootfind  safeguarded scalar and 2x2 Newton solves, bisection
 maps1d    quadratic-family core: ladder, special parameters, 1-D pieces,
           composed-quadratic swallow geometry
-henon     Henon-like maps with perturbation hooks, xi-normalization,
-          attractor enumeration
+henon     Henon-like maps with perturbation hooks, attractor enumeration
 crossmap  affine-like representation (A, B) of a piece via the chain solver
 strips    stable-leaf lattice, tame boxes, cone verification, 2-D products
 renorm    tangency data, single and two-word renormalization, windows,
@@ -17,8 +16,9 @@ embed     the raster kernels that renormalize: renorm-strip and the
           embed-compare agreement test
 cli       command-line frontend
 
-The scalar references that the tests compare these modules against live in
-``tests/oracles.py``, not in the package.
+The chain code in ``crossmap`` and ``renorm`` takes maps built with xi = 0
+only.  The scalar references that the tests compare these modules against
+live in ``tests/oracles.py``, not in the package.
 
 Records are ``typing.NamedTuple`` classes, or ``__slots__`` classes on
 ``henon.Frozen`` where a NamedTuple cannot do, never dataclasses:

@@ -121,9 +121,6 @@ class Raster(Frozen):
     def b_centers(self) -> np.ndarray:
         return _b_centers(self.b_range, self.height)
 
-    def pixel_center(self, i: int, j: int) -> tuple[float, float]:
-        return float(self.a_centers()[j]), float(self.b_centers()[i])
-
     def tag_set(self) -> set[str]:
         return {TAG_NAMES[code] for code in np.unique(self.tags)}
 

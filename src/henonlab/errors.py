@@ -15,7 +15,6 @@ __all__ = [
     "ConvergenceError",
     "BranchError",
     "NonMonotoneError",
-    "ContractionError",
     "ProductError",
     "WordError",
     "TangencyError",
@@ -49,10 +48,6 @@ class BranchError(HenonLabError):
 
 class NonMonotoneError(HenonLabError):
     """A shooting slice is not monotone; the cone condition fails there."""
-
-
-class ContractionError(HenonLabError):
-    """A fixed-point normalization lost its contraction bound."""
 
 
 class ProductError(HenonLabError):

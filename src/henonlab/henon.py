@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ContractionError, ConvergenceError, DomainError
-from .rootfind import newton2, newton_safeguarded
+from .errors import ConvergenceError, DomainError
+from .rootfind import newton2
 
 __all__ = [
     "Field2",
@@ -24,8 +24,6 @@ __all__ = [
     "apply_map",
     "iterate",
     "jacobian",
-    "rho_offset",
-    "normalize_xi",
     "find_attractors",
     "build_map",
     "MAP_REGISTRY",
@@ -160,80 +158,6 @@ def evaluate(f: HenonMap, z: Sequence[float]) -> EvalResult:
     J = jacobian(f, z)
     det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
     return EvalResult(apply_map(f, z), J, det)
-
-
-# ---------------------------------------------------------------------------
-# xi-normalization
-# ---------------------------------------------------------------------------
-
-def rho_offset(f: HenonMap, x: float, v: float) -> float:
-    """Solve xi(x - t, v) = t; the horizontal shift of the conjugacy chart."""
-    xi = f.xi
-
-    def g(t: float) -> float:
-        return xi.value(x - t, v) - t
-
-    def dg(t: float) -> float:
-        return -xi.dx(x - t, v) - 1.0
-
-    return newton_safeguarded(g, xi.value(x, v), df=dg)
-
-
-def normalize_xi(f: HenonMap) -> HenonMap:
-    """Conjugate the map so that the second coordinate becomes exactly x.
-
-    The chart is (x, y) |-> (x + xi(x, b^m y), y); its inverse uses the
-    pointwise solved offset rho. The returned map re-expresses the first
-    coordinate through a derived zeta field whose partials are central
-    finite differences of the pointwise evaluator.  The chart needs
-    |dxi/dx| < 1/2, checked on a 20x20 grid over [-3, 3]^2.
-    """
-    if f.normalized:
-        return f
-    bm = f.bm
-    grid, extent = 20, 3.0
-    for i in range(grid):
-        for j in range(grid):
-            x = -extent + 2.0 * extent * i / (grid - 1)
-            y = -extent + 2.0 * extent * j / (grid - 1)
-            if abs(f.xi.dx(x, bm * y)) >= 0.5:
-                raise ContractionError(
-                    f"|dxi/dx| >= 1/2 at ({x!r}, {y!r}); xi-normalization unavailable"
-                )
-
-    a = f.a
-
-    def forward(x: float, y: float) -> tuple[float, float]:
-        return (x + f.xi.value(x, bm * y), y)
-
-    def inverse(X: float, y: float) -> tuple[float, float]:
-        return (X - rho_offset(f, X, bm * y), y)
-
-    def zeta_value(X: float, V: float) -> float:
-        y = V / bm if bm != 0.0 else 0.0
-        x, _ = inverse(X, y)
-        w = apply_map(f, (x, y))
-        return forward(w[0], w[1])[0] - (X * X + a - V)
-
-    h = 1e-6
-
-    def zeta_dx(X: float, V: float) -> float:
-        return (zeta_value(X + h, V) - zeta_value(X - h, V)) / (2.0 * h)
-
-    def zeta_dv(X: float, V: float) -> float:
-        return (zeta_value(X, V + h) - zeta_value(X, V - h)) / (2.0 * h)
-
-    def zeta_dxx(X: float, V: float) -> float:
-        return (zeta_value(X + h, V) - 2.0 * zeta_value(X, V) + zeta_value(X - h, V)) / (h * h)
-
-    def zeta_dxv(X: float, V: float) -> float:
-        return (zeta_dx(X, V + h) - zeta_dx(X, V - h)) / (2.0 * h)
-
-    def zeta_dvv(X: float, V: float) -> float:
-        return (zeta_value(X, V + h) - 2.0 * zeta_value(X, V) + zeta_value(X, V - h)) / (h * h)
-
-    zeta = Field2(zeta_value, zeta_dx, zeta_dv, zeta_dxx, zeta_dxv, zeta_dvv)
-    return HenonMap(f.a, f.b, f.m, zeta, ZERO_FIELD)
 
 
 # ---------------------------------------------------------------------------

@@ -157,14 +157,6 @@ class Piece1D(NamedTuple):
     def image(self) -> tuple[float, float]:
         return (self.image_lo, self.image_hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 def parse_word(text: str) -> tuple[str, ...]:
     """Parse a comma-separated word string into validated tokens.

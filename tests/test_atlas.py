@@ -36,6 +36,7 @@ from henonlab.atlas import (
     render_ppm,
     sweep,
 )
+from henonlab.cli import run
 from henonlab.embed import compare_summary
 from henonlab.errors import DomainError, HenonLabError
 from henonlab.henon import MAP_REGISTRY, HenonMap, build_map
@@ -418,36 +419,22 @@ class TestGeometry:
     def test_row_zero_holds_largest_b(self):
         r = sweep("swallow-escape", 4, 3, a_range=(-1.0, 1.0), b_range=(-2.0, 1.0),
                   params={"steps": 5})
-        a0, b0 = r.pixel_center(0, 0)
-        a_last, b_last = r.pixel_center(2, 3)
-        assert b0 == pytest.approx(0.5)
-        assert b_last == pytest.approx(-1.5)
-        assert a0 == pytest.approx(-0.75)
-        assert a_last == pytest.approx(0.75)
-        assert list(r.b_centers()) == sorted(r.b_centers(), reverse=True)
-
-    def test_centers_match_pixel_center(self):
-        for width, height, a_range, b_range in [
-            (3, 2, (0.0, 3.0), (0.0, 2.0)),
-            # lo + (j+1/2)*((hi-lo)/w) and lo + (j+1/2)*(hi-lo)/w differ here
-            (21, 21, (-2.1, 0.4), (-2.1, 0.4)),
-        ]:
-            r = sweep("swallow-escape", width, height, a_range=a_range, b_range=b_range,
-                      params={"steps": 5})
-            for i in range(height):
-                for j in range(width):
-                    a, b = r.pixel_center(i, j)
-                    assert a == r.a_centers()[j]
-                    assert b == r.b_centers()[i]
+        a_c, b_c = r.a_centers(), r.b_centers()
+        assert b_c[0] == pytest.approx(0.5)
+        assert b_c[2] == pytest.approx(-1.5)
+        assert a_c[0] == pytest.approx(-0.75)
+        assert a_c[3] == pytest.approx(0.75)
+        assert list(b_c) == sorted(b_c, reverse=True)
 
     def test_csv_prints_the_evaluated_centers(self):
         r = sweep("swallow-escape", 21, 3, a_range=(-2.1, 0.4), b_range=(-2.1, 0.4),
                   params={"steps": 5})
+        a_c, b_c = r.a_centers().tolist(), r.b_centers().tolist()
         rows = render_csv(r).splitlines()[3:]
         for k, line in enumerate(rows):
             i, j = divmod(k, 21)
             a, b = (float(v) for v in line.split(",")[:2])
-            assert (a, b) == r.pixel_center(i, j)
+            assert (a, b) == (a_c[j], b_c[i])
 
     @pytest.mark.parametrize("key, value", [
         ("steps", -5), ("steps", 0), ("n", 0),
@@ -540,9 +527,10 @@ class TestCoefficientOverflow:
 class TestSwallowKernels:
     def test_classification_matches_scalar(self):
         r = sweep("swallow-escape", 6, 5, params={"steps": 300})
+        a_c, b_c = r.a_centers().tolist(), r.b_centers().tolist()
         for i in range(r.height):
             for j in range(r.width):
-                a, b = r.pixel_center(i, j)
+                a, b = a_c[j], b_c[i]
                 cls = swallow_classify(a, b, n_max=300)
                 expected = {"escape": TAG_ESCAPE, "wing": TAG_WING, "body": TAG_BODY}
                 assert r.tags[i, j] == expected[cls.tag]
@@ -556,7 +544,7 @@ class TestSwallowKernels:
 
     def test_origin_pixel_is_body(self):
         r = sweep("swallow-escape", 3, 3, a_range=(-1.5, 1.5), b_range=(-1.5, 1.5))
-        assert r.pixel_center(1, 1) == (0.0, 0.0)
+        assert (r.a_centers()[1], r.b_centers()[1]) == (0.0, 0.0)
         assert r.tags[1, 1] == TAG_BODY
 
     def test_exponent_matches_scalar_mirror(self):
@@ -574,9 +562,10 @@ class TestSwallowKernels:
                         return None, step
             return total / n, None
 
+        a_c, b_c = r.a_centers().tolist(), r.b_centers().tolist()
         for i in range(r.height):
             for j in range(r.width):
-                a, b = r.pixel_center(i, j)
+                a, b = a_c[j], b_c[i]
                 exp_ab, step_ab = one_composition(a, b, b)
                 exp_ba, step_ba = one_composition(b, a, b)
                 if exp_ab is None and exp_ba is None:
@@ -594,7 +583,7 @@ class TestSwallowKernels:
         # fixed point with zero derivative, so the exponent diverges down
         r = sweep("swallow-lyap", 3, 3, a_range=(-1.5, 1.5), b_range=(-1.5, 1.5),
                   params={"n": 50})
-        assert r.pixel_center(1, 1) == (0.0, 0.0)
+        assert (r.a_centers()[1], r.b_centers()[1]) == (0.0, 0.0)
         assert r.tags[1, 1] == TAG_LYAP
         assert r.values[1, 1] == -math.inf
 
@@ -602,7 +591,7 @@ class TestSwallowKernels:
 class TestHenonKernels:
     def test_exponent_pixel_matches_scalar(self):
         r = sweep("henon-lyap", 5, 2, a_range=(-2.5, 2.5), b_range=(0.0, 0.4))
-        assert r.pixel_center(1, 2) == (0.0, pytest.approx(0.1))
+        assert (r.a_centers()[2], r.b_centers()[1]) == (0.0, pytest.approx(0.1))
         scalar = lyapunov(HenonMap(0.0, 0.1), (0.0, 0.0), (0.0, 1.0), 10_000)
         assert r.tags[1, 2] == TAG_LYAP
         assert r.values[1, 2] == pytest.approx(scalar.value, rel=5e-12)
@@ -610,9 +599,10 @@ class TestHenonKernels:
 
     def test_escape_pixels_match_scalar(self):
         r = sweep("henon-escape", 5, 4, params={"steps": 200})
+        a_c, b_c = r.a_centers().tolist(), r.b_centers().tolist()
         for i in range(r.height):
             for j in range(r.width):
-                a, b = r.pixel_center(i, j)
+                a, b = a_c[j], b_c[i]
                 _, escaped, step = orbit_escape(HenonMap(a, b), (0.0, 0.0), 200)
                 if escaped:
                     assert r.tags[i, j] == TAG_ESCAPE
@@ -626,9 +616,10 @@ class TestHenonKernels:
         r = sweep("henon-lyap", 3, 2, a_range=(-1.0, 1.0), b_range=(0.05, 0.25),
                   params=params)
         seen = set()
+        a_c, b_c = r.a_centers().tolist(), r.b_centers().tolist()
         for i in range(r.height):
             for j in range(r.width):
-                a, b = r.pixel_center(i, j)
+                a, b = a_c[j], b_c[i]
                 f = build_map("sine-perturbed", a, b, delta=0.02)
                 scalar = lyapunov(f, (0.0, 0.0), (0.0, 1.0), 500)
                 seen.add(scalar.tag)
@@ -956,6 +947,41 @@ def test_embed_swallow_ppm_bytes_pinned():
     assert problem is None, problem
 
 
+#: CLI rasters of a few pixels for the kernels that no other pin covers, as
+#: CSV: the arguments and the SHA-256 recorded on each host.  swallow-lyap
+#: sums ``np.log``; the hooked maps' fields call ``math.sin`` and
+#: ``math.cos``, and hooked henon-lyap ``math.hypot`` and ``math.log``, so
+#: another numpy build, CPU or libm may move the bytes.
+KERNEL_CSV = {
+    "swallow-lyap": (
+        ("swallow", "--kernel", "swallow-lyap", "--grid", "5x4", "--n", "500"),
+        [(_AVX512_HOST, "96c89470e4df4436e2dedc60fee4000d0d0f17caeb81dbdedddaae8848df2330"),
+         (_NO_AVX512_HOST, "96c89470e4df4436e2dedc60fee4000d0d0f17caeb81dbdedddaae8848df2330")],
+    ),
+    "henon-escape-sine": (
+        ("henon-atlas", "--kernel", "henon-escape", "--map", "sine-perturbed",
+         "--grid", "5x4", "--steps", "500"),
+        [(_AVX512_HOST, "85e6d6c215b635a8af3afdc95f9b6441863e12754b8d139b663746feee7086cc"),
+         (_NO_AVX512_HOST, "85e6d6c215b635a8af3afdc95f9b6441863e12754b8d139b663746feee7086cc")],
+    ),
+    "henon-lyap-sine": (
+        ("henon-atlas", "--kernel", "henon-lyap", "--map", "sine-perturbed",
+         "--grid", "5x4", "--n", "1000"),
+        [(_AVX512_HOST, "1b8fcea6cffbc6e96b84a49909d4a4fd79ef9f242801f2badcf33b880724d8c3"),
+         (_NO_AVX512_HOST, "1b8fcea6cffbc6e96b84a49909d4a4fd79ef9f242801f2badcf33b880724d8c3")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CSV))
+def test_kernel_csv_bytes_pinned(capsys, name):
+    argv, pins = KERNEL_CSV[name]
+    assert run([*argv, "--format", "csv", "--workers", "1"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+    problem = _unpinned(digest, pins, _host())
+    assert problem is None, problem
+
+
 @pytest.mark.skipif(not all(__cpu_features__.get(t) for t in _NO_AVX512),
                     reason="this process runs no AVX-512 loops to turn off")
 def test_pins_hold_without_avx512():
@@ -964,10 +990,12 @@ def test_pins_hold_without_avx512():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_figures_lyap_csv_bytes_pinned[1]",
-         f"{__file__}::test_embed_swallow_ppm_bytes_pinned"],
+         f"{__file__}::test_embed_swallow_ppm_bytes_pinned",
+         *(f"{__file__}::test_kernel_csv_bytes_pinned[{name}]" for name in sorted(KERNEL_CSV))],
         capture_output=True, text=True, timeout=300, env=env, cwd=Path(__file__).parents[1],
     )
-    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
+    passed = f"{2 + len(KERNEL_CSV)} passed"
+    assert proc.returncode == 0 and passed in proc.stdout, proc.stdout + proc.stderr
 
 
 def test_unrecorded_host_names_every_recorded_one():
@@ -983,9 +1011,10 @@ def test_unrecorded_host_names_every_recorded_one():
 class TestRenormStrip:
     def test_values_match_direct_renormalization(self):
         r = sweep("renorm-strip", 3, 2)
+        a_c, b_c = r.a_centers().tolist(), r.b_centers().tolist()
         for i in range(r.height):
             for j in range(r.width):
-                a, b = r.pixel_center(i, j)
+                a, b = a_c[j], b_c[i]
                 assert r.tags[i, j] == TAG_LYAP
                 assert r.values[i, j] == renormalize(HenonMap(a, b), "c1").abar
 

@@ -36,7 +36,6 @@ from henonlab.henon import (
     HenonMap,
     apply_map,
     build_map,
-    normalize_xi,
     sine_perturbed_fields,
 )
 from henonlab.rootfind import newton_safeguarded
@@ -182,12 +181,6 @@ class TestDerivatives:
         ratio, prod = det_identity(chain, x1=0.1, y0=-0.3)
         assert prod != pytest.approx(f.b ** chain.order, rel=1e-6)
         assert ratio == pytest.approx(prod, rel=1e-8)
-
-    def test_det_identity_after_normalization(self):
-        f = normalize_xi(build_map("sine-perturbed", a=-1.95, b=1e-2, delta=0.005))
-        chain = factorize_chain(f, "s-")
-        ratio, prod = det_identity(chain, x1=0.1, y0=0.2)
-        assert ratio == pytest.approx(prod, rel=1e-6)
 
 
 def _jet_probes(word, b, kind, count=6):

@@ -1,4 +1,4 @@
-"""Tests for the 2-D map type: evaluation, normalization, orbits, attractors."""
+"""Tests for the 2-D map type: evaluation, orbits, attractors."""
 
 import math
 import pickle
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from henonlab import henon, renorm
-from henonlab.errors import ContractionError, ConvergenceError, DomainError
+from henonlab.errors import ConvergenceError, DomainError
 from henonlab.henon import (
     _cycle_pass,
     _multipliers,
@@ -26,8 +26,6 @@ from henonlab.henon import (
     find_attractors,
     iterate,
     jacobian,
-    normalize_xi,
-    rho_offset,
     sine_perturbed_fields,
 )
 from henonlab.rootfind import newton2
@@ -102,73 +100,6 @@ class TestStoredPower:
         g = pickle.loads(pickle.dumps(f))
         assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
         assert g.bm == f.bm and g.zeta is ZERO_FIELD and g.xi is ZERO_FIELD
-
-
-# ---------------------------------------------------------------------------
-# xi-normalization
-# ---------------------------------------------------------------------------
-
-class TestNormalizeXi:
-    def test_constant_xi_offset(self):
-        eps = 0.037
-        f = HenonMap(a=-1.0, b=0.2, xi=Field2(value=lambda x, v: eps))
-        assert rho_offset(f, 0.4, 0.1) == pytest.approx(eps, abs=1e-12)
-
-    def test_linear_xi_offset(self):
-        eps = 0.21
-        xi = Field2(value=lambda x, v: eps * x, dx=lambda x, v: eps)
-        f = HenonMap(a=-1.0, b=0.2, xi=xi)
-        for x in (-1.5, -0.3, 0.0, 0.8, 2.0):
-            assert rho_offset(f, x, 0.0) == pytest.approx(eps * x / (1 + eps), abs=1e-12)
-
-    def test_contraction_guard(self):
-        xi = Field2(value=lambda x, v: 0.6 * x, dx=lambda x, v: 0.6)
-        with pytest.raises(ContractionError):
-            normalize_xi(HenonMap(a=-1.0, b=0.2, xi=xi))
-
-    def test_already_normalized_is_identity(self):
-        f = HenonMap(a=-1.0, b=0.2)
-        assert normalize_xi(f) is f
-        assert f.normalized
-
-    @pytest.mark.parametrize("b", [0.1, 0.0, -0.05])
-    def test_conjugacy_round_trip(self, b):
-        f = build_map("sine-perturbed", a=-1.5, b=b, delta=0.01)
-        g = normalize_xi(f)
-        assert g.normalized
-        bm = f.bm
-
-        def chart(z):
-            return (z[0] + f.xi.value(z[0], bm * z[1]), z[1])
-
-        def chart_inv(z):
-            return (z[0] - rho_offset(f, z[0], bm * z[1]), z[1])
-
-        for i in range(20):
-            for j in range(20):
-                z = (-2.0 + 4.0 * i / 19, -2.0 + 4.0 * j / 19)
-                w = chart_inv(chart(z))
-                assert abs(w[0] - z[0]) <= 1e-10
-                lhs = apply_map(g, chart(z))
-                rhs = chart(apply_map(f, z))
-                assert abs(lhs[0] - rhs[0]) <= 1e-9
-                assert abs(lhs[1] - rhs[1]) <= 1e-9
-
-    def test_normalized_second_coordinate_is_x(self):
-        f = build_map("sine-perturbed", a=-1.5, b=0.1, delta=0.01)
-        g = normalize_xi(f)
-        for x, y in [(-1.2, 0.4), (0.0, 0.0), (0.9, -1.1)]:
-            assert apply_map(g, (x, y))[1] == x
-
-    def test_derived_zeta_partials_match_fd(self):
-        f = build_map("sine-perturbed", a=-1.5, b=0.1, delta=0.01)
-        g = normalize_xi(f)
-        h = 1e-5
-        for X, V in [(0.3, 0.05), (-0.8, -0.02)]:
-            fd_dx = (g.zeta.value(X + h, V) - g.zeta.value(X - h, V)) / (2 * h)
-            fd_dv = (g.zeta.value(X, V + h) - g.zeta.value(X, V - h)) / (2 * h)
-            assert g.zeta.dx(X, V) == pytest.approx(fd_dx, abs=1e-6)
-            assert g.zeta.dv(X, V) == pytest.approx(fd_dv, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
