@@ -1,10 +1,11 @@
 """Deterministic parameter-plane rasters with PPM and CSV emission.
 
-``sweep`` computes a raster in blocks of rows, one block per worker, and
-drives every kernel through one table, ``KERNELS`` (see ``Kernel``).  The
-four orbit kernels live here: escape classification and derivative-growth
-exponents on the composed-quadratic parameter plane, origin escape and
-tangent-growth exponents on the Henon-family plane.  They iterate a whole
+``sweep`` computes a raster in blocks of rows of at most ``_BLOCK_PIXELS``
+pixels, which its processes claim from a shared counter, and drives every
+kernel through one table, ``KERNELS`` (see ``Kernel``).  The four orbit
+kernels live here: escape classification and derivative-growth exponents
+on the composed-quadratic parameter plane, origin escape and tangent-growth
+exponents on the Henon-family plane.  They iterate a whole
 block per numpy step on one compacting loop, on which the escape kernels
 also retire an orbit whose position repeats bit for bit: that is exact,
 since each step is a pure function of the position.  The kernels that
@@ -29,7 +30,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .henon import MAP_REGISTRY, ZERO_FIELD, Frozen, HenonMap, build_map
+from .henon import ZERO_FIELD, Frozen, HenonMap, build_map
 from .maps1d import DEFAULT_ESCAPE_RADIUS
 
 # ---------------------------------------------------------------------------
@@ -369,40 +370,27 @@ def _block_swallow_lyap(a: np.ndarray, b: np.ndarray, params: Mapping,
 # exponent, one for the norm and its logarithm.
 
 
-def _map_config(params: Mapping) -> tuple[str, int, dict]:
-    """The map family's name, m and extra builder arguments of ``params``
-    as ``_checked`` left them."""
-    name = str(params.get("map", "standard"))
-    m = params["m"]
-    extra = {"delta": params["delta"]} if "delta" in params else {}
-    return name, m, extra
-
-
-def _row_coefficient(name: str, b: float, m: int, extra: Mapping) -> float | None:
-    """The coefficient b^m of a row's maps (0 on the zero map), or None when
-    it overflows a float."""
-    try:
-        return build_map(name, 0.0, b, m, **extra).bm
-    except DomainError:
-        return None
-
-
 def _henon_pixels(
     a: np.ndarray, b: np.ndarray, params: Mapping
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, HenonMap | None]:
-    """Per-pixel (a, c) of a block, the mask of pixels whose row coefficient
-    overflows (run with c = 0, tagged error), and the family's map at
-    a = b = 0 when it has hooks, else None.  The registered families' hooks
-    do not depend on (a, b), so that one map serves every pixel.
+    """Per-pixel (a, c) of a block, c = b^m of the row's map (0 on the zero
+    map), the mask of pixels whose c overflows a float (run with c = 0,
+    tagged error), and the family's map at a = b = 0 when it has hooks,
+    else None.  The families' hooks do not depend on (a, b), so that one
+    map serves every pixel.
 
     c is worked out once per row as a Python float power and then
     broadcast, so every pixel sees the same bits as a scalar evaluation.
     """
-    name, m, extra = _map_config(params)
-    c = [_row_coefficient(name, float(row_b), m, extra) for row_b in b]
+    c = []
+    for row_b in b:
+        try:
+            c.append(build_map(params["map"], 0.0, float(row_b), params["m"], params["delta"]).bm)
+        except DomainError:
+            c.append(None)
     overflow = np.repeat([v is None for v in c], a.size)
     c_px = np.repeat([0.0 if v is None else v for v in c], a.size)
-    f = build_map(name, 0.0, 0.0, m, **extra)
+    f = build_map(params["map"], 0.0, 0.0, params["m"], params["delta"])
     plain = f.zeta is ZERO_FIELD and f.xi is ZERO_FIELD
     return np.tile(a, b.size), c_px, overflow, None if plain else f
 
@@ -523,8 +511,8 @@ def _number(key: str, value) -> float:
 
 
 def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
-    """``params`` with the counts steps, n and m, the escape radius, any
-    map family name and any perturbation amplitude delta checked and their
+    """``params`` with the counts steps, n and m, the escape radius, the
+    map family name and the perturbation amplitude delta checked and their
     defaults filled in.  This is the ``prepare`` of the orbit kernels, which
     read nothing of the pixel centres a and b."""
     checked = dict(params)
@@ -547,12 +535,9 @@ def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
     checked["radius"] = _number("radius", params.get("radius", DEFAULT_ESCAPE_RADIUS))
     if not checked["radius"] > 0.0:
         raise DomainError(f"escape radius must be positive, got {checked['radius']}")
-    if "map" in params:
-        name = str(params["map"])
-        if name not in MAP_REGISTRY:
-            raise DomainError(f"unknown map {name!r}; known: {sorted(MAP_REGISTRY)}")
-    if "delta" in params:
-        checked["delta"] = _number("delta", params["delta"])
+    checked["map"] = str(params.get("map", "standard"))
+    build_map(checked["map"], 0.0, 0.0)  # rejects an unknown name
+    checked["delta"] = _number("delta", params.get("delta", 0.01))
     return checked
 
 
@@ -601,8 +586,9 @@ KERNELS: dict[str, Kernel] = {
 # ---------------------------------------------------------------------------
 
 def _row_blocks(cfg: Mapping, workers: int) -> list[range]:
-    """Row ranges of the tasks: one block per worker, of at most
-    _BLOCK_PIXELS pixels unless a single row holds more."""
+    """Row ranges of the tasks: an even share of the rows per worker, cut
+    to at most _BLOCK_PIXELS pixels unless a single row holds more, so a
+    raster may have more blocks than workers (400x400 at 2 workers has 10)."""
     height = cfg["height"]
     rows = max(1, min(-(-height // workers), _BLOCK_PIXELS // cfg["width"]))
     return [range(lo, min(lo + rows, height)) for lo in range(0, height, rows)]
@@ -751,6 +737,8 @@ def emit(raster: Raster, fmt: str, path: str, colormap: str | None = None) -> No
     if fmt == "ppm":
         payload = render_ppm(raster, colormap)
         if path == "-":
+            if not hasattr(sys.stdout, "buffer"):
+                raise DomainError("stdout takes only text: use --out PATH or --format csv")
             sys.stdout.buffer.write(payload)
         else:
             with open(path, "wb") as fh:

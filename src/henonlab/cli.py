@@ -42,7 +42,7 @@ from .errors import (
     ProductError,
     WordError,
 )
-from .henon import MAP_REGISTRY, build_map, find_attractors
+from .henon import MAP_NAMES, build_map, find_attractors
 from .maps1d import ladder, piece_1d, special_parameters
 from .renorm import (
     certify_cone_expansion,
@@ -210,7 +210,7 @@ def _read_config(path: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 _MAP_OPTIONS = (
-    Option("map", _parse_choice(*sorted(MAP_REGISTRY)), "standard", "registered map family"),
+    Option("map", _parse_choice(*MAP_NAMES), "standard", "registered map family"),
     Option("m", _parse_int, "1", "multiplicity exponent of b"),
     Option("delta", _parse_float, "0.01", "perturbation amplitude for hooked maps"),
 )

@@ -137,7 +137,6 @@ def eval_cross(
     chain: CrossMapChain,
     x1: float,
     y0: float,
-    tol: float = _SWEEP_TOL,
     max_sweeps: int = _MAX_SWEEPS,
 ) -> CrossEval:
     """Joint backward solve by Gauss-Seidel sweeps.
@@ -218,7 +217,7 @@ def eval_cross(
             if gap > change:
                 change = gap
             ys[i] = yi_new
-        if sweep > 1 and change <= tol:
+        if sweep > 1 and change <= _SWEEP_TOL:
             return CrossEval(xs[0], ys[n], tuple(xs), tuple(ys), sweep)
         if change >= prev_residual:
             increases += 1

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .atlas import (_BLOCK_PIXELS, TAG_AGREE, TAG_DISAGREE, TAG_ERROR, TAG_LYAP, Raster,
-                    _checked, _map_config, _number, _run_orbits)
+                    _checked, _number, _run_orbits)
 from .errors import ConvergenceError, DomainError, HenonLabError
 from .henon import HenonMap, build_map
 from .maps1d import parse_word
@@ -54,12 +54,11 @@ def _block_renorm_strip(a: np.ndarray, b: np.ndarray, params: Mapping,
     or renormalization fails is error, every pixel of a row whose b^m
     overflows among them: ``HenonMap`` rejects such a b."""
     word = str(params.get("word", "c1"))
-    name, m, extra = _map_config(params)
     tags = np.full((b.size, a.size), TAG_LYAP, dtype=np.uint8)
     values = np.zeros((b.size, a.size))
     for i, j in np.ndindex(tags.shape):
         try:
-            f = build_map(name, float(a[j]), float(b[i]), m, **extra)
+            f = build_map(params["map"], float(a[j]), float(b[i]), params["m"], params["delta"])
             values[i, j] = renormalize(f, word).abar
         except HenonLabError:
             tags[i, j] = TAG_ERROR

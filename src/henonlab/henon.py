@@ -26,7 +26,7 @@ __all__ = [
     "jacobian",
     "find_attractors",
     "build_map",
-    "MAP_REGISTRY",
+    "MAP_NAMES",
     "sine_perturbed_fields",
 ]
 
@@ -106,6 +106,12 @@ class HenonMap(Frozen):
 
     def __init__(self, a: float, b: float, m: int = 1,
                  zeta: Field2 = ZERO_FIELD, xi: Field2 = ZERO_FIELD):
+        try:
+            whole = m == int(m)
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise DomainError(f"multiplicity m must be a whole number, got {m!r}")
         if m < 1:
             raise DomainError(f"multiplicity m must be at least 1, got {m}")
         try:
@@ -369,7 +375,7 @@ def find_attractors(
 
 
 # ---------------------------------------------------------------------------
-# builtin map registry
+# builtin map families
 # ---------------------------------------------------------------------------
 
 def sine_perturbed_fields(delta: float) -> tuple[Field2, Field2]:
@@ -390,29 +396,16 @@ def sine_perturbed_fields(delta: float) -> tuple[Field2, Field2]:
     return zeta, xi
 
 
-def _build_standard(a: float, b: float, m: int = 1, **_) -> HenonMap:
-    return HenonMap(a, b, m)
+#: The map families that ``build_map`` builds, sorted by name.
+MAP_NAMES = ("sine-perturbed", "standard", "zero")
 
 
-def _build_zero(a: float, b: float, m: int = 1, **_) -> HenonMap:
-    return HenonMap(a, 0.0, m)
-
-
-def _build_sine(a: float, b: float, m: int = 1, delta: float = 0.01, **_) -> HenonMap:
-    zeta, xi = sine_perturbed_fields(delta)
-    return HenonMap(a, b, m, zeta, xi)
-
-
-MAP_REGISTRY: dict[str, Callable[..., HenonMap]] = {
-    "standard": _build_standard,
-    "zero": _build_zero,
-    "sine-perturbed": _build_sine,
-}
-
-
-def build_map(name: str, a: float, b: float, m: int = 1, **kwargs) -> HenonMap:
-    try:
-        builder = MAP_REGISTRY[name]
-    except KeyError:
-        raise DomainError(f"unknown map {name!r}; known: {sorted(MAP_REGISTRY)}") from None
-    return builder(a, b, m, **kwargs)
+def build_map(name: str, a: float, b: float, m: int = 1, delta: float = 0.01) -> HenonMap:
+    """The family's map at (a, b); delta is the sine-perturbed amplitude."""
+    if name == "standard":
+        return HenonMap(a, b, m)
+    if name == "zero":
+        return HenonMap(a, 0.0, m)
+    if name == "sine-perturbed":
+        return HenonMap(a, b, m, *sine_perturbed_fields(delta))
+    raise DomainError(f"unknown map {name!r}; known: {list(MAP_NAMES)}")

@@ -155,8 +155,8 @@ class TangencyData(NamedTuple):
     c anchors the tangency; sigma and lam are the cross-map slopes there;
     mu is the defect (signed distance of the fold image from the strip),
     q half the fold curvature, d the Jacobian determinant at the fold
-    point, A = A(c, c) and B = H(0) at the anchor, read off the anchor
-    solve's last jet. H traces the exit-height graph through the anchor.
+    point, and A = A(c, c) and B = B(c, c) at the anchor, read off the
+    anchor solve's last jet.
     """
 
     chain: CrossMapChain
@@ -168,11 +168,6 @@ class TangencyData(NamedTuple):
     d: float
     A: float
     B: float
-
-    def H(self, t: float) -> float:
-        if t == 0.0:
-            return self.B
-        return eval_cross(self.chain, self.c + t, self.c).B
 
 
 def find_tangency(chain: CrossMapChain, seed: float = 0.0) -> TangencyData:
@@ -229,39 +224,6 @@ class RenormData(NamedTuple):
     @property
     def chain(self) -> CrossMapChain:
         return self.tangency.chain
-
-    def chart(self, X: float, Y: float) -> tuple[float, float]:
-        t = self.tangency
-        return (t.c + t.sigma * X, t.H(t.sigma * X) + t.sigma * t.lam * Y)
-
-    def chart_inv(self, x: float, y: float) -> tuple[float, float]:
-        t = self.tangency
-        X = (x - t.c) / t.sigma
-        if t.lam == 0.0:
-            return X, 0.0
-        return X, (y - t.H(t.sigma * X)) / (t.sigma * t.lam)
-
-    def renorm_map(self, X: float, Y: float) -> tuple[float, float]:
-        """One full return in chart coordinates: one explicit fold step,
-        then the contracted chain passage, then ``chart_inv``."""
-        t = self.tangency
-        f = t.chain.henon
-        limit = ladder(f.a).require("beta") + 1.0
-        if abs(t.c + t.sigma * X) > limit:
-            raise DomainError(
-                f"renormalization sample X={X!r} leaves the strip region"
-            )
-        z = self.chart(X, Y)
-        w = apply_map(f, z)
-        for p in (z, w):
-            if max(abs(p[0]), abs(p[1])) > limit:
-                raise DomainError(
-                    f"renormalization sample {p!r} leaves the strip region"
-                )
-        Xp, Yp = self.chart_inv(*_chain_forward(t.chain, w[0], w[1]))
-        if t.lam == 0.0:
-            return Xp, X  # degenerate thickness: the exit height is the entry
-        return Xp, Yp
 
 
 def renormalize(f: HenonMap, word: str) -> RenormData:
@@ -776,7 +738,7 @@ def twin_find(
         )
     chosen = build(a_star, b_star)
     minus, plus = renormalize(chosen, word_minus), renormalize(chosen, word_plus)
-    seeds = [(r.tangency.c, r.tangency.H(0.0)) for r in (minus, plus)]
+    seeds = [(r.tangency.c, r.tangency.B) for r in (minus, plus)]
     report = find_attractors(chosen, seeds, max_period=max(32, plus.chain.order + 6))
 
     return TwinResult(

@@ -3,11 +3,13 @@
 All iterative solvers in the package funnel through these routines so that
 tolerances and iteration caps are uniform: relative tolerance 1e-12 by
 default, a fixed cap of 200 iterations (100 for ``newton2``), bisection
-fallback whenever a bracket is available.  The one exception is the
-per-factor solve of ``crossmap.eval_cross``, which runs the Newton
-iteration of ``newton_safeguarded`` (analytic slope, no bracket) written
-inline with the same tolerance, cap and stopping rule, because it is
-called millions of times per tangency search.  The fold-tangency solves
+fallback whenever a bracket is available.  There are two exceptions.  The
+per-factor solve of ``crossmap.eval_cross`` runs the Newton iteration of
+``newton_safeguarded`` (analytic slope, no bracket) written inline with
+the same tolerance, cap and stopping rule, because it is called millions
+of times per tangency search.  ``embed._embed_solve``, embed-compare's
+tracking, is a damped Newton on a Broyden-updated secant model, with its
+own residual tolerance, step cap and iteration count.  The fold-tangency solves
 of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
 cross-map jets, and ``renorm.double_tangency`` passes the exact parameter
 Jacobian of its two fold defects, taken from the jets' parameter columns;

@@ -18,7 +18,8 @@ from henonlab.atlas import TAG_NAMES, Raster, _composed_left, _run_orbits
 from henonlab.crossmap import CrossMapChain, eval_cross
 from henonlab.errors import DomainError
 from henonlab.henon import ZERO_FIELD, Field2, HenonMap, apply_map, iterate, jacobian
-from henonlab.renorm import RenormData, _first_coord
+from henonlab.maps1d import ladder
+from henonlab.renorm import RenormData, TangencyData, _chain_forward, _first_coord
 from henonlab.rootfind import newton_safeguarded
 
 
@@ -107,6 +108,49 @@ def _defect_at(chain: CrossMapChain, c: float, t: float) -> float:
     return _first_coord(f, c + t, b_val) - eval_cross(chain, c, c + t).A
 
 
+def _exit_height(t: TangencyData, s: float) -> float:
+    """The exit-height graph through the anchor: B(c + s, c)."""
+    if s == 0.0:
+        return t.B
+    return eval_cross(t.chain, t.c + s, t.c).B
+
+
+def chart(data: RenormData, X: float, Y: float) -> tuple[float, float]:
+    t = data.tangency
+    return (t.c + t.sigma * X, _exit_height(t, t.sigma * X) + t.sigma * t.lam * Y)
+
+
+def chart_inv(data: RenormData, x: float, y: float) -> tuple[float, float]:
+    t = data.tangency
+    X = (x - t.c) / t.sigma
+    if t.lam == 0.0:
+        return X, 0.0
+    return X, (y - _exit_height(t, t.sigma * X)) / (t.sigma * t.lam)
+
+
+def renorm_map(data: RenormData, X: float, Y: float) -> tuple[float, float]:
+    """One full return in chart coordinates: one explicit fold step,
+    then the contracted chain passage, then ``chart_inv``."""
+    t = data.tangency
+    f = t.chain.henon
+    limit = ladder(f.a).require("beta") + 1.0
+    if abs(t.c + t.sigma * X) > limit:
+        raise DomainError(
+            f"renormalization sample X={X!r} leaves the strip region"
+        )
+    z = chart(data, X, Y)
+    w = apply_map(f, z)
+    for p in (z, w):
+        if max(abs(p[0]), abs(p[1])) > limit:
+            raise DomainError(
+                f"renormalization sample {p!r} leaves the strip region"
+            )
+    Xp, Yp = chart_inv(data, *_chain_forward(t.chain, w[0], w[1]))
+    if t.lam == 0.0:
+        return Xp, X  # degenerate thickness: the exit height is the entry
+    return Xp, Yp
+
+
 def delta_star(
     data: RenormData,
     R: float = 2.5,
@@ -128,7 +172,7 @@ def delta_star(
         X = -R + 2.0 * R * i / (grid - 1)
         for j in range(grid):
             Y = -y_extent + 2.0 * y_extent * j / (grid - 1)
-            Xp, Yp = data.renorm_map(X, Y)
+            Xp, Yp = renorm_map(data, X, Y)
             model = X * X + data.abar - bbarM * Y
             worst = max(worst, abs(Xp - model))
             if resolvable:

@@ -32,6 +32,7 @@ from henonlab.maps1d import (
     quad,
     special_parameters,
     swallow_boundary,
+    swallow_classify,
 )
 from henonlab.renorm import (
     double_tangency,
@@ -124,11 +125,19 @@ def test_swallow_boundary_markers(capsys):
         max(abs(p[0] - q[1]), abs(p[1] - q[0]))
         for p, q in zip(c1.points, c2.points)
     )
+    # the sampled third curve: from its saddle-node end, each point parts a
+    # bounded class (body or wing) from escape along a
+    c3 = swallow_boundary("C3", (-0.5, b3), 6)
+    c3_end = max(abs(c3.points[-1][0] - a3), abs(c3.points[-1][1] - b3))
+    sides = [{swallow_classify(pa + da, pb).tag for da in (-1e-4, 1e-4)}
+             for pa, pb in c3.points]
+    parted = sum(len(tags) == 2 and "escape" in tags for tags in sides)
     ok = r1 <= 1e-10 and mult < -1.0 and r3 <= 1e-10 and on_curve <= 1e-10 \
-        and swap == 0.0
+        and swap == 0.0 and len(c3.points) == 6 and c3_end <= 1e-10 and parted == 6
     report(capsys, 3, ok,
            f"curve residuals ({r1:.1e}, {r3:.1e}) <= 1e-10, "
-           f"mirror-curve swap gap {swap:.1e}")
+           f"mirror-curve swap gap {swap:.1e}, "
+           f"C3 points parting bounded from escape {parted}/{len(c3.points)}")
 
 
 def test_cross_map_against_shooting(capsys):

@@ -44,28 +44,36 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def _calls_by_name() -> dict[str, list[ast.Call]]:
-    """Every call in the package, its tests and perfbench, by called name."""
+def _calls_by_name() -> dict[str, list[tuple[ast.Call, bool]]]:
+    """Every call in the package, its tests and perfbench, by called name:
+    (call, True) under the name it calls, and (call, False) under the name
+    of each function it is handed as an argument, as in
+    ``_outcome(eval_cross, chain, x1, y0, max_sweeps=cap)``."""
     root = Path(__file__).resolve().parents[1]
-    calls: dict[str, list[ast.Call]] = {}
+    calls: dict[str, list[tuple[ast.Call, bool]]] = {}
     for top in ("src", "tests", "perfbench"):
         for path in sorted((root / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
-                    func = node.func
-                    name = getattr(func, "id", None) or getattr(func, "attr", None)
-                    calls.setdefault(name, []).append(node)
+                    for arg, direct in [(node.func, True)] + [(a, False) for a in node.args]:
+                        name = getattr(arg, "id", None) or getattr(arg, "attr", None)
+                        if name is not None:
+                            calls.setdefault(name, []).append((node, direct))
     return calls
 
 
-def _sets(call: ast.Call, index: int, param: inspect.Parameter) -> bool:
-    """Whether a call may set the parameter at ``index`` of the signature:
-    by keyword, by position, or through ``*args`` / ``**kwargs``."""
-    if any(kw.arg in (param.name, None) for kw in call.keywords):
+def _sets(call: ast.Call, direct: bool, index: int, param: inspect.Parameter) -> bool:
+    """Whether a call sets the parameter at ``index`` of the signature: by
+    keyword, or by position ahead of any ``*args`` when it calls the
+    function itself.  A ``*args, **kwargs`` forward names no parameter, so
+    it sets none."""
+    if any(kw.arg == param.name for kw in call.keywords):
         return True
-    return param.kind is param.POSITIONAL_OR_KEYWORD and (
-        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
-    )
+    if not direct or param.kind is not param.POSITIONAL_OR_KEYWORD:
+        return False
+    named = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                 len(call.args))
+    return index < named
 
 
 def test_every_exported_default_is_set_by_a_caller():
@@ -81,7 +89,8 @@ def test_every_exported_default_is_set_by_a_caller():
             for index, param in enumerate(inspect.signature(func).parameters.values()):
                 if param.default is param.empty:
                     continue
-                if not any(_sets(call, index, param) for call in calls.get(item, ())):
+                if not any(_sets(call, direct, index, param)
+                           for call, direct in calls.get(item, ())):
                     unset.append(f"{name}.{item}({param.name})")
     assert unset == []
 

@@ -39,7 +39,7 @@ from henonlab.atlas import (
 from henonlab.cli import run
 from henonlab.embed import compare_summary
 from henonlab.errors import DomainError, HenonLabError
-from henonlab.henon import MAP_REGISTRY, HenonMap, build_map
+from henonlab.henon import MAP_NAMES, HenonMap, build_map
 from henonlab.maps1d import swallow_classify
 from henonlab.renorm import multi_renormalize, renormalize
 from henonlab.rootfind import newton2
@@ -137,7 +137,7 @@ def _row_swallow_lyap(a, b, params):
 
 def _henon_config(params):
     name = str(params.get("map", "standard"))
-    assert name in MAP_REGISTRY
+    assert name in MAP_NAMES
     extra = {"delta": float(params["delta"])} if "delta" in params else {}
     return name, int(params.get("m", 1)), extra
 

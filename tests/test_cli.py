@@ -425,6 +425,19 @@ class TestEmission:
         assert captured.out.startswith(b"P6\n2 2\n255\n")
         assert len(captured.out) == len(b"P6\n2 2\n255\n") + 12
 
+    def test_ppm_to_text_only_stdout_is_config_error(self):
+        # a text stream, as contextlib.redirect_stdout users pass, has no
+        # byte buffer to take the image; CSV text still goes through
+        argv = ["swallow", "--grid", "2x2", "--steps", "5", "--workers", "1"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(argv)
+        assert rc == 2 and out.getvalue() == ""
+        assert "--out PATH" in err.getvalue() and "--format csv" in err.getvalue()
+        with contextlib.redirect_stdout(out):
+            assert run(argv + ["--format", "csv"]) == 0
+        assert out.getvalue().startswith("# henonlab-raster kernel=swallow-escape")
+
     def test_henon_atlas_renorm_strip(self, capsys, tmp_path):
         out_path = tmp_path / "strip.csv"
         rc, out, _ = call(

@@ -24,9 +24,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "henonlab"
 
-_CONVERGENCE = ("oracles.delta_star and test_renorm check the paper's convergence to "
-                "the quadratic family with it; no criterion does (ROADMAP item 5)")
-
 #: Functions that no run below reaches, by ``module.qualname``; a module
 #: name alone covers the whole module.  Each reason says what keeps the
 #: function in ``src/``.
@@ -34,14 +31,6 @@ ALLOWED = {
     "strips": "perfbench's Tracer.install imports henonlab.strips (ROADMAP items 2 "
               "and 5); once run telemetry replaces the tracer, the module moves to "
               "tests/ or goes",
-    "maps1d.swallow_classify": "perfbench's tracer.py rebinds it in TARGETS (ROADMAP "
-                               "items 1 and 2); test_atlas checks the swallow-escape "
-                               "kernel against it",
-    "maps1d._composed_escape": "the orbit of swallow_classify, which perfbench's "
-                               "tracer.py rebinds (ROADMAP items 1 and 2)",
-    "renorm.RenormData.chart": _CONVERGENCE,
-    "renorm.RenormData.chart_inv": _CONVERGENCE,
-    "renorm.RenormData.renorm_map": _CONVERGENCE,
     "henon.Field2.__reduce_ex__": "runs only when a pool child started by spawn or "
                                   "forkserver receives a map, and the runs here start "
                                   "no child; test_atlas's TestSpawnedChildren runs it",
@@ -61,12 +50,6 @@ ALLOWED = {
                                                      "map with xi != 0; test_crossmap "
                                                      "runs the chain on the sine zeta "
                                                      "field",
-    "maps1d.swallow_boundary.<locals>.F": "the C3 branch: criterion 3 checks the third "
-                                          "curve only at its closed-form point (1/4, "
-                                          "1/4) and no command samples it; either the "
-                                          "criterion samples C3 or the branch moves to "
-                                          "tests/oracles.py (ROADMAP item 5)",
-    "maps1d.swallow_boundary.<locals>.J": "the C3 branch, as for F",
 }
 
 #: A config file that the --config run reads, written to the working directory.
@@ -122,7 +105,8 @@ def criteria_calls():
                                    shoot_oracle, slice_image)
     from henonlab.embed import compare_summary
     from henonlab.henon import HenonMap
-    from henonlab.maps1d import dalpha2_da, quad, special_parameters, swallow_boundary
+    from henonlab.maps1d import (dalpha2_da, quad, special_parameters, swallow_boundary,
+                                 swallow_classify)
     from henonlab.renorm import (double_tangency, find_tangency, multi_renormalize,
                                  renorm_window, renormalize, twin_find)
 
@@ -132,6 +116,9 @@ def criteria_calls():
     dalpha2_da(a2)
     swallow_boundary("C1", (-1.0, -0.5), 5)
     swallow_boundary("C2", (-1.0, -0.5), 5)
+    for a, b in swallow_boundary("C3", (-0.5, 0.25), 6).points:
+        swallow_classify(a - 1e-4, b)
+        swallow_classify(a + 1e-4, b)
 
     chain = factorize_chain(HenonMap(-1.95, 3e-3), "s-")
     lo, hi = slice_image(chain, 0.1)

@@ -75,9 +75,10 @@ def test_rasters_differ_by_array_contents_and_are_not_hashable():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: HenonMap(-1.5, 0.25, m=0), "multiplicity m must be at least 1, got 0"),
+    (lambda: HenonMap(-1.86, -0.001, 1.5), "multiplicity m must be a whole number, got 1.5"),
     (lambda: HenonMap(0.0, 10.0, m=1000), "b^m overflows at b = 10.0, m = 1000"),
     (lambda: ConeSpec(eta=math.nan), "core width eta must be finite and positive, got nan"),
-], ids=["m-zero", "bm-overflow", "eta-nan"])
+], ids=["m-zero", "m-fraction", "bm-overflow", "eta-nan"])
 def test_checked_records_raise_domain_errors(build, message):
     with pytest.raises(DomainError) as info:
         build()
