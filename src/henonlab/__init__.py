@@ -8,13 +8,18 @@ maps1d    quadratic-family core: ladder, special parameters, 1-D pieces,
           composed-quadratic swallow geometry
 henon     Henon-like maps with perturbation hooks, attractor enumeration
 crossmap  affine-like representation (A, B) of a piece via the chain solver
-strips    stable-leaf lattice, tame boxes, cone verification, 2-D products
+strips    empty, kept for one import by name (see its docstring)
 renorm    tangency data, single and two-word renormalization, windows,
           twins, cone-expansion certification
 atlas     deterministic parameter-plane rasters and PPM/CSV emission
 embed     the raster kernels that renormalize: renorm-strip and the
           embed-compare agreement test
 cli       command-line frontend
+
+The paper's 2-D puzzle pieces (stable leaves, tame boxes, 2-D star
+products) are proof devices and are not modelled: the chains of
+``crossmap`` work from the 1-D pieces of ``maps1d``, and every number the
+package prints comes from those two.
 
 The chain code in ``crossmap`` and ``renorm`` takes maps built with xi = 0
 only.  The scalar references that the tests compare these modules against

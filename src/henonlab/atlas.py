@@ -510,6 +510,19 @@ def _number(key: str, value) -> float:
         raise DomainError(f"{key} must be a number, got {value!r}") from None
 
 
+def _count(key: str, value) -> int:
+    """The value of count ``key`` as an int, or DomainError if it is not a
+    whole number."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{key} must be an integer, got {value!r}") from None
+    # int() truncates a number, but parses only an integral string
+    if count != value and not isinstance(value, str):
+        raise DomainError(f"{key} must be an integer, got {value!r}")
+    return count
+
+
 def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
     """``params`` with the counts steps, n and m, the escape radius, the
     map family name and the perturbation amplitude delta checked and their
@@ -520,13 +533,7 @@ def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
     for key, default, top in (("steps", _DEFAULT_ESCAPE_STEPS, 2**53),
                               ("n", _DEFAULT_EXPONENT_STEPS, 2**53), ("m", 1, math.inf)):
         value = params.get(key, default)
-        try:
-            count = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"{key} must be an integer, got {value!r}") from None
-        # int() truncates a number, but parses only an integral string
-        if count != value and not isinstance(value, str):
-            raise DomainError(f"{key} must be an integer, got {value!r}")
+        count = _count(key, value)
         if count < 1:
             raise DomainError(f"{key} must be at least 1, got {value}")
         if count > top:
@@ -656,6 +663,7 @@ def sweep(
     """
     if kernel not in KERNELS:
         raise DomainError(f"unknown kernel {kernel!r}; known: {tuple(KERNELS)}")
+    width, height = _count("width", width), _count("height", height)
     if width < 2 or height < 2:
         raise DomainError(f"grid must be at least 2x2, got {width}x{height}")
     spec = KERNELS[kernel]
@@ -667,6 +675,7 @@ def sweep(
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
+    workers = _count("workers", workers)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     a, b = _a_centers(a_range, width), _b_centers(b_range, height)
@@ -732,23 +741,31 @@ def render_csv(raster: Raster, colormap: str | None = None) -> str:
     return "\n".join(lines)
 
 
+def check_output(fmt: str, path: str) -> None:
+    """DomainError unless ``emit`` can write format ``fmt`` to ``path``: the
+    format must be known, and a PPM needs a stdout that takes bytes.  The
+    raster commands call this before their sweep, so such a run fails
+    before it computes the raster."""
+    if fmt not in ("ppm", "csv"):
+        raise DomainError(f"unknown format {fmt!r}; known: ('ppm', 'csv')")
+    if fmt == "ppm" and path == "-" and not hasattr(sys.stdout, "buffer"):
+        raise DomainError("stdout takes only text: use --out PATH or --format csv")
+
+
 def emit(raster: Raster, fmt: str, path: str, colormap: str | None = None) -> None:
     """Write the raster to ``path`` ('-' for stdout) as ppm or csv."""
+    check_output(fmt, path)
     if fmt == "ppm":
         payload = render_ppm(raster, colormap)
         if path == "-":
-            if not hasattr(sys.stdout, "buffer"):
-                raise DomainError("stdout takes only text: use --out PATH or --format csv")
             sys.stdout.buffer.write(payload)
         else:
             with open(path, "wb") as fh:
                 fh.write(payload)
-    elif fmt == "csv":
+    else:
         text = render_csv(raster, colormap)
         if path == "-":
             sys.stdout.write(text)
         else:
             with open(path, "w", encoding="ascii") as fh:
                 fh.write(text)
-    else:
-        raise DomainError(f"unknown format {fmt!r}; known: ('ppm', 'csv')")

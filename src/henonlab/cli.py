@@ -244,8 +244,9 @@ def _build(typed: Mapping[str, object], a: float, b: float):
 
 
 def _sweep(typed: Mapping[str, object], kernel: str):
-    from .atlas import sweep
+    from .atlas import check_output, sweep
 
+    check_output(str(typed["format"]), str(typed["out"]))
     keys = ("steps", "n", "radius", "map", "m", "delta", "word", "words", "tol")
     params = {key: typed[key] for key in keys if key in typed}
     if typed.get("seed") is not None:

@@ -37,6 +37,7 @@ from .errors import (
 from .henon import (
     AttractorReport,
     HenonMap,
+    _cycle_pass,
     apply_map,
     evaluate,
     find_attractors,
@@ -65,11 +66,6 @@ __all__ = [
 ]
 
 _MIN_CURVATURE = 1e-3
-
-
-def _first_coord(f: HenonMap, x: float, y: float) -> float:
-    v = f.bm * y
-    return x * x + f.a - v + f.zeta.value(x, v)
 
 
 class _Fold(NamedTuple):
@@ -106,7 +102,7 @@ def _fold_terms(f: HenonMap, c: float, own: CrossJet, nxt: CrossJet) -> _Fold:
     bx, by = own.dB
     bxx, bxy, _ = own.d2B
     return _Fold(
-        _first_coord(f, c, own.B) - nxt.A,
+        apply_map(f, (c, own.B))[0] - nxt.A,
         2.0 * c + zeta.dx(c, v) + fy * bx - nxt.dA[1],
         2.0 + zeta.dxx(c, v) + 2.0 * fxy * bx + fyy * bx * bx + fy * bxx - nxt.d2A[2],
         fxy * by + fyy * bx * by + fy * bxy - nxt.d2A[1],
@@ -233,12 +229,7 @@ def renormalize(f: HenonMap, word: str) -> RenormData:
     M = f.m * (n + 1)
     abar = t.q * t.mu / (t.sigma * t.sigma)
 
-    # the determinant product walks the orbit itself, so it cannot use iterate
-    z = (t.A, t.c)
-    det_full = 1.0
-    for _ in range(n + 1):
-        det_full *= evaluate(f, z).det
-        z = apply_map(f, z)
+    det_full = _cycle_pass(f, (t.A, t.c), n + 1)[3]
     if det_full < 0.0 and M % 2 == 0:
         raise DomainError(
             f"return determinant {det_full!r} is negative with even power {M}"

@@ -19,7 +19,7 @@ from henonlab.crossmap import CrossMapChain, eval_cross
 from henonlab.errors import DomainError
 from henonlab.henon import ZERO_FIELD, Field2, HenonMap, apply_map, iterate, jacobian
 from henonlab.maps1d import ladder
-from henonlab.renorm import RenormData, TangencyData, _chain_forward, _first_coord
+from henonlab.renorm import RenormData, TangencyData, _chain_forward
 from henonlab.rootfind import newton_safeguarded
 
 
@@ -105,7 +105,7 @@ def _defect_at(chain: CrossMapChain, c: float, t: float) -> float:
     """One fold step from the chart ray versus the next strip entry."""
     f = chain.henon
     b_val = eval_cross(chain, c + t, c).B
-    return _first_coord(f, c + t, b_val) - eval_cross(chain, c, c + t).A
+    return apply_map(f, (c + t, b_val))[0] - eval_cross(chain, c, c + t).A
 
 
 def _exit_height(t: TangencyData, s: float) -> float:

@@ -31,8 +31,7 @@ def test_modules_with_exports_are_found():
         name for name in MODULES
         if hasattr(importlib.import_module(f"henonlab.{name}"), "__all__")
     }
-    assert {"crossmap", "errors", "henon", "maps1d", "renorm", "rootfind",
-            "strips"} <= exporting
+    assert {"crossmap", "errors", "henon", "maps1d", "renorm", "rootfind"} <= exporting
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -457,7 +457,8 @@ class TestGeometry:
 
     def test_integral_float_counts_accepted(self):
         as_ints = sweep("henon-lyap", 2, 2, params={"n": 300, "m": 1}, workers=1)
-        assert sweep("henon-lyap", 2, 2, params={"n": 300.0, "m": 1.0}, workers=1) == as_ints
+        got = sweep("henon-lyap", 2.0, "2", params={"n": 300.0, "m": 1.0}, workers=1.0)
+        assert got == as_ints and type(got.width) is int and type(got.height) is int
 
     @pytest.mark.parametrize("kernel", ["henon-escape", "henon-lyap", "renorm-strip",
                                         "embed-compare"])
@@ -471,6 +472,16 @@ class TestGeometry:
             sweep("swallow-escape", 1, 8)
         with pytest.raises(DomainError):
             sweep("swallow-escape", 8, 1)
+
+    @pytest.mark.parametrize("width, height, workers", [
+        (2.5, 3, 1), (3, 2.5, 1), (3, 3, 2.5), ("x", 3, 1), (3, "2.5", 1),
+        (math.nan, 3, 1), (3, math.inf, 1), (3, 3, math.nan), (3, 3, "x"), (None, 3, 1),
+    ])
+    def test_grid_and_workers_must_be_whole_numbers(self, monkeypatch, width, height, workers):
+        # the PPM header prints the raster's width and height as they are
+        monkeypatch.setattr(atlas, "_block_payload", None)
+        with pytest.raises(DomainError, match="must be an integer"):
+            sweep("swallow-escape", width, height, workers=workers)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from henonlab import atlas
 from henonlab.atlas import sweep
 from henonlab.cli import COMMANDS, RunConfig, run
 from henonlab.crossmap import factorize_chain
@@ -425,18 +426,23 @@ class TestEmission:
         assert captured.out.startswith(b"P6\n2 2\n255\n")
         assert len(captured.out) == len(b"P6\n2 2\n255\n") + 12
 
-    def test_ppm_to_text_only_stdout_is_config_error(self):
+    def test_ppm_to_text_only_stdout_is_config_error(self, monkeypatch):
         # a text stream, as contextlib.redirect_stdout users pass, has no
-        # byte buffer to take the image; CSV text still goes through
-        argv = ["swallow", "--grid", "2x2", "--steps", "5", "--workers", "1"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = run(argv)
-        assert rc == 2 and out.getvalue() == ""
-        assert "--out PATH" in err.getvalue() and "--format csv" in err.getvalue()
-        with contextlib.redirect_stdout(out):
-            assert run(argv + ["--format", "csv"]) == 0
-        assert out.getvalue().startswith("# henonlab-raster kernel=swallow-escape")
+        # byte buffer to take the image, and the run fails before its sweep;
+        # CSV text still goes through
+        for command, kernel in (("swallow", "swallow-escape"), ("henon-atlas", "henon-lyap"),
+                                ("embed-swallow", "embed-compare")):
+            argv = [command, "--grid", "2x2", "--steps", "5", "--workers", "1"]
+            out, err = io.StringIO(), io.StringIO()
+            with monkeypatch.context() as mp:
+                mp.setattr(atlas, "sweep", None)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = run(argv)
+            assert rc == 2 and out.getvalue() == ""
+            assert "--out PATH" in err.getvalue() and "--format csv" in err.getvalue()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert run(argv + ["--format", "csv"]) == 0
+            assert out.getvalue().startswith(f"# henonlab-raster kernel={kernel}")
 
     def test_henon_atlas_renorm_strip(self, capsys, tmp_path):
         out_path = tmp_path / "strip.csv"

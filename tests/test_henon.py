@@ -229,6 +229,57 @@ class TestAttractors:
         assert report.cycles == ()
         assert report.skipped == ((0.1, 0.1),)
 
+    # The three discard branches, each from a seed on its cycle
+    # (n_transient=0), with the helper calls that show the branch was taken.
+
+    def test_failed_refinement_is_skipped(self, monkeypatch):
+        # a parabolic fixed point: the Jacobian of f - id is singular there
+        newton = _recorded(monkeypatch, "newton2")
+        report = find_attractors(HenonMap(0.25, 0.0), [(0.5, 0.5)], n_transient=0)
+        assert report == AttractorReport((), ((0.5, 0.5),))
+        assert len(newton) == 1 and isinstance(newton[0], ConvergenceError)
+
+    def test_repelling_cycle_is_dropped(self, monkeypatch):
+        # the saddle fixed point, multipliers about 3.92 and 0.077
+        multipliers = _recorded(monkeypatch, "_multipliers")
+        report = find_attractors(HenonMap(-1.4, 0.3), [(2.0, 2.0)], n_transient=0)
+        assert report == AttractorReport((), ())
+        (mults,) = multipliers
+        assert abs(mults[0]) == pytest.approx(3.92, abs=0.01)
+
+    def test_period_that_is_not_minimal_is_rejected(self, monkeypatch):
+        # the attracting fixed point's multiplier is about -0.983, so a seed
+        # 1e-9 off it first comes back within 1e-9 after two steps
+        f = HenonMap(-0.748, 0.01)
+        x = (1.0 + f.b - math.sqrt((1.0 + f.b) ** 2 - 4.0 * f.a)) / 2.0
+        returns = _recorded(monkeypatch, "_first_return")
+        multipliers = _recorded(monkeypatch, "_multipliers")
+        report = find_attractors(f, [(x + 1e-9, x)], n_transient=0)
+        assert report == AttractorReport((), ())
+        assert returns == [2]
+        # the refined 2-cycle passed the attractor test, and with no cycle
+        # kept before it no duplicate test dropped it
+        (mults,) = multipliers
+        assert max(abs(mults[0]), abs(mults[1])) < 1.0
+
+
+def _recorded(monkeypatch, name):
+    """The results (or raised exceptions) of every call of ``henon.<name>``."""
+    real = getattr(henon, name)
+    log = []
+
+    def record(*args, **kwargs):
+        try:
+            result = real(*args, **kwargs)
+        except Exception as exc:
+            log.append(exc)
+            raise
+        log.append(result)
+        return result
+
+    monkeypatch.setattr(henon, name, record)
+    return log
+
 
 # the default twin point of ``twin --target -0.5`` and its printed cycle points
 _TWIN_POINT = (-1.86583322066959, 0.0023762018982587)

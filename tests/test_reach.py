@@ -28,9 +28,6 @@ PACKAGE = ROOT / "src" / "henonlab"
 #: name alone covers the whole module.  Each reason says what keeps the
 #: function in ``src/``.
 ALLOWED = {
-    "strips": "perfbench's Tracer.install imports henonlab.strips (ROADMAP items 2 "
-              "and 5); once run telemetry replaces the tracer, the module moves to "
-              "tests/ or goes",
     "henon.Field2.__reduce_ex__": "runs only when a pool child started by spawn or "
                                   "forkserver receives a map, and the runs here start "
                                   "no child; test_atlas's TestSpawnedChildren runs it",

@@ -24,7 +24,6 @@ RECORDS = {
                "DoubleTangency", "TwinResult", "ConeCertificate"),
     "cli": ("Option", "Command", "RunConfig"),
     "atlas": ("Raster", "Colormap", "Kernel"),
-    "strips": ("Curve", "LeafLattice", "TameBox", "Piece2D", "ConeReport"),
 }
 
 #: Field values for the records that check or compare them specially; the

@@ -27,7 +27,6 @@ from henonlab.henon import (
 from henonlab.maps1d import quad, special_parameters
 from henonlab.renorm import (
     _cycle_folds,
-    _first_coord,
     _mu_gradient,
     certify_cone_expansion,
     double_tangency,
@@ -640,7 +639,7 @@ def _cross_defect(chains, cs, i: int, t: float) -> float:
     nxt = (i + 1) % count
     b_val = eval_cross(chains[i], cs[i] + t, prev).B
     entry = eval_cross(chains[nxt], cs[nxt], cs[i] + t).A
-    return _first_coord(chains[i].henon, cs[i] + t, b_val) - entry
+    return apply_map(chains[i].henon, (cs[i] + t, b_val))[0] - entry
 
 
 _FD_GRAD_STEP = 1e-4
