@@ -672,6 +672,9 @@ def sweep(
     b_range = tuple(float(v) for v in (b_range or default_b))
     if not (a_range[0] < a_range[1] and b_range[0] < b_range[1]):
         raise DomainError(f"empty parameter rectangle {a_range} x {b_range}")
+    # an infinite or overflowing end makes the width infinite
+    if not (math.isfinite(a_range[1] - a_range[0]) and math.isfinite(b_range[1] - b_range[0])):
+        raise DomainError(f"parameter rectangle {a_range} x {b_range} is not finite")
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)

@@ -2,7 +2,7 @@
 
 Every failure mode that callers are expected to handle has its own class so
 that the CLI can map families of errors onto exit codes without string
-matching.
+matching.  ``whole_number`` is the package's check of a count argument.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "WordError",
     "TangencyError",
     "NoCrossingError",
+    "whole_number",
 ]
 
 
@@ -78,3 +79,13 @@ class NoCrossingError(HenonLabError):
     def __init__(self, message: str, samples=None):
         super().__init__(message)
         self.samples = samples if samples is not None else []
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; a ``DomainError`` unless it is whole, as 64 and 64.0 are."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be a whole number, got {value!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, whole_number
 from .rootfind import newton2
 
 __all__ = [
@@ -106,12 +106,7 @@ class HenonMap(Frozen):
 
     def __init__(self, a: float, b: float, m: int = 1,
                  zeta: Field2 = ZERO_FIELD, xi: Field2 = ZERO_FIELD):
-        try:
-            whole = m == int(m)
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole:
-            raise DomainError(f"multiplicity m must be a whole number, got {m!r}")
+        whole_number("multiplicity m", m)
         if m < 1:
             raise DomainError(f"multiplicity m must be at least 1, got {m}")
         try:
@@ -302,58 +297,51 @@ def find_attractors(
     <= max_period with recurrence within 1e-9 is located.  Both loops run
     ``apply_map``'s arithmetic on local floats (``_transient``,
     ``_first_return``), so they give its bits.  The cycle is refined by
-    Newton on f^period - id.  Each Newton point gets one pass along its
-    orbit (``_cycle_pass``), which serves the residual and the Jacobian
-    there; the pass at the refined point also gives the cycle's points and
-    the product of the step determinants.  The Floquet multipliers are the
-    roots of the characteristic polynomial of the Jacobian product, with
-    its trace and that determinant product (``_multipliers``).  Cycles with
-    spectral radius >= 1 are discarded; duplicates are identified up to
-    cyclic shifts.
+    Newton on f^period - id.  Each point newton2 evaluates gets one pass
+    along its orbit (``_cycle_pass``) for the residual and the Jacobian; one
+    more pass at the refined point gives the cycle's points, its Jacobian
+    product and the product of the step determinants.  The Floquet
+    multipliers are the roots of the characteristic polynomial of the
+    Jacobian product, with its trace and that determinant product
+    (``_multipliers``).  Cycles with spectral radius >= 1 are discarded;
+    duplicates are identified up to cyclic shifts.  Counts must be whole
+    numbers and seeds pairs of numbers (``DomainError``).
     """
+    max_period = whole_number("max_period", max_period)
+    n_transient = whole_number("n_transient", n_transient)
     if max_period < 1 or n_transient < 0:
         raise DomainError(
             f"need max_period >= 1 and n_transient >= 0, got {max_period}, {n_transient}"
         )
     if not r_esc > 0.0:
         raise DomainError(f"escape radius must be positive, got {r_esc!r}")
+    try:
+        starts = [(float(x), float(y)) for x, y in seeds]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"seeds must be pairs of numbers, got {seeds!r}") from None
     cycles: list[Cycle] = []
     skipped: list[tuple[float, float]] = []
-    for seed in seeds:
-        z = _transient(f, float(seed[0]), float(seed[1]), n_transient, r_esc)
+    for seed in starts:
+        z = _transient(f, seed[0], seed[1], n_transient, r_esc)
         if z is None:
             continue
         period = _first_return(f, z[0], z[1], max_period, _RETURN_TOL)
         if period is None:
-            skipped.append((seed[0], seed[1]))
+            skipped.append(seed)
             continue
 
-        # newton2 asks for the Jacobian only at the point of its last
-        # residual and returns that point, so remembering the last pass
-        # gives each point one pass
-        memo = [None, None]
-
-        def cycle_pass(v, p=period, memo=memo):
-            key = (v[0], v[1])
-            if memo[0] != key:
-                memo[:] = key, _cycle_pass(f, key, p)
-            return memo[1]
-
-        def G(v):
-            w = cycle_pass(v)[1]
-            return (w[0] - v[0], w[1] - v[1])
-
-        def JG(v):
-            J = cycle_pass(v)[0]
-            return ((J[0][0] - 1.0, J[0][1]), (J[1][0], J[1][1] - 1.0))
+        def GJ(v, p=period):
+            J, w = _cycle_pass(f, v, p)[:2]
+            return ((w[0] - v[0], w[1] - v[1]),
+                    ((J[0][0] - 1.0, J[0][1]), (J[1][0], J[1][1] - 1.0)))
 
         try:
-            zr = newton2(G, z, jac=JG, rtol=1e-13)
+            zr = newton2(GJ, z, rtol=1e-13)
         except ConvergenceError:
-            skipped.append((seed[0], seed[1]))
+            skipped.append(seed)
             continue
 
-        J, _, points, det = cycle_pass(zr)
+        J, _, points, det = _cycle_pass(f, zr, period)
         mults = _multipliers(J[0][0] + J[1][1], det)
         if not max(abs(mults[0]), abs(mults[1])) < 1.0:  # NaN is no attractor either
             continue

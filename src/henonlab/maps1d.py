@@ -13,7 +13,7 @@ import math
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ConvergenceError, DomainError, LadderError, ProductError, WordError
+from .errors import ConvergenceError, DomainError, LadderError, ProductError, WordError, whole_number
 from .rootfind import bisect, newton2
 
 __all__ = [
@@ -361,7 +361,10 @@ def _composed_escape(first: float, second: float, n_max: int, r_esc: float) -> i
 def swallow_classify(
     a: float, b: float, n_max: int = 2000, r_esc: float = DEFAULT_ESCAPE_RADIUS
 ) -> SwallowClassification:
-    """Classify (a, b) by boundedness of both composed critical orbits."""
+    """Classify finite (a, b) by boundedness of both composed critical orbits."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"swallow parameters must be finite, got ({a!r}, {b!r})")
+    n_max = whole_number("n_max", n_max)
     steps_ab = _composed_escape(a, b, n_max, r_esc)
     steps_ba = _composed_escape(b, a, n_max, r_esc)
     if steps_ab is None and steps_ba is None:
@@ -399,27 +402,23 @@ def swallow_boundary(
     saddle-node locus of the composition, solved by a 2x2 Newton in (X, a)
     per sample with continuation along b.
     """
+    n_samples = whole_number("n_samples", n_samples)
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
     t0, t1 = sample_range
+    if not math.isfinite(t1 - t0):
+        raise DomainError(f"sample range {tuple(sample_range)!r} is not finite")
     ts = [t0 + (t1 - t0) * i / (n_samples - 1) for i in range(n_samples)]
     points: list[tuple[float, float]] = []
     skipped: list[float] = []
 
-    if curve == "C1":
-        for b in ts:
-            pt = _c1_point(b)
+    if curve in ("C1", "C2"):
+        for t in ts:
+            pt = _c1_point(t)
             if pt is None:
-                skipped.append(b)
+                skipped.append(t)
             else:
-                points.append(pt)
-    elif curve == "C2":
-        for a in ts:
-            pt = _c1_point(a)
-            if pt is None:
-                skipped.append(a)
-            else:
-                points.append((pt[1], pt[0]))
+                points.append(pt if curve == "C1" else pt[::-1])
     elif curve == "C3":
         # continuation anchored at the known saddle-node (X, a) = (1/2, 1/4)
         # at b = 1/4: walk the samples starting from the end nearest to it
@@ -428,18 +427,14 @@ def swallow_boundary(
             ts = ts[::-1]
         seed = (0.5, 0.25)
         for b in ts:
-            def F(v, b=b):
+            def FJ(v, b=b):
                 X, a = v
                 u = X * X + a
-                return (u * u + b - X, 4.0 * X * u - 1.0)
-
-            def J(v, _b=b):
-                X, a = v
-                u = X * X + a
-                return ((4.0 * X * u - 1.0, 2.0 * u), (4.0 * u + 8.0 * X * X, 4.0 * X))
+                return ((u * u + b - X, 4.0 * X * u - 1.0),
+                        ((4.0 * X * u - 1.0, 2.0 * u), (4.0 * u + 8.0 * X * X, 4.0 * X)))
 
             try:
-                X, a = newton2(F, seed, jac=J)
+                X, a = newton2(FJ, seed)
             except ConvergenceError:
                 skipped.append(b)
                 continue

@@ -45,7 +45,7 @@ from .henon import (
     jacobian,
 )
 from .maps1d import ladder, parse_word, pieces_1d, special_parameters
-from .rootfind import _converged, bisect, newton2, newton_safeguarded
+from .rootfind import bisect, newton2, newton_safeguarded
 
 __all__ = [
     "TangencyData",
@@ -115,8 +115,8 @@ def _cycle_folds(chains: Sequence[CrossMapChain]):
 
     Word i is evaluated at (c_i, c_{i-1}), so one jet per word serves both
     its own fold and the previous word's.  The latest anchors are
-    remembered: the Newton solvers ask for residuals and then slopes at the
-    same iterate, and both come from the same jets.
+    remembered: ``find_tangency``'s Newton asks for the slope and then its
+    derivative at each iterate, and the solves read the jets at their result.
     """
     count = len(chains)
     f = chains[0].henon
@@ -407,40 +407,27 @@ def _solve_anchors(at, seed: list[float], rtol: float):
     """Anchors of a two-word cycle by Newton's method on its fold slopes,
     with the jets and fold terms its chart data come from.
 
-    ``at`` is the cycle's ``_cycle_folds``.  When ``newton2``'s first step
-    from the seed passes both of its tests against ``rtol`` (the whole-step
-    test and the stopping test), the anchors are that step's iterate, bit for
-    bit what ``newton2`` returns, and no jet is evaluated there: ``newton2``
-    would evaluate both words again only to confirm the step.  The data then
-    come from the seed's jets, one per word, with each defect mu carried to
-    the anchors along its partials (first order in a step of at most
-    ``rtol`` relative).  Otherwise ``newton2`` runs from the seed, reusing
-    the seed's jets, and the data come from the jets at its result.
-    """
-    def slopes(x: Sequence[float]) -> tuple[float, float]:
-        folds = at(x)[1]
-        return folds[0].slope, folds[1].slope
+    ``at`` is the cycle's ``_cycle_folds``.  From a converged seed
+    ``newton2`` evaluates only the seed's jets, one per word, so the data
+    come from them, with each defect mu carried to the anchors along its
+    partials (first order in a step of at most ``rtol`` relative).
+    Otherwise they come from the jets at the result."""
+    points = []
 
-    def jacobian(x: Sequence[float]):
+    def slopes_jacobian(x: Sequence[float]):
+        points.append(x)
         fold0, fold1 = at(x)[1]
-        return (fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)
+        return ((fold0.slope, fold1.slope),
+                ((fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)))
 
-    # newton2's first step from the seed, operation for operation
-    (g0, g1), ((j00, j01), (j10, j11)) = slopes(seed), jacobian(seed)
-    det = j00 * j11 - j01 * j10
-    if det != 0.0 and math.isfinite(det):
-        step = ((g0 * j11 - g1 * j01) / det, (g1 * j00 - g0 * j10) / det)
-        cs = (seed[0] - step[0], seed[1] - step[1])
-        moved = (cs[0] - seed[0], cs[1] - seed[1])
-        if (_converged(max(map(abs, step)), max(map(abs, seed)), rtol)
-                and _converged(max(map(abs, moved)), max(map(abs, cs)), rtol)):
-            jets, folds = at(seed)
-            folds = [fold._replace(mu=fold.mu + fold.slope * moved[i]
-                                   + fold.dmu_other * moved[1 - i])
-                     for i, fold in enumerate(folds)]
-            return cs, (jets, folds)
-    cs = tuple(newton2(slopes, seed, jac=jacobian, rtol=rtol))
-    return cs, at(cs)
+    cs = newton2(slopes_jacobian, seed, rtol)
+    if len(points) > 1:
+        return cs, at(cs)
+    jets, folds = at(seed)
+    moved = (cs[0] - seed[0], cs[1] - seed[1])
+    return cs, (jets, [fold._replace(mu=fold.mu + fold.slope * moved[i]
+                                     + fold.dmu_other * moved[1 - i])
+                       for i, fold in enumerate(folds)])
 
 
 def multi_renormalize(
@@ -549,7 +536,7 @@ def double_tangency(
     parse_word(word1)
     parse_word(word2)
     trace: list[tuple[float, float, float, float]] = []
-    last: list = [None, None]
+    gradients: list[tuple[tuple[float, float], tuple[float, float]]] = []
 
     def tangency(f: HenonMap, chains: Iterator[CrossMapChain], word: str) -> TangencyData:
         try:
@@ -560,28 +547,18 @@ def double_tangency(
                 f"{where} {seed!r} lies outside the branch domain of {word!r}: {exc}", trace
             ) from exc
 
-    def tangencies(x: Sequence[float]) -> tuple[TangencyData, TangencyData]:
-        key = (x[0], x[1])
-        if last[0] != key:
-            f = _built_map(build, *key)
-            chains = factorize_chains(f, (word1, word2))
-            ts = (tangency(f, chains, word1), tangency(f, chains, word2))
-            trace.append((key[0], key[1], ts[0].mu, ts[1].mu))
-            last[:] = [key, ts]
-        return last[1]
-
-    def residual(x: Sequence[float]) -> tuple[float, float]:
-        t1, t2 = tangencies(x)
-        return (t1.mu, t2.mu - target * t2.sigma * t2.sigma / t2.q)
-
-    def jacobian(x: Sequence[float]):
-        t1, t2 = tangencies(x)
-        return _mu_gradient(t1), _mu_gradient(t2)
+    def residual_jacobian(x: Sequence[float]):
+        f = _built_map(build, x[0], x[1])
+        chains = factorize_chains(f, (word1, word2))
+        t1, t2 = tangency(f, chains, word1), tangency(f, chains, word2)
+        trace.append((x[0], x[1], t1.mu, t2.mu))
+        gradients.append((_mu_gradient(t1), _mu_gradient(t2)))
+        return (t1.mu, t2.mu - target * t2.sigma * t2.sigma / t2.q), gradients[-1]
 
     try:
-        a, b = newton2(residual, seed, jac=jacobian, rtol=1e-13)
-        t1, t2 = tangencies([a, b])
-        (_, db1), (_, db2) = jacobian([a, b])
+        a, b = newton2(residual_jacobian, seed, rtol=1e-13)
+        if trace[-1][:2] != (a, b):  # newton2 returns a whole last step unevaluated
+            residual_jacobian((a, b))
     except NoCrossingError:
         raise
     except HenonLabError as exc:
@@ -590,7 +567,9 @@ def double_tangency(
             f"defects of {word1!r} and {word2!r} admit no {goal} near {seed!r}: {exc}",
             trace,
         ) from exc
-    return DoubleTangency(a, b, t1.mu, t2.mu, db1 - db2, tuple(trace))
+    _, _, mu1, mu2 = trace[-1]
+    (_, db1), (_, db2) = gradients[-1]
+    return DoubleTangency(a, b, mu1, mu2, db1 - db2, tuple(trace))
 
 
 def _mu_gradient(t: TangencyData) -> tuple[float, float]:

@@ -10,25 +10,26 @@ the same tolerance, cap and stopping rule, because it is called millions
 of times per tangency search.  ``embed._embed_solve``, embed-compare's
 tracking, is a damped Newton on a Broyden-updated secant model, with its
 own residual tolerance, step cap and iteration count.  The fold-tangency solves
-of ``renorm`` pass analytic derivatives (``df``, ``jac``) taken from
-cross-map jets, and ``renorm.double_tangency`` passes the exact parameter
-Jacobian of its two fold defects, taken from the jets' parameter columns;
+of ``renorm`` pass analytic derivatives (``df``, and the Jacobian that
+``newton2``'s callable returns with its residual) taken from cross-map
+jets, and ``renorm.double_tangency`` passes the exact parameter Jacobian
+of its two fold defects, taken from the jets' parameter columns;
 ``newton2`` has no finite-difference mode.  The crossing of
 ``renorm.twin_find`` is one such ``double_tangency`` solve, and its target
 point a second one from the crossing, with the long word's renormalized
 value in place of its defect.  Each root of ``renorm.solve_mu_zero`` is
 one bracketed secant solve, whose first secant partner is a bracket end.
-``newton2`` takes a step already within tolerance whole, so from a
-converged seed it costs two evaluations; ``renorm.multi_renormalize``
-takes its first step itself and skips the second evaluation, so the
-tracked anchor solves of ``embed``, which start from the anchors its secant
-model predicts, cost one evaluation when the prediction holds.  Plain
-``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
+``newton2`` takes a step already within tolerance whole and returns it
+unevaluated when it passes the stopping test, so a converged seed costs
+one evaluation: the tracked anchor solves of ``embed``, which start from
+the anchors its secant model predicts, cost one evaluation when the
+prediction holds.  Plain ``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
 and the window edges of ``renorm.renorm_window``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 from .errors import BracketError, ConvergenceError
@@ -121,7 +122,7 @@ def newton_safeguarded(
                 f_prev = f(x_prev)
             slope = (fx - f_prev) / (x - x_prev) if x != x_prev else 0.0
 
-        use_bisection = slope == 0.0 or not _finite(slope)
+        use_bisection = slope == 0.0 or not math.isfinite(slope)
         if not use_bisection:
             step = fx / slope
             x_new = x - step
@@ -148,26 +149,25 @@ def newton_safeguarded(
 
 
 def newton2(
-    F: Callable[[Sequence[float]], tuple[float, float]],
+    FJ: Callable[[Sequence[float]], tuple],
     x0: Sequence[float],
-    jac: Callable[[Sequence[float]], tuple[tuple[float, float], tuple[float, float]]],
     rtol: float = DEFAULT_RTOL,
 ) -> tuple[float, float]:
-    """Damped 2x2 Newton with the analytic Jacobian ``jac``.
+    """Damped 2x2 Newton on ``FJ(x) = (F(x), J(x))``, J the analytic Jacobian.
 
-    ``jac`` is asked for at the current iterate only, always after F there.
     Damping halves the step (up to 8 times) while the residual norm fails to
     decrease, except for a step already within ``rtol``, which is taken
-    whole: at the rounding floor the residual cannot decrease, so from a
-    converged seed the solve costs two evaluations of F.
+    whole: at the rounding floor the residual cannot decrease.  A whole step
+    that also passes the stopping test is returned without evaluating ``FJ``
+    there, so from a converged seed the solve costs one evaluation.  Every
+    other point returned is the last point ``FJ`` was evaluated at.
     """
     x = [float(x0[0]), float(x0[1])]
-    fx = F(x)
+    fx, J = FJ(x)
     rnorm = max(abs(fx[0]), abs(fx[1]))
     for _ in range(_NEWTON2_MAX_ITER):
-        J = jac(x)
         det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-        if det == 0.0 or not _finite(det):
+        if det == 0.0 or not math.isfinite(det):
             raise ConvergenceError(f"singular jacobian at {tuple(x)!r}")
         dx0 = (fx[0] * J[1][1] - fx[1] * J[0][1]) / det
         dx1 = (fx[1] * J[0][0] - fx[0] * J[1][0]) / det
@@ -176,18 +176,16 @@ def newton2(
         scale = 1.0
         for _ in range(8):
             cand = [x[0] - scale * dx0, x[1] - scale * dx1]
-            f_cand = F(cand)
+            step = max(abs(cand[0] - x[0]), abs(cand[1] - x[1]))
+            stop = _converged(step, max(abs(cand[0]), abs(cand[1])), rtol)
+            if whole and stop:
+                return (cand[0], cand[1])
+            f_cand, J_cand = FJ(cand)
             if whole or max(abs(f_cand[0]), abs(f_cand[1])) < rnorm or scale <= 1.0 / 256:
                 break
             scale *= 0.5
-        x_prev = list(x)
-        x, fx = cand, f_cand
+        x, fx, J = cand, f_cand, J_cand
         rnorm = max(abs(fx[0]), abs(fx[1]))
-        step = max(abs(x[0] - x_prev[0]), abs(x[1] - x_prev[1]))
-        if _converged(step, max(abs(x[0]), abs(x[1])), rtol) or rnorm == 0.0:
+        if stop or rnorm == 0.0:
             return (x[0], x[1])
     raise ConvergenceError(f"newton2 did not converge after {_NEWTON2_MAX_ITER} iterations")
-
-
-def _finite(v: float) -> bool:
-    return v == v and abs(v) != float("inf")

@@ -491,6 +491,16 @@ class TestGeometry:
         with pytest.raises(DomainError):
             sweep("swallow-escape", 4, 4, a_range=(1.0, -1.0))
 
+    @pytest.mark.parametrize("a_range, b_range", [
+        ((-math.inf, 0.0), None), (None, (0.0, math.inf)), ((-1e308, 1e308), None),
+        (None, (-1e308, 1e308)),
+    ])
+    def test_range_with_an_infinite_end_or_width_rejected(self, monkeypatch, a_range, b_range):
+        # the check runs before any block: the pixel centres would be inf or NaN
+        monkeypatch.setattr(atlas, "_block_payload", None)
+        with pytest.raises(DomainError, match="is not finite"):
+            sweep("swallow-escape", 2, 2, a_range=a_range, b_range=b_range, workers=1)
+
     def test_unknown_map_rejected(self):
         with pytest.raises(DomainError):
             sweep("henon-escape", 2, 2, params={"map": "no-such-map"})
@@ -1191,15 +1201,12 @@ def _newton2_anchors(at, seed, rtol):
     """The two-word anchor solve that always runs ``newton2``: the anchors
     are its result and the chart data come from the jets there, so that a
     converged seed costs two jets per word."""
-    def slopes(x):
-        folds = at(x)[1]
-        return folds[0].slope, folds[1].slope
-
-    def jacobian(x):
+    def slopes_jacobian(x):
         fold0, fold1 = at(x)[1]
-        return (fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)
+        return ((fold0.slope, fold1.slope),
+                ((fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)))
 
-    cs = tuple(newton2(slopes, seed, jac=jacobian, rtol=rtol))
+    cs = tuple(newton2(slopes_jacobian, seed, rtol=rtol))
     return cs, at(cs)
 
 
@@ -1245,7 +1252,7 @@ class TestConvergedSeedAnchorSolve:
             mp.setattr(renorm, "_solve_anchors", _newton2_anchors)
             _counting(mp, calls, renorm, "eval_cross_jet")
             full = multi_renormalize(f, self.WORDS, anchor_seed=seed, anchor_rtol=1e-9)
-        # newton2 evaluates again at its first iterate, then stops
+        # the jets at the seed, then the jets at newton2's first iterate
         assert calls["eval_cross_jet"] == 2 + 4
         self.assert_close(md, full)
 

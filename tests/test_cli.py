@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import subprocess
 import sys
 
@@ -13,8 +14,9 @@ from henonlab import atlas
 from henonlab.atlas import sweep
 from henonlab.cli import COMMANDS, RunConfig, run
 from henonlab.crossmap import factorize_chain
-from henonlab.henon import HenonMap
-from henonlab.maps1d import special_parameters
+from henonlab.errors import HenonLabError
+from henonlab.henon import HenonMap, find_attractors
+from henonlab.maps1d import special_parameters, swallow_boundary, swallow_classify
 from oracles import read_csv
 
 
@@ -275,6 +277,10 @@ class TestExitCodes:
         ("certify", "--j", "-1"),
         ("twin", "--j", "-1"),
         ("twin", "--map", "zero"),
+        # each end is finite, the width overflows
+        ("swallow", "--grid", "2x2", "--workers", "1", "--a-range=-1e308:1e308"),
+        ("henon-atlas", "--kernel", "henon-lyap", "--grid", "2x2", "--n", "10",
+         "--b-range=-1e308:1e308"),
     ], ids=lambda args: " ".join((args[0],) + args[-2:]))
     def test_bad_input_is_config_error(self, capsys, args):
         rc, out, err = call(capsys, *args)
@@ -647,3 +653,48 @@ def test_twin_never_crashes(argv):
 @given(argv=_certify_invocation())
 def test_certify_never_crashes(argv):
     _assert_clean_exit(argv)
+
+
+# Library arguments that the CLI's parsers reject before they reach the
+# library: fractional, numeric-string and non-finite counts, short and long
+# seeds, and floats that are NaN, infinite or overflow when subtracted.
+_ODD_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -1.2]),
+    st.floats(-3.0, 3.0),
+)
+_ODD_COUNTS = st.sampled_from([2.5, "5", None, math.nan, math.inf, -1, 0, 3, 4.0])
+
+
+@st.composite
+def _library_call(draw):
+    """(name, thunk) for one call of find_attractors, swallow_classify,
+    swallow_boundary or sweep; valid counts stay small."""
+    name = draw(st.sampled_from(["find_attractors", "swallow_classify", "swallow_boundary",
+                                 "sweep"]))
+    if name == "find_attractors":
+        seeds = draw(st.lists(st.lists(_ODD_FLOATS, max_size=3).map(tuple), max_size=3))
+        kwargs = {"max_period": draw(_ODD_COUNTS), "n_transient": draw(_ODD_COUNTS),
+                  "r_esc": draw(st.sampled_from([10.0, math.inf, math.nan, -1.0]))}
+        return name, lambda: find_attractors(HenonMap(-1.2, 0.3), seeds, **kwargs)
+    if name == "swallow_classify":
+        a, b, n_max = draw(_ODD_FLOATS), draw(_ODD_FLOATS), draw(_ODD_COUNTS)
+        return name, lambda: swallow_classify(a, b, n_max=n_max)
+    pair = (draw(_ODD_FLOATS), draw(_ODD_FLOATS))
+    if name == "swallow_boundary":
+        curve, n_samples = draw(st.sampled_from(["C1", "C2", "C3"])), draw(_ODD_COUNTS)
+        return name, lambda: swallow_boundary(curve, pair, n_samples)
+    other = (-1.0, 0.5)
+    ranges = draw(st.sampled_from([(pair, other), (other, pair)]))
+    return name, lambda: sweep("swallow-escape", 2, 2, *ranges, params={"steps": 5}, workers=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=_library_call())
+def test_library_inputs_raise_only_package_errors(call):
+    """The CLI checks these values first, so its fuzzers cannot reach the
+    library's own checks: each call returns or raises a HenonLabError."""
+    _, thunk = call
+    try:
+        thunk()
+    except HenonLabError:
+        pass

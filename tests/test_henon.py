@@ -217,6 +217,22 @@ class TestAttractors:
         report = find_attractors(f, seeds=seeds)
         assert len(report.cycles) == 1
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"max_period": 2.5}, "max_period must be a whole number"),
+        ({"n_transient": "5"}, "n_transient must be a whole number"),
+        ({"seeds": [(0.0,)]}, "seeds must be pairs of numbers"),
+        ({"seeds": [(0.0, 0.1, 0.2)]}, "seeds must be pairs of numbers"),
+        ({"seeds": [(0.0, "x")]}, "seeds must be pairs of numbers"),
+    ])
+    def test_malformed_input_is_domain_error(self, kwargs, match):
+        with pytest.raises(DomainError, match=match):
+            find_attractors(HenonMap(a=-1.0, b=0.0), **{"seeds": [(0.1, 0.1)], **kwargs})
+
+    def test_integral_float_counts_accepted(self):
+        f = HenonMap(a=-1.0, b=0.0)
+        assert (find_attractors(f, [(0.1, 0.1)], max_period=64.0, n_transient=5000.0)
+                == find_attractors(f, [(0.1, 0.1)]))
+
     def test_escaping_seed_is_ignored(self):
         f = HenonMap(a=1.0, b=0.0)
         report = find_attractors(f, seeds=[(0.0, 0.0)])
@@ -397,7 +413,7 @@ def _find_attractors_oracle(f, seeds, max_period=64, n_transient=5000, tol=1e-9,
             return ((J[0][0] - 1.0, J[0][1]), (J[1][0], J[1][1] - 1.0))
 
         try:
-            zr = newton2(G, z, jac=JG, rtol=1e-13)
+            zr = newton2(lambda v: (G(v), JG(v)), z, rtol=1e-13)
         except ConvergenceError:
             skipped.append((seed[0], seed[1]))
             continue
@@ -528,8 +544,8 @@ class TestFindAttractorsOracle:
 
     def test_default_twin_counts(self, monkeypatch):
         """The transient and the recurrence scan call no per-step helper,
-        and the refinement makes one period-product pass per distinct point
-        of newton2."""
+        and the refinement makes one period-product pass per point newton2
+        evaluates, and one more at the refined point."""
         calls = Counter()
         solves = []
         real_pass, real_newton2 = henon._cycle_pass, henon.newton2
@@ -545,17 +561,15 @@ class TestFindAttractorsOracle:
             calls["pass steps"] += period
             return real_pass(f, z, period)
 
-        def newton(F, x0, jac, **kwargs):
-            points = set()
+        def newton(FJ, x0, **kwargs):
+            points = []
             solves.append(points)
 
-            def seen(fn):
-                def call(x):
-                    points.add((x[0], x[1]))
-                    return fn(x)
-                return call
+            def seen(x):
+                points.append((x[0], x[1]))
+                return FJ(x)
 
-            return real_newton2(seen(F), x0, jac=seen(jac), **kwargs)
+            return real_newton2(seen, x0, **kwargs)
 
         monkeypatch.setattr(henon, "_cycle_pass", cycle_pass)
         monkeypatch.setattr(henon, "newton2", newton)
@@ -565,7 +579,8 @@ class TestFindAttractorsOracle:
         assert calls["apply_map"] == calls["jacobian"] == calls["pass steps"]
         assert calls["evaluate"] == 0
         assert len(solves) == 2
-        assert calls["passes"] == sum(len(points) for points in solves)
+        assert all(len(set(points)) == len(points) for points in solves)
+        assert calls["passes"] == sum(len(points) + 1 for points in solves)
 
 
 # ---------------------------------------------------------------------------

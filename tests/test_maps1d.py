@@ -385,6 +385,27 @@ def test_swallow_body_origin():
     assert c.steps_ab is None and c.steps_ba is None
 
 
+@pytest.mark.parametrize("a, b, n_max, match", [
+    (math.nan, 0.0, 2000, "must be finite"),
+    (0.0, math.inf, 2000, "must be finite"),
+    (0.0, 0.0, 2.5, "n_max must be a whole number"),
+])
+def test_swallow_classify_rejects_bad_input(a, b, n_max, match):
+    with pytest.raises(DomainError, match=match):
+        swallow_classify(a, b, n_max=n_max)
+
+
+@pytest.mark.parametrize("sample_range, n_samples, match", [
+    ((-1.0, -0.5), 2.5, "n_samples must be a whole number"),
+    ((-1.0, -0.5), "5", "n_samples must be a whole number"),
+    ((math.nan, -0.5), 5, "not finite"),
+    ((-1e308, 1e308), 5, "not finite"),
+])
+def test_swallow_boundary_rejects_bad_input(sample_range, n_samples, match):
+    with pytest.raises(DomainError, match=match):
+        swallow_boundary("C1", sample_range, n_samples)
+
+
 def test_swallow_escape():
     c = swallow_classify(-2.5, -2.5, n_max=50)
     assert c.tag == "escape"

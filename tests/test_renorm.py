@@ -608,7 +608,7 @@ def _reference_double_tangency(build, word1, word2, seed):
         return (find_tangency(factorize_chain(f, word1)).mu,
                 find_tangency(factorize_chain(f, word2)).mu)
 
-    a, b = newton2(both, seed, jac=lambda x: _fd_jacobian(both, x, 1e-7), rtol=1e-13)
+    a, b = newton2(lambda x: (both(x), _fd_jacobian(both, x, 1e-7)), seed, rtol=1e-13)
     mu1, mu2 = both([a, b])
     hb = 1e-7 * max(1.0, abs(b))
     gp = both([a, b + hb])
@@ -855,6 +855,26 @@ class TestTwin:
         assert tw.b0**2 == pytest.approx(b0_at_m1, rel=1e-10)
         assert tw.periods == periods
         assert all(c.spectral_radius < 1.0 for c in tw.report.cycles)
+
+    def test_samples_end_at_the_solution_and_repeat_no_point(self, monkeypatch):
+        # newton2 returns its whole last step unevaluated, so the solution is
+        # evaluated once afterwards; a second evaluation there, or anywhere,
+        # would show as a repeated sample
+        solves = []
+        real = renorm.double_tangency
+
+        def recorded(*args, **kwargs):
+            solves.append(real(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(renorm, "double_tangency", recorded)
+        tw = twin_find(lambda a, b: HenonMap(a, b), k=1, j=0, b_hat=1e-2)
+        crossing, point = solves
+        assert (crossing.a, crossing.b, point.a, point.b) == (tw.a_at_b0, tw.b0, tw.a, tw.b)
+        for dt in solves:
+            assert dt.samples[-1] == (dt.a, dt.b, dt.mu1, dt.mu2)
+            assert len({s[:2] for s in dt.samples}) == len(dt.samples)
+        assert [len(dt.samples) for dt in solves] == [5, 4]
 
     def test_unreached_target_keeps_its_samples(self, twin):
         # from the crossing, the first Newton step towards abar = 1e10 leaves

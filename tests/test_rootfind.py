@@ -55,21 +55,20 @@ def test_newton_square_roots(target):
 
 def test_newton2_linear_system():
     sol = newton2(
-        lambda v: (v[0] + v[1] - 3.0, v[0] - v[1] - 1.0),
+        lambda v: ((v[0] + v[1] - 3.0, v[0] - v[1] - 1.0), ((1.0, 1.0), (1.0, -1.0))),
         (0.0, 0.0),
-        jac=lambda v: ((1.0, 1.0), (1.0, -1.0)),
     )
     assert abs(sol[0] - 2.0) < 1e-10
     assert abs(sol[1] - 1.0) < 1e-10
 
 
+def _circle_line(v):
+    """Circle x^2+y^2=4 with line y=x, and its Jacobian: root at (sqrt 2, sqrt 2)."""
+    return ((v[0] ** 2 + v[1] ** 2 - 4.0, v[1] - v[0]), ((2.0 * v[0], 2.0 * v[1]), (-1.0, 1.0)))
+
+
 def test_newton2_intersection():
-    # circle x^2+y^2=4 with line y=x: root at (sqrt 2, sqrt 2)
-    sol = newton2(
-        lambda v: (v[0] ** 2 + v[1] ** 2 - 4.0, v[1] - v[0]),
-        (1.0, 1.5),
-        jac=lambda v: ((2.0 * v[0], 2.0 * v[1]), (-1.0, 1.0)),
-    )
+    sol = newton2(_circle_line, (1.0, 1.5))
     assert abs(sol[0] - math.sqrt(2.0)) < 1e-10
     assert abs(sol[1] - math.sqrt(2.0)) < 1e-10
 
@@ -96,14 +95,24 @@ def test_bracketed_secant_partners_the_opposite_end():
 
 
 def test_newton2_from_converged_seed_takes_the_step_whole():
-    def F(v):
-        return (v[0] ** 2 + v[1] ** 2 - 4.0, v[1] - v[0])
-
-    def J(v):
-        return ((2.0 * v[0], 2.0 * v[1]), (-1.0, 1.0))
-
-    root = newton2(F, (1.0, 1.5), jac=J)
-    counted = _Counted(F)
-    again = newton2(counted, root, jac=J)
-    assert counted.calls <= 2
+    # the whole first step passes the stopping test, so newton2 returns it
+    # without evaluating there: the seed is the only point evaluated
+    root = newton2(_circle_line, (1.0, 1.5))
+    counted = _Counted(_circle_line)
+    again = newton2(counted, root)
+    assert counted.calls == 1
     assert max(abs(again[0] - root[0]), abs(again[1] - root[1])) <= 1e-12 * 2.0
+
+
+def test_newton2_evaluates_a_whole_step_that_fails_the_stopping_test():
+    # rtol 1/2: the first step, of size 2 from (4, 0), is whole, but at the
+    # new point (2, 0) a step of 2 fails the stopping test, so the new point
+    # is evaluated; its residual is zero, which stops the solve there
+    points = []
+
+    def FJ(v):
+        points.append(tuple(v))
+        return (v[0] - 2.0, v[1]), ((1.0, 0.0), (0.0, 1.0))
+
+    assert newton2(FJ, (4.0, 0.0), rtol=0.5) == (2.0, 0.0)
+    assert points == [(4.0, 0.0), (2.0, 0.0)]
