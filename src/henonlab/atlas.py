@@ -29,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, whole_number
 from .henon import ZERO_FIELD, Frozen, HenonMap, build_map
 from .maps1d import DEFAULT_ESCAPE_RADIUS
 
@@ -510,19 +510,6 @@ def _number(key: str, value) -> float:
         raise DomainError(f"{key} must be a number, got {value!r}") from None
 
 
-def _count(key: str, value) -> int:
-    """The value of count ``key`` as an int, or DomainError if it is not a
-    whole number."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{key} must be an integer, got {value!r}") from None
-    # int() truncates a number, but parses only an integral string
-    if count != value and not isinstance(value, str):
-        raise DomainError(f"{key} must be an integer, got {value!r}")
-    return count
-
-
 def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
     """``params`` with the counts steps, n and m, the escape radius, the
     map family name and the perturbation amplitude delta checked and their
@@ -533,7 +520,7 @@ def _checked(params: Mapping, a: np.ndarray, b: np.ndarray) -> dict:
     for key, default, top in (("steps", _DEFAULT_ESCAPE_STEPS, 2**53),
                               ("n", _DEFAULT_EXPONENT_STEPS, 2**53), ("m", 1, math.inf)):
         value = params.get(key, default)
-        count = _count(key, value)
+        count = whole_number(key, value)
         if count < 1:
             raise DomainError(f"{key} must be at least 1, got {value}")
         if count > top:
@@ -663,7 +650,7 @@ def sweep(
     """
     if kernel not in KERNELS:
         raise DomainError(f"unknown kernel {kernel!r}; known: {tuple(KERNELS)}")
-    width, height = _count("width", width), _count("height", height)
+    width, height = whole_number("width", width), whole_number("height", height)
     if width < 2 or height < 2:
         raise DomainError(f"grid must be at least 2x2, got {width}x{height}")
     spec = KERNELS[kernel]
@@ -678,7 +665,7 @@ def sweep(
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    workers = _count("workers", workers)
+    workers = whole_number("workers", workers)
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     a, b = _a_centers(a_range, width), _b_centers(b_range, height)

@@ -81,8 +81,8 @@ class ConeSpec(Frozen):
 class CrossMapChain(Frozen):
     """A xi-normalized map together with the branch data of a 1-D piece.
 
-    ``_last_tangent`` holds the last tangent solve, [(x1, y0, second),
-    result] (see ``_tangent_solve``); it is not a field."""
+    ``_last_tangent`` holds the last tangent solve, [(x1, y0), result]
+    (see ``_tangent_solve``); it is not a field."""
 
     __slots__ = ("henon", "piece", "_last_tangent")
     _fields = ("henon", "piece")
@@ -284,7 +284,7 @@ def eval_cross_derivatives(chain: CrossMapChain, x1: float, y0: float) -> CrossD
     and every column keeps its relative accuracy however small it is: the
     y0-column scales like b^(m N).
     """
-    base, cs, ds, _, _, u, w, _ = _tangent_solve(chain, x1, y0, second=False)
+    base, cs, ds, _, _, u, w, _ = _tangent_solve(chain, x1, y0)
     n = chain.order
     return CrossDerivs(
         base.A, base.B, (u[0], w[0]), (u[n - 1], w[n - 1]),
@@ -304,7 +304,7 @@ def eval_cross_jet(chain: CrossMapChain, x1: float, y0: float) -> CrossJet:
     where u'_i = u_{i-1} is the y-column (u'_0 is the boundary value).  The
     factored system is reused for the three pairs (x1 x1, x1 y0, y0 y0).
     """
-    base, _, _, _, _, u, w, second = _tangent_solve(chain, x1, y0, second=True)
+    base, _, _, _, _, u, w, second = _tangent_solve(chain, x1, y0)
     n = chain.order
     return CrossJet(
         base.A, base.B, (u[0], w[0]), (u[n - 1], w[n - 1]),
@@ -327,7 +327,7 @@ def eval_cross_param_jet(chain: CrossMapChain, x1: float, y0: float) -> CrossPar
     are those of the built map in its own a and b^m: m, zeta and xi are
     held fixed.
     """
-    base, cs, ds, ps, ks, u, w, second = _tangent_solve(chain, x1, y0, second=True)
+    base, cs, ds, ps, ks, u, w, second = _tangent_solve(chain, x1, y0)
     f = chain.henon
     n = chain.order
     bm = f.bm
@@ -384,24 +384,24 @@ def _solve_scaled(ds: list, ks: list, ps: list, columns: list) -> list:
     return columns
 
 
-def _tangent_solve(chain: CrossMapChain, x1: float, y0: float, second: bool):
+def _tangent_solve(chain: CrossMapChain, x1: float, y0: float):
     """``_tangent_columns``, remembered per chain for its last point.
 
-    A tangency solve ends on a jet at its anchor, and ``renorm`` then asks
-    for the parameter jet there; both come from this one solve.  The lists
-    it returns are read, never written.
+    The one cache of the chain layer: a tangency solve asks for the jet at
+    each iterate twice, for the slope and its derivative, and once more at
+    its anchor, where ``renorm._mu_gradient`` then asks for the parameter
+    jet.  The lists it returns are read, never written.
     """
-    key = (x1, y0, second)
+    key = (x1, y0)
     last = chain._last_tangent
     if last[0] != key:
-        last[:] = [key, _tangent_columns(chain, x1, y0, second)]
+        last[:] = [key, _tangent_columns(chain, x1, y0)]
     return last[1]
 
 
-def _tangent_columns(chain: CrossMapChain, x1: float, y0: float, second: bool):
+def _tangent_columns(chain: CrossMapChain, x1: float, y0: float):
     """Solve the chain, factor its tangent system once and solve it for the
-    two first-order columns and, when ``second`` is set, the three
-    second-order ones.
+    two first-order columns and the three second-order ones.
 
     Returns (values, c_i, d_i, p_i, k_i, x1-column, y0-column, second-order
     columns); each column holds dx_0 .. dx_N.  Row i reads
@@ -449,8 +449,6 @@ def _tangent_columns(chain: CrossMapChain, x1: float, y0: float, second: bool):
     for i in range(n - 1, -1, -1):
         u[i] = ps[i] * u[i + 1]
         w[i] += ps[i] * w[i + 1]
-    if not second:
-        return base, cs, ds, ps, ks, u, w, ()
 
     # scaled sources s_i k_i of the (x1 x1, x1 y0, y0 y0) columns; the
     # y-columns are u'_i = u_{i-1} and w'_i = w_{i-1}, with (0, 1) at i = 0

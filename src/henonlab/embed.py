@@ -19,10 +19,11 @@ import numpy as np
 
 from .atlas import (_BLOCK_PIXELS, TAG_AGREE, TAG_DISAGREE, TAG_ERROR, TAG_LYAP, Raster,
                     _checked, _number, _run_orbits)
+from .crossmap import factorize_chain
 from .errors import ConvergenceError, DomainError, HenonLabError
 from .henon import HenonMap, build_map
 from .maps1d import parse_word
-from .renorm import multi_renormalize, renormalize
+from .renorm import find_tangency, multi_renormalize
 
 #: Near-zero rescaled-parameter point used to start embed-compare tracking.
 _EMBED_SEED = (-1.8665368062, -2.44311150e-3)
@@ -59,7 +60,7 @@ def _block_renorm_strip(a: np.ndarray, b: np.ndarray, params: Mapping,
     for i, j in np.ndindex(tags.shape):
         try:
             f = build_map(params["map"], float(a[j]), float(b[i]), params["m"], params["delta"])
-            values[i, j] = renormalize(f, word).abar
+            values[i, j] = find_tangency(factorize_chain(f, word)).abar
         except HenonLabError:
             tags[i, j] = TAG_ERROR
     return tags, values

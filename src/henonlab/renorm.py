@@ -110,29 +110,18 @@ def _fold_terms(f: HenonMap, c: float, own: CrossJet, nxt: CrossJet) -> _Fold:
     )
 
 
-def _cycle_folds(chains: Sequence[CrossMapChain]):
-    """Jets and fold terms of a word cycle as a function of its anchors.
+def _cycle_folds(chains: Sequence[CrossMapChain], cs: Sequence[float]) -> tuple[list[CrossJet], list[_Fold]]:
+    """Jets and fold terms of a word cycle at its anchors cs.
 
     Word i is evaluated at (c_i, c_{i-1}), so one jet per word serves both
-    its own fold and the previous word's.  The latest anchors are
-    remembered: ``find_tangency``'s Newton asks for the slope and then its
-    derivative at each iterate, and the solves read the jets at their result.
+    its own fold and the previous word's.  A second call at the same
+    anchors costs fold arithmetic and no chain solve: each chain remembers
+    its last tangent solve (``crossmap._tangent_solve``).
     """
     count = len(chains)
     f = chains[0].henon
-    last: list = [None, None]
-
-    def at(cs: Sequence[float]) -> tuple[list[CrossJet], list[_Fold]]:
-        key = tuple(cs)
-        if last[0] != key:
-            jets = [eval_cross_jet(chains[i], key[i], key[i - 1]) for i in range(count)]
-            folds = [
-                _fold_terms(f, key[i], jets[i], jets[(i + 1) % count]) for i in range(count)
-            ]
-            last[:] = [key, (jets, folds)]
-        return last[1]
-
-    return at
+    jets = [eval_cross_jet(chains[i], cs[i], cs[i - 1]) for i in range(count)]
+    return jets, [_fold_terms(f, cs[i], jets[i], jets[(i + 1) % count]) for i in range(count)]
 
 
 def _check_chart(q: float, mu: float, sigma: float, where: str) -> None:
@@ -152,7 +141,7 @@ class TangencyData(NamedTuple):
     mu is the defect (signed distance of the fold image from the strip),
     q half the fold curvature, d the Jacobian determinant at the fold
     point, and A = A(c, c) and B = B(c, c) at the anchor, read off the
-    anchor solve's last jet.
+    anchor solve's last jet.  ``abar`` is the renormalized parameter.
     """
 
     chain: CrossMapChain
@@ -165,6 +154,11 @@ class TangencyData(NamedTuple):
     A: float
     B: float
 
+    @property
+    def abar(self) -> float:
+        """The renormalized parameter q mu / sigma^2 of the chart."""
+        return self.q * self.mu / (self.sigma * self.sigma)
+
 
 def find_tangency(chain: CrossMapChain, seed: float = 0.0) -> TangencyData:
     """Locate the anchor where the fold is tangent to the strip direction.
@@ -172,19 +166,20 @@ def find_tangency(chain: CrossMapChain, seed: float = 0.0) -> TangencyData:
     The anchor solves S(c) = d(defect)/dt = 0 at t = 0 by Newton's method.
     Both ends of the chain sit at (c, c), so S and dS/dc (the curvature plus
     the partial in the neighbouring anchor) come from one cross-map jet per
-    iterate; q is half the curvature there, which must be bounded away from
-    zero for a quadratic tangency."""
-    at = _cycle_folds((chain,))
+    iterate, and the derivative and the chart data at the anchor reuse the
+    slope's chain solve (``_cycle_folds``); q is half the curvature there,
+    which must be bounded away from zero for a quadratic tangency."""
+    chains = (chain,)
 
     def slope(c: float) -> float:
-        return at((c,))[1][0].slope
+        return _cycle_folds(chains, (c,))[1][0].slope
 
     def dslope(c: float) -> float:
-        fold = at((c,))[1][0]
+        fold = _cycle_folds(chains, (c,))[1][0]
         return fold.curv + fold.dslope_other
 
     c = newton_safeguarded(slope, seed, df=dslope)
-    (jet,), (fold,) = at((c,))
+    (jet,), (fold,) = _cycle_folds(chains, (c,))
     q = 0.5 * fold.curv
     _check_chart(q, fold.mu, jet.dA[0], "")
     d = evaluate(chain.henon, (c, jet.B)).det
@@ -217,26 +212,21 @@ class RenormData(NamedTuple):
     abar: float
     bbar: float
 
-    @property
-    def chain(self) -> CrossMapChain:
-        return self.tangency.chain
-
 
 def renormalize(f: HenonMap, word: str) -> RenormData:
+    """The word's tangency with its abar, and bbar: the M-th root of the
+    return's determinant, M = m (order + 1), signed like b."""
     chain = factorize_chain(f, word)
     t = find_tangency(chain)
-    n = chain.order
-    M = f.m * (n + 1)
-    abar = t.q * t.mu / (t.sigma * t.sigma)
-
-    det_full = _cycle_pass(f, (t.A, t.c), n + 1)[3]
+    M = f.m * (chain.order + 1)
+    det_full = _cycle_pass(f, (t.A, t.c), chain.order + 1)[3]
     if det_full < 0.0 and M % 2 == 0:
         raise DomainError(
             f"return determinant {det_full!r} is negative with even power {M}"
         )
     sign = 0.0 if f.b == 0.0 else math.copysign(1.0, f.b)
     bbar = sign * abs(det_full) ** (1.0 / M) if det_full != 0.0 else 0.0
-    return RenormData(",".join(chain.piece.word), t, M, abar, bbar)
+    return RenormData(",".join(chain.piece.word), t, M, t.abar, bbar)
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +302,18 @@ def renorm_window(
     a_hi: float,
 ) -> RenormWindow:
     """Parameter window over which the renormalized value sweeps the full
-    quadratic range [-2, 1/4]; its edges are bracketed on 48 equal cells."""
+    quadratic range [-2, 1/4]; its edges are bracketed on 48 equal cells.
+    Each value is the abar of one tangency solve."""
     a_star = solve_mu_zero(build, word, a_lo, a_hi)
 
     def abar(a: float) -> float:
-        return renormalize(build(a), word).abar
+        return find_tangency(factorize_chain(build(a), word)).abar
 
-    samples = []
-    for k in range(49):
-        a = a_lo + (a_hi - a_lo) * k / 48
-        samples.append((a, abar(a)))
+    samples = [(a, abar(a)) for a in (a_lo + (a_hi - a_lo) * k / 48 for k in range(49))]
 
     def edge(level: float) -> float:
         best = None
-        for (a0, v0), (a1, v1) in zip(samples, samples[1:]):
+        for (a0, v0), (a1, v1) in pairwise(samples):
             if (v0 - level) * (v1 - level) <= 0.0 and v0 != v1:
                 root = bisect(lambda a: abar(a) - level, a0, a1, rtol=1e-11)
                 if best is None or abs(root - a_star) < abs(best - a_star):
@@ -403,27 +391,30 @@ class MultiRenormData(NamedTuple):
         return Xp, Yp
 
 
-def _solve_anchors(at, seed: list[float], rtol: float):
+def _solve_anchors(chains: Sequence[CrossMapChain], seed: list[float], rtol: float):
     """Anchors of a two-word cycle by Newton's method on its fold slopes,
     with the jets and fold terms its chart data come from.
 
-    ``at`` is the cycle's ``_cycle_folds``.  From a converged seed
-    ``newton2`` evaluates only the seed's jets, one per word, so the data
-    come from them, with each defect mu carried to the anchors along its
-    partials (first order in a step of at most ``rtol`` relative).
-    Otherwise they come from the jets at the result."""
-    points = []
+    From a converged seed ``newton2`` evaluates only the seed's jets, one
+    per word, so the data come from them, with each defect mu carried to
+    the anchors along its partials (first order in a step of at most
+    ``rtol`` relative).  Otherwise they come from the jets at the result:
+    the last ones ``newton2`` evaluated when they are there, else one more
+    ``_cycle_folds``."""
+    evaluated = []
 
     def slopes_jacobian(x: Sequence[float]):
-        points.append(x)
-        fold0, fold1 = at(x)[1]
+        jets, folds = _cycle_folds(chains, x)
+        evaluated.append((x, jets, folds))
+        fold0, fold1 = folds
         return ((fold0.slope, fold1.slope),
                 ((fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)))
 
     cs = newton2(slopes_jacobian, seed, rtol)
-    if len(points) > 1:
-        return cs, at(cs)
-    jets, folds = at(seed)
+    x, jets, folds = evaluated[-1]
+    if len(evaluated) > 1:
+        # newton2 evaluates lists and returns a tuple
+        return cs, ((jets, folds) if tuple(x) == cs else _cycle_folds(chains, cs))
     moved = (cs[0] - seed[0], cs[1] - seed[1])
     return cs, (jets, [fold._replace(mu=fold.mu + fold.slope * moved[i]
                                      + fold.dmu_other * moved[1 - i])
@@ -456,7 +447,7 @@ def multi_renormalize(
     chains = tuple(factorize_chains(f, words))
 
     seed = [float(v) for v in anchor_seed] if anchor_seed is not None else [0.0, 0.0]
-    cs, (jets, folds) = _solve_anchors(_cycle_folds(chains), seed, anchor_rtol)
+    cs, (jets, folds) = _solve_anchors(chains, seed, anchor_rtol)
     sigma = tuple(jet.dA[0] for jet in jets)
     lam = tuple(jet.dB[1] for jet in jets)
     mu = tuple(fold.mu for fold in folds)
@@ -492,6 +483,9 @@ def multi_renormalize(
 # ---------------------------------------------------------------------------
 
 class DoubleTangency(NamedTuple):
+    """``double_tangency``'s point (a, b) with the two words' defects and
+    ``tangencies`` there, which it found for the last of its ``samples``."""
+
     a: float
     b: float
     mu1: float
@@ -499,6 +493,7 @@ class DoubleTangency(NamedTuple):
     dmu_db: float
     #: every (a, b, mu1, mu2) the solve evaluated, the solution last
     samples: tuple[tuple[float, float, float, float], ...]
+    tangencies: tuple[TangencyData, TangencyData]
 
 
 def double_tangency(
@@ -536,7 +531,7 @@ def double_tangency(
     parse_word(word1)
     parse_word(word2)
     trace: list[tuple[float, float, float, float]] = []
-    gradients: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    solved = []  # per sample: the two tangencies, then their defects' gradients
 
     def tangency(f: HenonMap, chains: Iterator[CrossMapChain], word: str) -> TangencyData:
         try:
@@ -552,8 +547,8 @@ def double_tangency(
         chains = factorize_chains(f, (word1, word2))
         t1, t2 = tangency(f, chains, word1), tangency(f, chains, word2)
         trace.append((x[0], x[1], t1.mu, t2.mu))
-        gradients.append((_mu_gradient(t1), _mu_gradient(t2)))
-        return (t1.mu, t2.mu - target * t2.sigma * t2.sigma / t2.q), gradients[-1]
+        solved.append(((t1, t2), (_mu_gradient(t1), _mu_gradient(t2))))
+        return (t1.mu, t2.mu - target * t2.sigma * t2.sigma / t2.q), solved[-1][1]
 
     try:
         a, b = newton2(residual_jacobian, seed, rtol=1e-13)
@@ -567,9 +562,8 @@ def double_tangency(
             f"defects of {word1!r} and {word2!r} admit no {goal} near {seed!r}: {exc}",
             trace,
         ) from exc
-    _, _, mu1, mu2 = trace[-1]
-    (_, db1), (_, db2) = gradients[-1]
-    return DoubleTangency(a, b, mu1, mu2, db1 - db2, tuple(trace))
+    (t1, t2), ((_, db1), (_, db2)) = solved[-1]
+    return DoubleTangency(a, b, t1.mu, t2.mu, db1 - db2, tuple(trace), (t1, t2))
 
 
 def _mu_gradient(t: TangencyData) -> tuple[float, float]:
@@ -627,7 +621,8 @@ class TwinResult(NamedTuple):
     the double tangency and (a, b) the returned point on the short word's
     root curve.  ``curve_abar_minus`` holds the short word's abar at the two
     points of the root curve that the search solves, the crossing and (a, b);
-    ``abar_minus`` is the second."""
+    ``abar_minus`` is the second.  The abar values are read off the
+    tangencies of the two ``double_tangency`` solves."""
 
     word_minus: str
     word_plus: str
@@ -666,7 +661,8 @@ def twin_find(
     value through the attracting range; the returned point puts it at
     ``target`` while the short word stays at its window center.  That point
     is a second ``double_tangency`` solve, from the crossing, with
-    ``target``.  Both predicted cycles are then located directly.
+    ``target``.  Both predicted cycles are then located directly, from the
+    words' tangencies that the target solve returns.
 
     A failed crossing or target solve raises ``double_tangency``'s
     ``NoCrossingError``, with (a, b, mu1, mu2) samples; so does a target
@@ -706,10 +702,9 @@ def twin_find(
             f"outside the window [{min(a_range)!r}, {max(a_range)!r}]",
             list(point.samples),
         )
-    chosen = build(a_star, b_star)
-    minus, plus = renormalize(chosen, word_minus), renormalize(chosen, word_plus)
-    seeds = [(r.tangency.c, r.tangency.B) for r in (minus, plus)]
-    report = find_attractors(chosen, seeds, max_period=max(32, plus.chain.order + 6))
+    minus, plus = point.tangencies
+    report = find_attractors(build(a_star, b_star), [(t.c, t.B) for t in point.tangencies],
+                             max_period=max(32, plus.chain.order + 6))
 
     return TwinResult(
         word_minus,
@@ -722,7 +717,7 @@ def twin_find(
         b_star,
         minus.abar,
         plus.abar,
-        (renormalize(build(a_at_b0, b0), word_minus).abar, minus.abar),
+        (crossing.tangencies[0].abar, minus.abar),
         report,
     )
 
@@ -847,10 +842,12 @@ def certify_cone_expansion(
                     )
                 growth = math.hypot(*w_vec) / math.hypot(*v)
                 worst = min(worst, growth)
+                # a push-forward that overflowed to inf or NaN is no cone member
                 if (
                     w_vec[0] == 0.0
                     or out_slope is None
-                    or abs(w_vec[1] / w_vec[0] - out_slope) > aperture
+                    or not math.isfinite(growth)
+                    or not abs(w_vec[1] / w_vec[0] - out_slope) <= aperture
                 ):
                     ok = False
             counts[tag] += 1

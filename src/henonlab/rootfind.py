@@ -17,14 +17,16 @@ of its two fold defects, taken from the jets' parameter columns;
 ``newton2`` has no finite-difference mode.  The crossing of
 ``renorm.twin_find`` is one such ``double_tangency`` solve, and its target
 point a second one from the crossing, with the long word's renormalized
-value in place of its defect.  Each root of ``renorm.solve_mu_zero`` is
-one bracketed secant solve, whose first secant partner is a bracket end.
-``newton2`` takes a step already within tolerance whole and returns it
-unevaluated when it passes the stopping test, so a converged seed costs
-one evaluation: the tracked anchor solves of ``embed``, which start from
-the anchors its secant model predicts, cost one evaluation when the
-prediction holds.  Plain ``bisect`` serves ``maps1d.special_parameters``, ``crossmap.shoot_oracle``
-and the window edges of ``renorm.renorm_window``.
+value in place of its defect; ``twin_find`` reads its abar values and
+attractor seeds off the two solves' tangencies.  Each root of
+``renorm.solve_mu_zero`` is one bracketed secant solve, whose first secant
+partner is a bracket end.  ``newton2`` takes a step already within
+tolerance whole and returns it unevaluated when it passes the stopping
+test, so a converged seed costs one evaluation: the tracked anchor solves
+of ``embed``, which start from the anchors its secant model predicts, cost
+one evaluation when the prediction holds.  Plain ``bisect`` serves
+``maps1d.special_parameters``, ``crossmap.shoot_oracle`` and the window
+edges of ``renorm.renorm_window``, at one tangency solve per step.
 """
 
 from __future__ import annotations

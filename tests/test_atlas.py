@@ -41,7 +41,7 @@ from henonlab.embed import compare_summary
 from henonlab.errors import DomainError, HenonLabError
 from henonlab.henon import MAP_NAMES, HenonMap, build_map
 from henonlab.maps1d import swallow_classify
-from henonlab.renorm import multi_renormalize, renormalize
+from henonlab.renorm import _cycle_folds, multi_renormalize, renormalize
 from henonlab.rootfind import newton2
 from oracles import (
     embed_direct_left,
@@ -457,7 +457,7 @@ class TestGeometry:
 
     def test_integral_float_counts_accepted(self):
         as_ints = sweep("henon-lyap", 2, 2, params={"n": 300, "m": 1}, workers=1)
-        got = sweep("henon-lyap", 2.0, "2", params={"n": 300.0, "m": 1.0}, workers=1.0)
+        got = sweep("henon-lyap", 2.0, 2.0, params={"n": 300.0, "m": 1.0}, workers=1.0)
         assert got == as_ints and type(got.width) is int and type(got.height) is int
 
     @pytest.mark.parametrize("kernel", ["henon-escape", "henon-lyap", "renorm-strip",
@@ -474,13 +474,13 @@ class TestGeometry:
             sweep("swallow-escape", 8, 1)
 
     @pytest.mark.parametrize("width, height, workers", [
-        (2.5, 3, 1), (3, 2.5, 1), (3, 3, 2.5), ("x", 3, 1), (3, "2.5", 1),
+        (2.5, 3, 1), (3, 2.5, 1), (3, 3, 2.5), ("x", 3, 1), (3, "2.5", 1), (3, "2", 1),
         (math.nan, 3, 1), (3, math.inf, 1), (3, 3, math.nan), (3, 3, "x"), (None, 3, 1),
     ])
     def test_grid_and_workers_must_be_whole_numbers(self, monkeypatch, width, height, workers):
         # the PPM header prints the raster's width and height as they are
         monkeypatch.setattr(atlas, "_block_payload", None)
-        with pytest.raises(DomainError, match="must be an integer"):
+        with pytest.raises(DomainError, match="must be a whole number"):
             sweep("swallow-escape", width, height, workers=workers)
 
     def test_unknown_kernel_rejected(self):
@@ -972,8 +972,15 @@ def test_embed_swallow_ppm_bytes_pinned():
 #: CSV: the arguments and the SHA-256 recorded on each host.  swallow-lyap
 #: sums ``np.log``; the hooked maps' fields call ``math.sin`` and
 #: ``math.cos``, and hooked henon-lyap ``math.hypot`` and ``math.log``, so
-#: another numpy build, CPU or libm may move the bytes.
+#: another numpy build, CPU or libm may move the bytes.  renorm-strip's abar
+#: values take only arithmetic and ``math.sqrt``, so both hosts record one
+#: digest.
 KERNEL_CSV = {
+    "renorm-strip": (
+        ("henon-atlas", "--kernel", "renorm-strip", "--grid", "12x10"),
+        [(_AVX512_HOST, "7bdb2fd867d647e5decdbd5908114fff1055b1d1f0e180666cf0c9e1552e976f"),
+         (_NO_AVX512_HOST, "7bdb2fd867d647e5decdbd5908114fff1055b1d1f0e180666cf0c9e1552e976f")],
+    ),
     "swallow-lyap": (
         ("swallow", "--kernel", "swallow-lyap", "--grid", "5x4", "--n", "500"),
         [(_AVX512_HOST, "96c89470e4df4436e2dedc60fee4000d0d0f17caeb81dbdedddaae8848df2330"),
@@ -1197,17 +1204,17 @@ class TestEmbedCompareOracle:
         assert counts["m3-6x5"][TAG_ERROR] == 0
 
 
-def _newton2_anchors(at, seed, rtol):
+def _newton2_anchors(chains, seed, rtol):
     """The two-word anchor solve that always runs ``newton2``: the anchors
     are its result and the chart data come from the jets there, so that a
     converged seed costs two jets per word."""
     def slopes_jacobian(x):
-        fold0, fold1 = at(x)[1]
+        fold0, fold1 = _cycle_folds(chains, x)[1]
         return ((fold0.slope, fold1.slope),
                 ((fold0.curv, fold0.dslope_other), (fold1.dslope_other, fold1.curv)))
 
     cs = tuple(newton2(slopes_jacobian, seed, rtol=rtol))
-    return cs, at(cs)
+    return cs, _cycle_folds(chains, cs)
 
 
 def _counting(monkeypatch, calls, module, name):

@@ -78,6 +78,16 @@ class TestReports:
         assert "M = 5" in out
         assert "bbar = 0.001" in out
 
+    def test_renorm_window_report_pinned(self, capsys):
+        # every digit: each of the 49 samples and every edge bisection step
+        # reads a tangency's abar
+        rc, out, err = call(capsys, "renorm-window", "--b", "0.001")
+        assert (rc, err) == (0, "")
+        assert out == ("a_star = -1.86290702551071\n"
+                       "lo = -1.86444717265591\n"
+                       "hi = -1.86271353768781\n"
+                       "width = 0.00173363496810186\n")
+
     def test_twin_report_pins(self, capsys):
         rc, out, _ = call(capsys, "twin", "--target", "-0.5")
         assert rc == 0

@@ -45,6 +45,18 @@ from oracles import (_defect_at, chart, chart_inv, chart_scales, conjugate_resca
 A1, A2 = special_parameters()
 
 
+def _count_calls(monkeypatch, module, names) -> dict:
+    """Counts of the calls made through ``module``'s names, from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def build_flat(a: float) -> HenonMap:
     return HenonMap(a, 0.0)
 
@@ -169,14 +181,25 @@ class TestRenormalize:
         f = HenonMap(-1.86, 1e-3, zeta=zeta)
         rd = renormalize(f, "c1")
         t = rd.tangency
-        z = (eval_cross(rd.chain, t.c, t.c).A, t.c)
+        z = (eval_cross(t.chain, t.c, t.c).A, t.c)
         prod = 1.0
         from henonlab.henon import evaluate
 
-        for _ in range(rd.chain.order + 1):
+        for _ in range(t.chain.order + 1):
             prod *= evaluate(f, z).det
             z = apply_map(f, z)
         assert abs(rd.bbar) ** rd.M == pytest.approx(abs(prod), rel=1e-10)
+
+    @pytest.mark.parametrize("word, a, b, delta", [
+        ("c1", -1.86, 1e-3, 0.0), ("c2", -1.86, -2e-3, 0.0), ("s-", -1.95, 0.1, 0.0),
+        ("c1", -1.86, 1e-3, 1e-3),
+    ])
+    def test_tangency_abar_is_the_renormalized_abar(self, word, a, b, delta):
+        # renorm-window and renorm-strip read abar off the tangency alone
+        f = HenonMap(a, b, zeta=sine_perturbed_fields(delta)[0]) if delta else HenonMap(a, b)
+        rd = renormalize(f, word)
+        fresh = find_tangency(factorize_chain(f, word))
+        assert rd.abar.hex() == rd.tangency.abar.hex() == fresh.abar.hex()
 
     def test_negative_determinant_with_even_power_raises(self):
         strong = Field2(value=lambda x, v: 2.0 * v, dv=lambda x, v: 2.0)
@@ -207,11 +230,11 @@ class TestRenormalize:
 
     def test_return_matches_explicit_orbit_thick(self):
         rd = _thick_chart()
-        steps = rd.chain.order + 1
+        steps = rd.tangency.chain.order + 1
         for X, Y in ((0.3, -0.4), (-0.8, 0.6), (0.0, 0.0)):
             z = chart(rd, X, Y)
             for _ in range(steps):
-                z = apply_map(rd.chain.henon, z)
+                z = apply_map(rd.tangency.chain.henon, z)
             Xe, Ye = chart_inv(rd, *z)
             Xp, Yp = renorm_map(rd, X, Y)
             assert Xp == pytest.approx(Xe, abs=1e-8)
@@ -223,8 +246,8 @@ class TestRenormalize:
         rd = renormalize(HenonMap(flat_roots[0], 1e-3), "c1")
         for X, Y in ((0.5, 0.2), (-1.0, -0.5)):
             z = chart(rd, X, Y)
-            for _ in range(rd.chain.order + 1):
-                z = apply_map(rd.chain.henon, z)
+            for _ in range(rd.tangency.chain.order + 1):
+                z = apply_map(rd.tangency.chain.henon, z)
             assert renorm_map(rd, X, Y)[0] == pytest.approx(
                 chart_inv(rd, *z)[0], abs=1e-9
             )
@@ -329,6 +352,14 @@ class TestWindow:
         with pytest.raises(ConvergenceError):
             renorm_window(build_flat, "c1", -1.8612, -1.8600)
 
+    def test_each_value_is_one_tangency_solve(self, monkeypatch):
+        # at renorm-window's defaults and b = 0.001, every sample and every
+        # bisection step reads abar off one tangency solve, with no pass
+        # along the return orbit for the bbar that the window never reads
+        calls = _count_calls(monkeypatch, renorm, ("find_tangency", "_cycle_pass"))
+        renorm_window(lambda a: HenonMap(a, 1e-3), "c1", -1.8646, -1.8580)
+        assert calls == {"find_tangency": 107, "_cycle_pass": 0}
+
 
 class TestConjugacy:
     def test_conjugated_map_tracks_affine_change(self):
@@ -409,7 +440,7 @@ class TestMultiWord:
             assert md.bbar[i] == pytest.approx(rd.bbar**rd.M, rel=1e-6)
 
     def test_transition_dual_route_thick(self):
-        md = multi_renormalize(_thick_chart().chain.henon, ("w=3", "w=3"))
+        md = multi_renormalize(_thick_chart().tangency.chain.henon, ("w=3", "w=3"))
         steps = md.chains[0].order + 1
         for X, Y in ((0.2, -0.3), (-0.6, 0.4)):
             z = md.chart(0, X, Y)
@@ -426,7 +457,7 @@ class TestMultiWord:
         if cycle == "equal-pair":
             md = equal_pair[0]
         elif cycle == "thick":
-            md = multi_renormalize(_thick_chart().chain.henon, ("w=3", "w=3"))
+            md = multi_renormalize(_thick_chart().tangency.chain.henon, ("w=3", "w=3"))
         else:
             md = multi_renormalize(HenonMap(*embed._EMBED_SEED), embed._EMBED_WORDS)
         assert [g.hex() for g in md.gamma] == [g.hex() for g in chart_scales(md.sigma)]
@@ -528,8 +559,10 @@ class TestDoubleTangency:
         assert _mu_gradient(t) == pytest.approx((da, db), rel=1e-8)
 
     def test_gradient_reuses_the_tangency_solve(self, monkeypatch):
-        # find_tangency ends on a jet at (c, c), where _mu_gradient's parameter
-        # jet then starts: one chain solve per word and Jacobian fewer
+        # the chain's last tangent solve is the one cache of the chain layer:
+        # find_tangency asks for the slope and then its derivative at each
+        # iterate, and ends on a jet at (c, c), where _mu_gradient's parameter
+        # jet then starts; without the cache each of these is a chain solve
         def run(tangent_solve):
             calls = []
 
@@ -547,7 +580,7 @@ class TestDoubleTangency:
         reused, reused_calls = run(crossmap._tangent_solve)
         fresh, fresh_calls = run(crossmap._tangent_columns)
         assert reused == fresh
-        assert (reused_calls, fresh_calls) == (14, 18)
+        assert (reused_calls, fresh_calls) == (14, 32)
 
     @pytest.mark.parametrize("kind,target", [
         ("standard", -0.5), ("standard", 0.2), ("sine", -0.5),
@@ -670,7 +703,7 @@ def _check_newton_derivatives(f: HenonMap, words, abs_tol: float) -> None:
     differences of the analytic slopes, at the anchors and off them."""
     # one word: d/dc of the slope with both chain ends at (c, c)
     chain = factorize_chain(f, words[0])
-    at = _cycle_folds((chain,))
+    at = functools.partial(_cycle_folds, (chain,))
     c = find_tangency(chain).c
     h = 1e-6
     for x in (c, c + 1e-3):
@@ -678,7 +711,7 @@ def _check_newton_derivatives(f: HenonMap, words, abs_tol: float) -> None:
         fd = (at((x + h,))[1][0].slope - at((x - h,))[1][0].slope) / (2.0 * h)
         assert fold.curv + fold.dslope_other == pytest.approx(fd, abs=abs_tol)
     # two words: the analytic newton2 Jacobian
-    at = _cycle_folds(tuple(factorize_chain(f, w) for w in words))
+    at = functools.partial(_cycle_folds, tuple(factorize_chain(f, w) for w in words))
     cs = multi_renormalize(f, words).c
     for x in ([cs[0], cs[1]], [cs[0] + 1e-3, cs[1] - 1e-3]):
         f0, f1 = at(x)[1]
@@ -702,7 +735,7 @@ class TestAnalyticFoldOracle:
             f = _fold_map(kind, a, b)
             chains = tuple(factorize_chain(f, w) for w in words)
             anchors, q, mu = _fold_anchors(f, words)
-            at = _cycle_folds(chains)
+            at = functools.partial(_cycle_folds, chains)
             for i in range(len(words)):
                 def defect(t, cs=anchors):
                     return _cross_defect(chains, cs, i, t)
@@ -904,6 +937,34 @@ class TestTwin:
         assert tw.abar_plus == pytest.approx(target, rel=1e-9)
         assert abs(tw.abar_minus) <= 1e-9
 
+    def test_default_search_solves_each_tangency_once(self, monkeypatch):
+        # twin_find reads abar, the attractor seeds and the long word's order
+        # off the tangencies its two double_tangency solves return
+        calls = _count_calls(monkeypatch, crossmap, ("eval_cross",))
+        calls.update(_count_calls(monkeypatch, renorm, ("renormalize",)))
+        twin_find(lambda a, b: HenonMap(a, b))
+        # 82 chain solves and 3 renormalize calls when it solved them again
+        assert calls == {"eval_cross": 71, "renormalize": 0}
+
+    def test_tangencies_match_a_fresh_tangency_solve(self, monkeypatch):
+        solves = []
+        real = renorm.double_tangency
+
+        def recorded(*args, **kwargs):
+            solves.append(real(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(renorm, "double_tangency", recorded)
+        tw = twin_find(lambda a, b: HenonMap(a, b))
+        assert len(solves) == 2
+        for dt in solves:
+            for word, t in zip((tw.word_minus, tw.word_plus), dt.tangencies):
+                fresh = find_tangency(factorize_chain(HenonMap(dt.a, dt.b), word))
+                for name in fresh._fields:
+                    assert getattr(t, name) == getattr(fresh, name), name
+        assert (tw.abar_minus, tw.abar_plus) == tuple(t.abar for t in solves[1].tangencies)
+        assert tw.curve_abar_minus[0] == solves[0].tangencies[0].abar
+
     def test_default_search_makes_at_most_100_chain_solves(self, monkeypatch):
         calls = [0]
 
@@ -1054,6 +1115,12 @@ class TestConeCertificate:
             certify_cone_expansion(HenonMap(-1.95, 1e-3), j=-1, grid=(3, 3))
         with pytest.raises(DomainError, match="j must be non-negative, got -2"):
             twin_find(lambda a, b: HenonMap(a, b), j=-2)
+
+    def test_push_forward_that_is_not_finite_violates_the_cone(self):
+        # at b = 1e160 the boundary vectors overflow to inf or NaN, and a NaN
+        # slope is never farther than the aperture from the arrival slope
+        cert = certify_cone_expansion(HenonMap(-1.95, 1e160), grid=(9, 3))
+        assert cert.counts["K1"] == cert.violations["K1"] == 18
 
     def test_disk_exclusion(self):
         wide = certify_cone_expansion(HenonMap(-1.95, 1e-3), r_disk=0.3)
